@@ -16,12 +16,10 @@ from .data import (
     save_scores,
 )
 from .knn import (
-    DistanceExtremes,
     NeighborGraph,
     brute_force_knn,
     build_knn_graph,
     count_within_radius,
-    distance_extremes,
 )
 from .metrics import (
     MetricResult,
@@ -37,11 +35,9 @@ from .scoring import (
     ScoreReport,
     fit_gaussian,
     fit_pca,
-    load_scorer,
     mahalanobis,
     normalize_scores,
     project,
-    save_scorer,
     score_pipeline,
 )
 from .shift import (
@@ -66,7 +62,6 @@ from .weights import (
     build_fuzzy_graph,
     compute_empirical_weights,
     pairwise_distances,
-    search_radius,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DatasetSplit",
     "DensityWeights",
-    "DistanceExtremes",
     "EmbeddingMatrix",
     "FuzzyGraph",
     "GaussianScorer",
@@ -103,7 +97,6 @@ __all__ = [
     "build_knn_graph",
     "compute_empirical_weights",
     "count_within_radius",
-    "distance_extremes",
     "evaluate",
     "fit_gaussian",
     "fit_pca",
@@ -111,7 +104,6 @@ __all__ = [
     "generate_synthetic",
     "joint_shift",
     "load_embeddings",
-    "load_scorer",
     "mahalanobis",
     "make_leakage_split",
     "normalize_scores",
@@ -120,9 +112,7 @@ __all__ = [
     "project",
     "random_search",
     "run_shift",
-    "save_scorer",
     "save_scores",
     "score_pipeline",
-    "search_radius",
     "shift_step",
 ]

@@ -16,7 +16,14 @@ import os
 import sys
 from pathlib import Path
 
-from .config import CONFIG_FIELD_TYPES, MsdeConfig, build_config, config_echo, parse_config_file
+from .config import (
+    CONFIG_FIELD_TYPES,
+    MsdeConfig,
+    build_config,
+    config_echo,
+    external_key,
+    parse_config_file,
+)
 from .data import (
     DatasetSplit,
     SyntheticSpec,
@@ -54,16 +61,15 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-shift", action="store_true",
                    help="baseline mode: alias for --max-iters 0")
     for key, typ in CONFIG_FIELD_TYPES.items():
-        flag = "--" + key.replace("_", "-")
-        dest = "lam" if key == "lambda" else key
+        flag = external_key(key).replace("_", "-")
         if typ is bool:
             group = p.add_mutually_exclusive_group()
-            group.add_argument(flag, dest=dest, action="store_const", const=True,
+            group.add_argument("--" + flag, dest=key, action="store_const", const=True,
                                default=None)
-            group.add_argument("--no-" + key.replace("_", "-"), dest=dest,
+            group.add_argument("--no-" + flag, dest=key,
                                action="store_const", const=False, default=None)
         else:
-            p.add_argument(flag, dest=dest, type=typ, default=None)
+            p.add_argument("--" + flag, dest=key, type=typ, default=None)
 
 
 def _build_parser() -> _Parser:
@@ -106,12 +112,8 @@ def _build_parser() -> _Parser:
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    values = {}
-    for key in CONFIG_FIELD_TYPES:
-        dest = "lam" if key == "lambda" else key
-        v = getattr(args, dest, None)
-        if v is not None:
-            values[key] = v
+    values = {key: v for key in CONFIG_FIELD_TYPES
+              if (v := getattr(args, key, None)) is not None}
     if getattr(args, "no_shift", False):
         values["max_iters"] = 0
     return values

@@ -8,18 +8,21 @@ quoted strings. CLI flags override file values which override defaults.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .exceptions import ConfigError
 from .shift import ShiftParams
 
-# Keys that live inside ShiftParams when a flat mapping is folded in.
-_SHIFT_KEYS = ("k", "eta", "max_iters", "tol", "t_nbd", "k_umap")
-_TOP_KEYS = ("pca_dim", "lam", "standardize", "fit_on_joint", "static_graph",
-             "seed", "threads")
-# "lambda" is the external spelling; it is a reserved word in Python.
-_KEY_ALIASES = {"lambda": "lam"}
+# "lambda" is the external spelling of `lam`, a reserved word in Python.
+_EXTERNAL_KEYS = {"lam": "lambda"}
+_INTERNAL_KEYS = {v: k for k, v in _EXTERNAL_KEYS.items()}
+
+
+def external_key(name: str) -> str:
+    """Spelling of a setting in config files, flags and the echo."""
+    return _EXTERNAL_KEYS.get(name, name)
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,6 @@ class MsdeConfig:
     pca_dim: int = 256
     lam: float = 1e-4
     standardize: bool = True
-    fit_on_joint: bool = False
-    static_graph: bool = False
     seed: int = 0
     threads: int = 1
 
@@ -46,10 +47,19 @@ class MsdeConfig:
 
     def flat(self) -> dict:
         """All settings as a flat mapping with external key spellings."""
-        out = {key: getattr(self.shift, key) for key in _SHIFT_KEYS}
-        for key in _TOP_KEYS:
-            out["lambda" if key == "lam" else key] = getattr(self, key)
-        return out
+        values = {**vars(self.shift), **vars(self)}
+        return {external_key(key): values[key] for key in CONFIG_FIELD_TYPES}
+
+
+# The settable keys are the dataclass fields: ShiftParams first, then the
+# rest of MsdeConfig. Internal key -> value type; one CLI flag each.
+_SHIFT_KEYS = frozenset(f.name for f in fields(ShiftParams))
+CONFIG_FIELD_TYPES: dict[str, type] = {
+    name: typ
+    for cls in (ShiftParams, MsdeConfig)
+    for name, typ in get_type_hints(cls).items()
+    if name != "shift"
+}
 
 
 def _parse_scalar(text: str):
@@ -82,8 +92,8 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = _KEY_ALIASES.get(key.strip(), key.strip())
-        if key not in _SHIFT_KEYS and key not in _TOP_KEYS:
+        key = _INTERNAL_KEYS.get(key.strip(), key.strip())
+        if key not in CONFIG_FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -98,11 +108,11 @@ def build_config(*overrides: dict) -> MsdeConfig:
         for key, value in layer.items():
             if value is None:
                 continue
-            merged[_KEY_ALIASES.get(key, key)] = value
-    shift_kwargs = {k: merged.pop(k) for k in list(merged) if k in _SHIFT_KEYS}
-    unknown = [k for k in merged if k not in _TOP_KEYS]
+            merged[_INTERNAL_KEYS.get(key, key)] = value
+    unknown = [k for k in merged if k not in CONFIG_FIELD_TYPES]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    shift_kwargs = {k: merged.pop(k) for k in list(merged) if k in _SHIFT_KEYS}
     try:
         shift = replace(ShiftParams(), **shift_kwargs)
         return MsdeConfig(shift=shift, **merged)
@@ -134,20 +144,3 @@ def _format_value(v) -> str:
         return repr(v)
     return str(v)
 
-
-# External key -> value type, used to build one CLI flag per setting.
-CONFIG_FIELD_TYPES: dict[str, type] = {
-    "k": int,
-    "eta": float,
-    "max_iters": int,
-    "tol": float,
-    "t_nbd": int,
-    "k_umap": int,
-    "pca_dim": int,
-    "lambda": float,
-    "standardize": bool,
-    "fit_on_joint": bool,
-    "static_graph": bool,
-    "seed": int,
-    "threads": int,
-}

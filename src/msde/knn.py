@@ -1,4 +1,4 @@
-"""Exact k-nearest-neighbor search and pairwise distance extremes.
+"""Exact k-nearest-neighbor search and strict radius counts.
 
 Two independent routes exist on purpose: ``build_knn_graph`` (KD-tree for
 low dimensions, blocked vectorized scan above ``KDTREE_MAX_DIM``) and
@@ -25,6 +25,8 @@ logger = logging.getLogger(__name__)
 # KD-trees stop paying for themselves in high dimensions; beyond this the
 # fast path switches to a blocked vectorized scan.
 KDTREE_MAX_DIM = 32
+# Rows per Gram block in the scan; bounds its scratch to this many rows x n.
+SCAN_BLOCK_ROWS = 256
 
 
 def _as_values(points) -> np.ndarray:
@@ -57,12 +59,6 @@ class NeighborGraph:
     @property
     def n_samples(self) -> int:
         return self.neighbors.shape[0]
-
-
-@dataclass(frozen=True)
-class DistanceExtremes:
-    d_max: float
-    d_min: float  # minimum over distinct pairs
 
 
 def _effective_k(k: int, n: int) -> int:
@@ -136,15 +132,16 @@ def _knn_blocked_scan(values: np.ndarray, k: int, threads: int) -> tuple[np.ndar
     def worker(start: int, stop: int) -> None:
         # Squared-distance screen via the Gram expansion, then exact
         # canonical re-ranking of everything at or near the k-th boundary.
-        block = values[start:stop]
-        d2 = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * block @ values.T
-        np.maximum(d2, 0.0, out=d2)
-        for row, i in enumerate(range(start, stop)):
-            d2[row, i] = np.inf
-            kth = np.partition(d2[row], k - 1)[k - 1]
-            cand = np.flatnonzero(d2[row] <= kth * (1.0 + 1e-9) + slack[i])
-            idx, d = _take_k_nearest(values, i, cand, k)
-            neighbors[i], distances[i] = idx, d
+        for lo in range(start, stop, SCAN_BLOCK_ROWS):
+            hi = min(lo + SCAN_BLOCK_ROWS, stop)
+            d2 = sq_norms[lo:hi, None] + sq_norms[None, :] - 2.0 * values[lo:hi] @ values.T
+            np.maximum(d2, 0.0, out=d2)
+            for row, i in enumerate(range(lo, hi)):
+                d2[row, i] = np.inf
+                kth = np.partition(d2[row], k - 1)[k - 1]
+                cand = np.flatnonzero(d2[row] <= kth * (1.0 + 1e-9) + slack[i])
+                idx, d = _take_k_nearest(values, i, cand, k)
+                neighbors[i], distances[i] = idx, d
 
     map_row_blocks(worker, n, threads)
     return neighbors, distances
@@ -160,27 +157,6 @@ def build_knn_graph(points, k: int, threads: int = 1) -> NeighborGraph:
     else:
         neighbors, distances = _knn_blocked_scan(values, k, threads)
     return NeighborGraph(k, neighbors, distances)
-
-
-def distance_extremes(points, threads: int = 1) -> DistanceExtremes:
-    """Exact max and min distance over distinct pairs (blocked full scan)."""
-    values = _as_values(points)
-    n = values.shape[0]
-    if n < 2:
-        raise GraphError(f"distance extremes need at least 2 points, got {n}")
-    maxima = np.empty(n)
-    minima = np.empty(n)
-
-    def worker(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            d = distances_from(values, i)
-            d[i] = -np.inf
-            maxima[i] = d.max()
-            d[i] = np.inf
-            minima[i] = d.min()
-
-    map_row_blocks(worker, n, threads)
-    return DistanceExtremes(d_max=float(maxima.max()), d_min=float(minima.min()))
 
 
 def count_within_radius(points, center_index: int, radius: float) -> int:

@@ -2,11 +2,13 @@
 
 Workers receive disjoint ``(start, stop)`` row ranges and write into
 preallocated output slices. Each row's result is a pure function of the
-immutable inputs, so results are identical for any thread count.
+immutable inputs, so results are identical for any thread count. The
+thread count is capped at the number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -19,6 +21,7 @@ def row_blocks(n_rows: int, n_blocks: int) -> list[tuple[int, int]]:
 
 def map_row_blocks(worker: Callable[[int, int], None], n_rows: int, threads: int) -> None:
     """Run ``worker(start, stop)`` over a partition of ``range(n_rows)``."""
+    threads = min(threads, os.cpu_count() or 1)
     blocks = row_blocks(n_rows, threads)
     if threads <= 1 or len(blocks) <= 1:
         for start, stop in blocks:

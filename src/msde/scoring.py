@@ -9,7 +9,6 @@ normalized scores squash their z-scores through a logistic map.
 
 from __future__ import annotations
 
-import json
 import logging
 import warnings
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from .config import MsdeConfig
 from .data import DatasetSplit, EmbeddingMatrix, apply_standardizer, fit_standardizer
 from .exceptions import FitError, NumericError, ShapeError
 from .metrics import MetricResult, evaluate
-from .shift import ShiftTrace, _joint_shift_parts
+from .shift import ShiftTrace, joint_shift
 from .weights import DensityWeights
 
 logger = logging.getLogger(__name__)
@@ -50,16 +49,18 @@ class PcaBasis:
 
 @dataclass(frozen=True)
 class GaussianScorer:
-    """Fitted reduced-space Gaussian with regularized covariance."""
+    """Fitted reduced-space Gaussian with regularized covariance.
+
+    The Cholesky factor of ``sigma`` is taken on construction; scoring
+    solves against it, and an indefinite ``sigma`` raises ``NumericError``.
+    """
 
     basis: PcaBasis
     mu: np.ndarray
     sigma: np.ndarray       # covariance + lam * I
-    precision: np.ndarray   # explicit inverse, kept for serialization/tests
     lam: float
 
     def __post_init__(self):
-        # Scoring always goes through the factorization, not `precision`.
         try:
             object.__setattr__(self, "_factor", cho_factor(self.sigma, lower=True))
         except np.linalg.LinAlgError as exc:
@@ -140,17 +141,10 @@ def fit_gaussian(z_train: EmbeddingMatrix, lam: float,
     mu = z.mean(axis=0)
     centered = z - mu
     sigma = centered.T @ centered / (n - 1) + lam * np.eye(d)
-    try:
-        factor = cho_factor(sigma, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"covariance factorization failed: {exc}") from exc
-    precision = cho_solve(factor, np.eye(d))
-    precision = 0.5 * (precision + precision.T)  # symmetrize solver round-off
     if basis is None:
         basis = PcaBasis(center=np.zeros(d), components=np.eye(d),
                          explained_variance=np.ones(d))
-    return GaussianScorer(basis=basis, mu=mu, sigma=sigma,
-                          precision=precision, lam=lam)
+    return GaussianScorer(basis=basis, mu=mu, sigma=sigma, lam=lam)
 
 
 def mahalanobis(scorer: GaussianScorer, z) -> np.ndarray | float:
@@ -183,9 +177,8 @@ def normalize_scores(raw) -> np.ndarray:
 def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
     """End-to-end scoring: standardize, shift, fit, project, score.
 
-    PCA and the Gaussian are fitted on the solo-shifted train set (or the
-    joint-shifted train rows when ``fit_on_joint`` is set); test rows are
-    always scored from the joint run.
+    PCA and the Gaussian are fitted on the solo-shifted train set; test
+    rows are scored from the joint run.
     """
     if config.standardize:
         standardizer = fit_standardizer(split.train)
@@ -193,14 +186,11 @@ def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
             train=apply_standardizer(standardizer, split.train),
             test=apply_standardizer(standardizer, split.test),
         )
-    solo, train_joint, test_shifted = _joint_shift_parts(
-        split, config.shift, static_graph=config.static_graph,
-        threads=config.threads,
-    )
-    fit_source = train_joint.points if config.fit_on_joint else solo.points
+    solo, train_joint, test_shifted = joint_shift(split, config.shift,
+                                                  threads=config.threads)
 
-    basis = fit_pca(fit_source, config.pca_dim)
-    z_train = project(basis, fit_source)
+    basis = fit_pca(solo.points, config.pca_dim)
+    z_train = project(basis, solo.points)
     scorer = fit_gaussian(z_train, config.lam, basis=basis)
     z_test = project(basis, test_shifted)
     raw = mahalanobis(scorer, z_test.values) if z_test.n_samples else np.empty(0)
@@ -224,34 +214,3 @@ def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
         joint_weights=train_joint.weights_used,
     )
 
-
-def save_scorer(scorer: GaussianScorer, path) -> None:
-    """Persist the fitted model as a single npz bundle, floats bit-exact."""
-    meta = json.dumps({"lambda": scorer.lam, "format": "msde-scorer-v1"})
-    np.savez(
-        path,
-        center=scorer.basis.center,
-        components=scorer.basis.components,
-        explained_variance=scorer.basis.explained_variance,
-        mu=scorer.mu,
-        sigma=scorer.sigma,
-        precision=scorer.precision,
-        meta=np.array(meta),
-    )
-
-
-def load_scorer(path) -> GaussianScorer:
-    with np.load(path, allow_pickle=False) as bundle:
-        meta = json.loads(str(bundle["meta"]))
-        basis = PcaBasis(
-            center=bundle["center"],
-            components=bundle["components"],
-            explained_variance=bundle["explained_variance"],
-        )
-        return GaussianScorer(
-            basis=basis,
-            mu=bundle["mu"],
-            sigma=bundle["sigma"],
-            precision=bundle["precision"],
-            lam=float(meta["lambda"]),
-        )

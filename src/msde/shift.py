@@ -118,7 +118,7 @@ def shift_step(points: EmbeddingMatrix, graph: NeighborGraph,
 
 
 def run_shift(points: EmbeddingMatrix, params: ShiftParams,
-              static_graph: bool = False, threads: int = 1) -> ShiftedEmbeddings:
+              threads: int = 1) -> ShiftedEmbeddings:
     """Full refinement loop: weights once, then iterate graph + step."""
     if params.max_iters == 0:
         return ShiftedEmbeddings(points, ShiftTrace(0, (), False), None)
@@ -131,10 +131,8 @@ def run_shift(points: EmbeddingMatrix, params: ShiftParams,
     values = points.values
     deltas: list[float] = []
     converged = False
-    graph = None
     for iteration in range(1, params.max_iters + 1):
-        if graph is None or not static_graph:
-            graph = build_knn_graph(values, params.k, threads=threads)
+        graph = build_knn_graph(values, params.k, threads=threads)
         values, delta = _step_values(values, graph, weights.weights, params.eta)
         deltas.append(delta)
         logger.info("shift iteration %d: mean displacement %.6g", iteration, delta)
@@ -145,10 +143,16 @@ def run_shift(points: EmbeddingMatrix, params: ShiftParams,
     return ShiftedEmbeddings(points.with_values(values), trace, weights)
 
 
-def _joint_shift_parts(split: DatasetSplit, params: ShiftParams,
-                       static_graph: bool = False, threads: int = 1):
-    """Solo train run plus the union run, split back into train/test parts."""
-    solo = run_shift(split.train, params, static_graph=static_graph, threads=threads)
+def joint_shift(split: DatasetSplit, params: ShiftParams, threads: int = 1
+                ) -> tuple[ShiftedEmbeddings, ShiftedEmbeddings, EmbeddingMatrix]:
+    """Refine train alone (for model fitting) and train+test jointly.
+
+    Returns ``(solo, train_joint, test_joint)``: the solo train run, then
+    the union run split back into its train and test rows. The union run
+    recomputes weights and radii from scratch, so test samples are scored
+    from geometry consistent with the train set.
+    """
+    solo = run_shift(split.train, params, threads=threads)
     n_train = split.train.n_samples
     if split.test.n_samples == 0:
         empty = EmbeddingMatrix(
@@ -157,7 +161,7 @@ def _joint_shift_parts(split: DatasetSplit, params: ShiftParams,
         return solo, solo, empty
 
     union = concat_matrices(split.train, split.test, ("train", "test"))
-    joint = run_shift(union, params, static_graph=static_graph, threads=threads)
+    joint = run_shift(union, params, threads=threads)
     joint_values = joint.points.values
     train_joint = ShiftedEmbeddings(
         split.train.with_values(joint_values[:n_train]), joint.trace,
@@ -167,18 +171,3 @@ def _joint_shift_parts(split: DatasetSplit, params: ShiftParams,
         joint_values[n_train:], split.test.row_ids, split.test.labels
     )
     return solo, train_joint, test_joint
-
-
-def joint_shift(split: DatasetSplit, params: ShiftParams,
-                static_graph: bool = False,
-                threads: int = 1) -> tuple[ShiftedEmbeddings, EmbeddingMatrix]:
-    """Refine train alone (for model fitting) and train+test jointly.
-
-    The union run recomputes weights and radii from scratch; only its test
-    rows are kept, so the fitted model sees the solo-shifted train while
-    test samples are scored from geometry consistent with the train set.
-    """
-    solo, _, test_joint = _joint_shift_parts(
-        split, params, static_graph=static_graph, threads=threads
-    )
-    return solo, test_joint

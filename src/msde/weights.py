@@ -26,6 +26,8 @@ logger = logging.getLogger(__name__)
 # Offset subtracted from the base radius before splitting it into four
 # scales; keeps the smallest radius strictly positive.
 RADIUS_MARGIN = 1e-6
+# Share of samples that must reach t_nbd strict neighbors at the base radius.
+TARGET_FRACTION = 0.3
 SIGMA_BISECTION_STEPS = 64
 RADIUS_BISECTION_STEPS = 60
 RADIUS_REL_TOL = 1e-6
@@ -151,12 +153,12 @@ def _kth_neighbor_distance(dist_matrix: np.ndarray, t_nbd: int) -> np.ndarray:
     return np.partition(d, t_nbd - 1, axis=1)[:, t_nbd - 1]
 
 
-def _bisect_radius(dist_matrix: np.ndarray, t_nbd: int, target_fraction: float):
-    """Smallest radius at which >= ceil(target_fraction*n) rows have at
+def _bisect_radius(dist_matrix: np.ndarray, t_nbd: int):
+    """Smallest radius at which >= ceil(TARGET_FRACTION*n) rows have at
     least ``t_nbd`` strictly-closer neighbors. Returns (epsilon, t_nbd_used,
     satisfied_fraction)."""
     n = dist_matrix.shape[0]
-    need = math.ceil(target_fraction * n)
+    need = math.ceil(TARGET_FRACTION * n)
     offdiag = dist_matrix[~np.eye(n, dtype=bool)]
     d_min = float(offdiag.min())
     d_max = float(offdiag.max())
@@ -201,27 +203,12 @@ def _bisect_radius(dist_matrix: np.ndarray, t_nbd: int, target_fraction: float):
     return eps, t_used, fraction
 
 
-def search_radius(graph_points, t_nbd: int, target_fraction: float = 0.3,
-                  threads: int = 1) -> RadiusSchedule:
-    """Binary-search the base radius and derive the four-scale schedule."""
-    if not 0.0 < target_fraction < 1.0:
-        raise ConfigError(f"target_fraction must be in (0,1), got {target_fraction}")
-    if t_nbd < 1:
-        raise ConfigError(f"t_nbd must be >= 1, got {t_nbd}")
-    values = getattr(graph_points, "values", graph_points)
-    if values.shape[0] < 2:
-        raise GraphError("radius search needs at least 2 points")
-    dist_matrix = pairwise_distances(values, threads=threads)
-    eps, _, _ = _bisect_radius(dist_matrix, t_nbd, target_fraction)
-    return RadiusSchedule(epsilon=eps)
-
-
 def _weights_from_coords(coords: np.ndarray, t_nbd: int,
-                         target_fraction: float, threads: int) -> DensityWeights:
+                         threads: int) -> DensityWeights:
     """Radius search plus four-scale strict counting over given coordinates."""
     n = coords.shape[0]
     dist_matrix = pairwise_distances(coords, threads=threads)
-    eps, t_used, fraction = _bisect_radius(dist_matrix, t_nbd, target_fraction)
+    eps, t_used, fraction = _bisect_radius(dist_matrix, t_nbd)
     schedule = RadiusSchedule(epsilon=eps)
 
     np.fill_diagonal(dist_matrix, np.inf)
@@ -238,7 +225,6 @@ def _weights_from_coords(coords: np.ndarray, t_nbd: int,
 
 
 def compute_empirical_weights(points, t_nbd: int, k_umap: int,
-                              target_fraction: float = 0.3,
                               threads: int = 1) -> DensityWeights:
     """Multi-scale strict-radius neighbor counts in graph space.
 
@@ -255,4 +241,4 @@ def compute_empirical_weights(points, t_nbd: int, k_umap: int,
 
     fuzzy = build_fuzzy_graph(points, k_umap, threads=threads)
     coords = np.ascontiguousarray(fuzzy.memberships.toarray())
-    return _weights_from_coords(coords, t_nbd, target_fraction, threads)
+    return _weights_from_coords(coords, t_nbd, threads)

@@ -140,8 +140,7 @@ def test_criterion_03_mahalanobis_correctness():
         d = mu.shape[0]
         basis = PcaBasis(center=np.zeros(d), components=np.eye(d),
                          explained_variance=np.ones(d))
-        return GaussianScorer(basis=basis, mu=mu, sigma=sigma,
-                              precision=np.linalg.inv(sigma), lam=1e-12)
+        return GaussianScorer(basis=basis, mu=mu, sigma=sigma, lam=1e-12)
 
     t0 = time.monotonic()
     rng = np.random.default_rng(3)

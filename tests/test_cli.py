@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from msde.cli import main
-from msde.config import build_config, parse_config_file
+from msde.config import CONFIG_FIELD_TYPES, build_config, parse_config_file
 from msde.exceptions import ConfigError
 
 
@@ -17,6 +17,10 @@ def synth_dir(tmp_path):
                  "--n-test-normal", "20", "--n-test-anomalous", "20",
                  "--anomaly-offset", "4.0", "--seed", "3"]) == 0
     return out
+
+
+# Flags of settings that no paper setting, demo or test used; now gone.
+REMOVED_FLAGS = ("--fit-on-joint", "--static-graph")
 
 
 def _run_args(synth_dir, out, extra=()):
@@ -223,10 +227,31 @@ class TestConfigParsing:
         assert cfg.standardize is False
 
     def test_unknown_key_rejected(self, tmp_path):
+        # Settings that were removed are unknown keys like any other.
         p = tmp_path / "c.cfg"
-        p.write_text("bogus = 1\n")
-        with pytest.raises(ConfigError):
-            parse_config_file(p)
+        keys = ["bogus"] + [flag[2:].replace("-", "_") for flag in REMOVED_FLAGS]
+        for key in keys:
+            p.write_text(f"{key} = true\n")
+            with pytest.raises(ConfigError):
+                parse_config_file(p)
+            with pytest.raises(ConfigError):
+                build_config({key: True})
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS)
+    def test_removed_flag_is_usage_error(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--train", "x", "--test", "y", "--out", str(tmp_path), flag])
+        assert exc.value.code == 1
+        assert "MSDE-ERR cli:" in capsys.readouterr().err
+
+    def test_one_flag_per_config_key(self):
+        from msde.cli import _build_parser
+        ns = _build_parser().parse_args(["run", "--train", "x", "--test", "y",
+                                         "--out", "z"])
+        other = {"command", "train", "test", "labels", "out", "dump_weights",
+                 "config", "no_shift"}
+        assert set(vars(ns)) - other == set(CONFIG_FIELD_TYPES)
+        assert len(build_config().flat()) == len(CONFIG_FIELD_TYPES) == 11
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

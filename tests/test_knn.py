@@ -1,4 +1,4 @@
-"""Neighbor search: oracle equivalence, tie rule, extremes, radius counts."""
+"""Neighbor search: oracle equivalence, tie rule, radius counts."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from msde import (
     brute_force_knn,
     build_knn_graph,
     count_within_radius,
-    distance_extremes,
 )
 from msde.exceptions import GraphError
-from msde.knn import distances_from
 
 
 def _matrix(values):
@@ -75,6 +73,17 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(fast.neighbors, slow.neighbors)
         np.testing.assert_array_equal(fast.distances, slow.distances)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_scan_sub_blocks_match_brute_force_on_ties(self, threads):
+        # More rows than one scan block, on an integer grid full of exact
+        # distance ties; the blocked scan must still equal the oracle.
+        rng = np.random.default_rng(5)
+        m = _matrix(rng.integers(0, 3, size=(600, 40)).astype(float))
+        fast = build_knn_graph(m, 12, threads=threads)
+        slow = brute_force_knn(m, 12)
+        np.testing.assert_array_equal(fast.neighbors, slow.neighbors)
+        np.testing.assert_array_equal(fast.distances, slow.distances)
+
     def test_thread_count_does_not_change_result(self):
         rng = np.random.default_rng(4)
         m = _matrix(rng.normal(size=(80, 64)))
@@ -105,36 +114,6 @@ class TestBruteForce:
         gp = brute_force_knn(_matrix(values[perm]), 6)
         np.testing.assert_array_equal(perm[gp.neighbors[inv]], g.neighbors)
         np.testing.assert_array_equal(gp.distances[inv], g.distances)
-
-
-class TestDistanceExtremes:
-    def test_collinear(self):
-        ext = distance_extremes(_matrix([[0.0], [1.0], [5.0]]))
-        assert ext.d_min == 1.0 and ext.d_max == 5.0
-
-    def test_coincident_pair(self):
-        ext = distance_extremes(_matrix([[0.0], [0.0], [3.0]]))
-        assert ext.d_min == 0.0 and ext.d_max == 3.0
-
-    def test_matches_exhaustive_oracle(self):
-        rng = np.random.default_rng(13)
-        values = rng.normal(size=(100, 6))
-        m = _matrix(values)
-        ext = distance_extremes(m)
-        best_min, best_max = np.inf, -np.inf
-        for i in range(100):
-            for j in range(100):
-                if i == j:
-                    continue
-                d = float(distances_from(values, i, [j])[0])
-                best_min = min(best_min, d)
-                best_max = max(best_max, d)
-        assert ext.d_min == best_min
-        assert ext.d_max == best_max
-
-    def test_needs_two_points(self):
-        with pytest.raises(GraphError):
-            distance_extremes(_matrix([[0.0]]))
 
 
 class TestCountWithinRadius:

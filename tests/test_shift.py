@@ -14,6 +14,7 @@ from msde import (
     run_shift,
     shift_step,
 )
+from msde.data import concat_matrices
 from msde.exceptions import ConfigError
 from msde.knn import NeighborGraph
 from msde.weights import DensityWeights, RadiusSchedule
@@ -153,8 +154,8 @@ class TestRunShift:
         assert np.linalg.norm(v[30:].mean(axis=0) - b.mean(axis=0)) < 0.5
 
     def test_weights_computed_once_on_input_points(self):
-        # a static graph reuses the first iteration's graph but weights are
-        # always those of the unshifted input
+        # the graph is rebuilt every iteration but weights are always those
+        # of the unshifted input
         rng = np.random.default_rng(5)
         m = _matrix(rng.normal(size=(30, 2)))
         out = run_shift(m, _quiet_params(max_iters=3, tol=1e-9))
@@ -181,14 +182,6 @@ class TestRunShift:
         np.testing.assert_allclose(outp.points.values[inv], out.points.values,
                                    atol=1e-12)
 
-    def test_static_graph_flag_changes_later_iterations(self):
-        rng = np.random.default_rng(8)
-        m = _matrix(rng.normal(size=(40, 2)))
-        dynamic = run_shift(m, _quiet_params(max_iters=5, tol=1e-9))
-        static = run_shift(m, _quiet_params(max_iters=5, tol=1e-9),
-                           static_graph=True)
-        assert dynamic.trace.deltas[0] == static.trace.deltas[0]
-
 
 class TestJointShift:
     def test_empty_test_equals_solo(self):
@@ -196,7 +189,7 @@ class TestJointShift:
         train = _matrix(rng.normal(size=(20, 2)))
         test = EmbeddingMatrix(np.empty((0, 2)), (), np.empty(0, dtype=np.int64))
         split = DatasetSplit(train=train, test=test)
-        solo, shifted_test = joint_shift(split, _quiet_params(max_iters=2))
+        solo, _, shifted_test = joint_shift(split, _quiet_params(max_iters=2))
         assert shifted_test.n_samples == 0
         reference = run_shift(train, _quiet_params(max_iters=2))
         np.testing.assert_array_equal(solo.points.values, reference.points.values)
@@ -208,10 +201,11 @@ class TestJointShift:
                                tuple(f"t{i}" for i in range(6)),
                                np.zeros(6, dtype=np.int64))
         split = DatasetSplit(train=train, test=test)
-        _, shifted_test = joint_shift(split, _quiet_params(max_iters=3))
-        from msde.shift import _joint_shift_parts
-        _, _, test_joint = _joint_shift_parts(split, _quiet_params(max_iters=3))
-        np.testing.assert_array_equal(test_joint.values, shifted_test.values)
+        _, _, shifted_test = joint_shift(split, _quiet_params(max_iters=3))
+        union = concat_matrices(train, test, ("train", "test"))
+        reference = run_shift(union, _quiet_params(max_iters=3))
+        np.testing.assert_array_equal(shifted_test.values,
+                                      reference.points.values[train.n_samples:])
 
     def test_duplicated_test_rows_track_train_rows(self):
         # With complete neighborhoods (k = n-1) the k-th boundary never cuts
@@ -227,10 +221,9 @@ class TestJointShift:
         split = DatasetSplit(train=train, test=test)
         params = ShiftParams(k=15, eta=0.33, max_iters=3, tol=1e-9,
                              t_nbd=5, k_umap=15)
-        from msde.shift import _joint_shift_parts
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # k clamps to n-1
-            _, train_joint, test_joint = _joint_shift_parts(split, params)
+            _, train_joint, test_joint = joint_shift(split, params)
         np.testing.assert_array_equal(train_joint.points.values[:4],
                                       test_joint.values)
 
@@ -241,6 +234,6 @@ class TestJointShift:
         test = EmbeddingMatrix(rng.normal(size=(5, 2)),
                                tuple(f"t{i}" for i in range(5)), labels)
         split = DatasetSplit(train=train, test=test)
-        _, shifted_test = joint_shift(split, _quiet_params(max_iters=2))
+        _, _, shifted_test = joint_shift(split, _quiet_params(max_iters=2))
         assert shifted_test.row_ids == test.row_ids
         np.testing.assert_array_equal(shifted_test.labels, labels)

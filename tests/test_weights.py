@@ -13,7 +13,6 @@ from msde import (
     compute_empirical_weights,
     count_within_radius,
     pairwise_distances,
-    search_radius,
 )
 from msde.exceptions import GraphError
 from msde.weights import _bisect_radius, _solve_bandwidth, _weights_from_coords
@@ -102,7 +101,7 @@ class TestSearchRadius:
         # points 0,1,2,3 with t_nbd=2 and 30% of 4 -> 2 rows needed: only at
         # radii > 1 do rows 1 and 2 each see two strict neighbors.
         m = _matrix([[0.0], [1.0], [2.0], [3.0]])
-        schedule = search_radius(m, t_nbd=2, target_fraction=0.3)
+        schedule = _weights_from_coords(m.values, t_nbd=2, threads=1).schedule
         assert schedule.epsilon > 1.0
         assert schedule.epsilon == pytest.approx(1.0, rel=1e-5)
         # independent confirmation of the limit by fine grid scan
@@ -116,14 +115,14 @@ class TestSearchRadius:
 
     def test_all_points_coincident(self):
         m = _matrix([[2.0, 2.0]] * 6)
-        schedule = search_radius(m, t_nbd=3, target_fraction=0.3)
+        schedule = _weights_from_coords(m.values, t_nbd=3, threads=1).schedule
         assert 0.0 < schedule.epsilon <= 2e-12
 
     def test_impossible_t_nbd_clamped(self):
         rng = np.random.default_rng(3)
         m = _matrix(rng.normal(size=(10, 2)))
         with pytest.warns(UserWarning, match="clamped"):
-            schedule = search_radius(m, t_nbd=10, target_fraction=0.3)
+            schedule = _weights_from_coords(m.values, t_nbd=10, threads=1).schedule
         assert schedule.epsilon > 0.0
 
     def test_predicate_monotone_in_radius(self):
@@ -142,7 +141,7 @@ class TestSearchRadius:
         rng = np.random.default_rng(23)
         values = rng.normal(size=(60, 3))
         m = _matrix(values)
-        schedule = search_radius(m, t_nbd=5, target_fraction=0.3)
+        schedule = _weights_from_coords(m.values, t_nbd=5, threads=1).schedule
         satisfied = sum(
             count_within_radius(m, i, schedule.epsilon) >= 5 for i in range(60)
         )
@@ -195,7 +194,7 @@ class TestEmpiricalWeights:
         cluster = rng.normal(0.0, 1e-3, size=(30, 4))
         outlier = np.full((1, 4), 25.0)
         coords = np.ascontiguousarray(np.vstack([cluster, outlier]))
-        dw = _weights_from_coords(coords, t_nbd=25, target_fraction=0.3, threads=1)
+        dw = _weights_from_coords(coords, t_nbd=25, threads=1)
         oracle = np.zeros(31)
         for radius in dw.schedule.radii:
             oracle += [count_within_radius(coords, i, radius) for i in range(31)]
@@ -260,6 +259,6 @@ class TestBisectRadiusInternals:
         # the search lands just above it.
         D = pairwise_distances(np.array([[0.0], [4.0]]))
         with pytest.warns(UserWarning, match="clamped"):
-            eps, t_used, _ = _bisect_radius(D, t_nbd=70, target_fraction=0.3)
+            eps, t_used, _ = _bisect_radius(D, t_nbd=70)
         assert 4.0 < eps <= 4.0 * (1.0 + 2e-6)
         assert t_used == 1
