@@ -168,7 +168,9 @@ def fit_standardizer(train: EmbeddingMatrix) -> Standardizer:
 def apply_standardizer(s: Standardizer, x: EmbeddingMatrix) -> EmbeddingMatrix:
     if x.dim != s.dim:
         raise ShapeError(f"standardizer dim {s.dim} != data dim {x.dim}")
-    return x.with_values((x.values - s.mean) / s.std)
+    out = x.values - s.mean
+    out /= s.std
+    return x.with_values(out)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Exact k-nearest-neighbor search and strict radius counts.
 
-Two independent routes exist on purpose: ``build_knn_graph`` (KD-tree for
-low dimensions, blocked vectorized scan above ``KDTREE_MAX_DIM``) and
-``brute_force_knn`` (the naive O(n^2 d) oracle). Both report distances
-through the single metric kernel ``distances_from`` so their outputs are
-comparable bit for bit; they differ in how candidates are found and
-ordered. Ties in distance are always broken toward the lower row index.
+There is one fast route, ``build_knn_graph`` (a blocked Gram-matrix screen
+followed by an exact re-rank), and one oracle, ``brute_force_knn`` (the
+naive O(n^2 d) scan). Both report distances through the single metric
+kernel ``distances_from`` so their outputs are comparable bit for bit;
+they differ in how candidates are found. Ties in distance are always
+broken toward the lower row index.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .exceptions import GraphError
 from .parallel import map_row_blocks
 
 logger = logging.getLogger(__name__)
 
-# KD-trees stop paying for themselves in high dimensions; beyond this the
-# fast path switches to a blocked vectorized scan.
-KDTREE_MAX_DIM = 32
 # Rows per Gram block in the scan; bounds its scratch to this many rows x n.
 SCAN_BLOCK_ROWS = 256
 
@@ -72,13 +68,6 @@ def _effective_k(k: int, n: int) -> int:
     return k
 
 
-def _take_k_nearest(values: np.ndarray, i: int, candidates: np.ndarray, k: int):
-    """Canonical distances + (distance, index) ordering over candidates."""
-    d = distances_from(values, i, candidates)
-    order = np.lexsort((candidates, d))[:k]
-    return candidates[order], d[order]
-
-
 def brute_force_knn(points, k: int) -> NeighborGraph:
     """Naive O(n^2 d) exhaustive scan; the ground-truth oracle."""
     values = _as_values(points)
@@ -94,29 +83,6 @@ def brute_force_knn(points, k: int) -> NeighborGraph:
         neighbors[i] = order
         distances[i] = d[order]
     return NeighborGraph(k, neighbors, distances)
-
-
-def _knn_kdtree(values: np.ndarray, k: int, threads: int) -> tuple[np.ndarray, np.ndarray]:
-    n = values.shape[0]
-    tree = cKDTree(values)
-    # k+1 nearest always contain at least k non-self points, so the radius
-    # of that ball (with slack for the tree's own rounding) bounds the true
-    # k-th neighbor distance. Candidates are re-ranked with the canonical
-    # kernel so ties resolve to the lower index.
-    qdist, _ = tree.query(values, k=k + 1)
-    radii = qdist[:, -1] * (1.0 + 1e-9)
-    neighbors = np.empty((n, k), dtype=np.int64)
-    distances = np.empty((n, k), dtype=np.float64)
-
-    def worker(start: int, stop: int) -> None:
-        balls = tree.query_ball_point(values[start:stop], radii[start:stop])
-        for i, ball in zip(range(start, stop), balls):
-            cand = np.asarray([j for j in ball if j != i], dtype=np.intp)
-            idx, d = _take_k_nearest(values, i, cand, k)
-            neighbors[i], distances[i] = idx, d
-
-    map_row_blocks(worker, n, threads)
-    return neighbors, distances
 
 
 def _knn_blocked_scan(values: np.ndarray, k: int, threads: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +106,9 @@ def _knn_blocked_scan(values: np.ndarray, k: int, threads: int) -> tuple[np.ndar
                 d2[row, i] = np.inf
                 kth = np.partition(d2[row], k - 1)[k - 1]
                 cand = np.flatnonzero(d2[row] <= kth * (1.0 + 1e-9) + slack[i])
-                idx, d = _take_k_nearest(values, i, cand, k)
-                neighbors[i], distances[i] = idx, d
+                d = distances_from(values, i, cand)
+                order = np.lexsort((cand, d))[:k]
+                neighbors[i], distances[i] = cand[order], d[order]
 
     map_row_blocks(worker, n, threads)
     return neighbors, distances
@@ -152,10 +119,7 @@ def build_knn_graph(points, k: int, threads: int = 1) -> NeighborGraph:
     values = _as_values(points)
     n = values.shape[0]
     k = _effective_k(k, n)
-    if values.shape[1] <= KDTREE_MAX_DIM:
-        neighbors, distances = _knn_kdtree(values, k, threads)
-    else:
-        neighbors, distances = _knn_blocked_scan(values, k, threads)
+    neighbors, distances = _knn_blocked_scan(values, k, threads)
     return NeighborGraph(k, neighbors, distances)
 
 

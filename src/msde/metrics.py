@@ -1,12 +1,14 @@
 """Ranking metrics with exact tie handling, plus brute-force oracles.
 
-AUC-ROC is the Mann-Whitney statistic (half credit for ties), computed
-from midranks in O(n log n); the oracle counts all positive-negative
-pairs. Average precision integrates the precision-recall step curve with
-tied scores processed as single blocks, making the value independent of
-input order; the oracle walks the ranking explicitly. Both fast paths and
-oracles build identical per-term expressions and reduce with exact
-summation, so equality checks carry zero tolerance.
+Both fast paths sort the scores once and split them into blocks of tied
+scores. AUC-ROC is the Mann-Whitney statistic: each positive wins over
+the negatives in lower blocks and gets half credit for the negatives in
+its own block, counted in integers without midranks; the oracle counts
+all positive-negative pairs. Average precision integrates the
+precision-recall step curve with each tie block as a single step, making
+the value independent of input order; the oracle walks the ranking
+explicitly. Fast paths and oracles reduce exact counts or identical
+per-term expressions, so equality checks carry zero tolerance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import MetricError
 
@@ -41,6 +42,8 @@ def _check_inputs(scores, labels, need_neg: bool):
         )
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise MetricError("labels must be 0 or 1")
+    if np.isnan(scores).any():
+        raise MetricError("scores must not be NaN")
     n_pos = int(np.count_nonzero(labels == 1))
     n_neg = int(np.count_nonzero(labels == 0))
     if n_pos < 1:
@@ -53,13 +56,16 @@ def _check_inputs(scores, labels, need_neg: bool):
 def auc_roc(scores, labels) -> float:
     """Probability a random positive outscores a random negative.
 
-    Midranks give ties exactly half credit; rank sums are multiples of
-    0.5 and hence exact in float64.
+    Ties get exactly half credit; the win count is an integer plus a half
+    integer, hence exact in float64.
     """
     scores, labels, n_pos, n_neg = _check_inputs(scores, labels, need_neg=True)
-    ranks = rankdata(scores, method="average")
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    cum_tp, cum_k = _tie_blocks(scores, labels)
+    cum_neg = cum_k - cum_tp
+    pos_b = np.diff(cum_tp, prepend=0)
+    neg_b = np.diff(cum_neg, prepend=0)
+    wins = int(pos_b @ (n_neg - cum_neg)) + 0.5 * int(pos_b @ neg_b)
+    return wins / (n_pos * n_neg)
 
 
 def auc_roc_pairwise(scores, labels) -> float:
@@ -71,23 +77,21 @@ def auc_roc_pairwise(scores, labels) -> float:
     return wins / (n_pos * n_neg)
 
 
-def _tie_blocks(scores: np.ndarray):
-    """Indices sorted by descending score plus block-end positions."""
+def _tie_blocks(scores: np.ndarray, labels: np.ndarray):
+    """Cumulative positives and rows through each tie block, best first."""
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    ends = np.flatnonzero(np.diff(sorted_scores) != 0.0)
+    # Compare neighbors directly: a difference of two equal infinities is NaN.
+    ends = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
     ends = np.concatenate([ends, [scores.size - 1]])
-    return order, ends
+    return np.cumsum(labels[order])[ends], ends + 1
 
 
 def average_precision(scores, labels) -> float:
     """Step integral of precision over recall, ties as single blocks."""
     scores, labels, n_pos, _ = _check_inputs(scores, labels, need_neg=False)
-    order, ends = _tie_blocks(scores)
-    cum_tp = np.cumsum(labels[order])[ends]
-    prev_tp = np.concatenate([[0], cum_tp[:-1]])
-    cum_k = ends + 1
-    terms = ((cum_tp - prev_tp) / n_pos) * (cum_tp / cum_k)
+    cum_tp, cum_k = _tie_blocks(scores, labels)
+    terms = (np.diff(cum_tp, prepend=0) / n_pos) * (cum_tp / cum_k)
     return math.fsum(terms.tolist())
 
 

@@ -9,7 +9,9 @@ field, which keeps the on-disk contract bit-exact and easy to audit.
 from __future__ import annotations
 
 import ast
+import os
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -20,13 +22,21 @@ _ALLOWED_DESCR = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    """Read a strict NPY v1.0 file into a float64 C-order matrix."""
+    """Read a strict NPY v1.0 file into a float64 C-order matrix.
+
+    The payload is read straight into the result array, so a large file is
+    never held a second time as bytes.
+    """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            return _read_open(path, fh, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
 
+
+def _read_open(path: Path, fh: BinaryIO, size: int) -> np.ndarray:
+    raw = fh.read(10)
     if len(raw) < 10 or not raw.startswith(_MAGIC):
         raise LoadError(f"{path}: not an NPY file (bad magic)")
     major, minor = raw[6], raw[7]
@@ -36,10 +46,10 @@ def read_matrix(path: str | Path) -> np.ndarray:
         )
     header_len = int.from_bytes(raw[8:10], "little")
     header_end = 10 + header_len
-    if len(raw) < header_end:
+    if size < header_end:
         raise LoadError(f"{path}: truncated NPY header")
 
-    header_text = raw[10:header_end].decode("latin-1")
+    header_text = fh.read(header_len).decode("latin-1")
     try:
         header = ast.literal_eval(header_text.strip())
     except (ValueError, SyntaxError) as exc:
@@ -67,12 +77,14 @@ def read_matrix(path: str | Path) -> np.ndarray:
 
     dtype = _ALLOWED_DESCR[descr]
     expected = n * d * dtype.itemsize
-    payload = raw[header_end:]
-    if len(payload) != expected:
+    payload = size - header_end
+    if payload == expected:
+        values = np.empty((n, d), dtype=dtype)
+        payload = fh.readinto(memoryview(values).cast("B"))
+    if payload != expected:
         raise LoadError(
-            f"{path}: payload is {len(payload)} bytes, shape {shape} needs {expected}"
+            f"{path}: payload is {payload} bytes, shape {shape} needs {expected}"
         )
-    values = np.frombuffer(payload, dtype=dtype).reshape(n, d)
     return np.ascontiguousarray(values, dtype=np.float64)
 
 

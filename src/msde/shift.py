@@ -22,6 +22,12 @@ from .weights import DensityWeights, compute_empirical_weights
 
 logger = logging.getLogger(__name__)
 
+# Rows per gather block in the shift step. The gathered neighborhoods take
+# rows * k * d floats, so 16 rows keep that temporary cache-sized
+# (16 * k * d). Each row is reduced on its own, so the height never
+# changes the result.
+STEP_BLOCK_ROWS = 16
+
 
 @dataclass(frozen=True)
 class ShiftParams:
@@ -70,8 +76,7 @@ class ShiftedEmbeddings:
 
 
 def _step_values(values: np.ndarray, graph: NeighborGraph,
-                 weights: np.ndarray, eta: float,
-                 block_rows: int = 1024) -> tuple[np.ndarray, float]:
+                 weights: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
     """One synchronous update from the snapshot; returns (new, mean shift).
 
     Neighborhoods whose weights sum to zero fall back to the unweighted
@@ -81,8 +86,8 @@ def _step_values(values: np.ndarray, graph: NeighborGraph,
     w = weights[graph.neighbors]
     wsum = w.sum(axis=1)
     new = np.empty_like(values)
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
+    for start in range(0, n, STEP_BLOCK_ROWS):
+        stop = min(start + STEP_BLOCK_ROWS, n)
         nb = values[graph.neighbors[start:stop]]
         weighted = (w[start:stop, :, None] * nb).sum(axis=1)
         block_sum = wsum[start:stop]
@@ -154,6 +159,9 @@ def joint_shift(split: DatasetSplit, params: ShiftParams, threads: int = 1
     """
     solo = run_shift(split.train, params, threads=threads)
     n_train = split.train.n_samples
+    if params.max_iters == 0:
+        # No-shift baseline: the union run would only copy the rows back.
+        return solo, solo, split.test
     if split.test.n_samples == 0:
         empty = EmbeddingMatrix(
             np.empty((0, split.train.dim)), (), np.empty(0, dtype=np.int64)

@@ -1,6 +1,10 @@
 """CLI surface: subcommands, outputs, determinism, exit codes, config."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,3 +297,16 @@ class TestConfigParsing:
         assert LoadError("x").exit_code == 2
         assert MetricError("x").exit_code == 2
         assert NumericError("x").exit_code == 3
+
+
+def test_cli_import_skips_unused_scipy_subpackages():
+    # The CLI needs scipy.linalg, scipy.sparse and scipy.special only;
+    # scipy.stats and scipy.spatial each cost a large share of start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import msde.cli, sys; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.spatial') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from msde import (
     count_within_radius,
 )
 from msde.exceptions import GraphError
+from msde.knn import SCAN_BLOCK_ROWS
 
 
 def _matrix(values):
@@ -52,8 +53,8 @@ class TestBuildKnnGraph:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("dim", [1, 2, 8, 64])
     def test_matches_brute_force(self, dim):
-        # Exact index and distance equality on random instances; dim 64
-        # exercises the blocked-scan route, the others the KD-tree route.
+        # Exact index and distance equality on random instances, from one
+        # dimension up to dim 64.
         for seed in range(5):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(20, 120))
@@ -74,11 +75,14 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(fast.distances, slow.distances)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_scan_sub_blocks_match_brute_force_on_ties(self, threads):
+    @pytest.mark.parametrize("dim", [2, 40])
+    def test_scan_sub_blocks_match_brute_force_on_ties(self, dim, threads):
         # More rows than one scan block, on an integer grid full of exact
-        # distance ties; the blocked scan must still equal the oracle.
+        # distance ties (in 2-d, duplicate points too); the blocked scan
+        # must still equal the oracle.
+        assert 600 > SCAN_BLOCK_ROWS
         rng = np.random.default_rng(5)
-        m = _matrix(rng.integers(0, 3, size=(600, 40)).astype(float))
+        m = _matrix(rng.integers(0, 3, size=(600, dim)).astype(float))
         fast = build_knn_graph(m, 12, threads=threads)
         slow = brute_force_knn(m, 12)
         np.testing.assert_array_equal(fast.neighbors, slow.neighbors)

@@ -125,6 +125,20 @@ class TestInvariances:
             pytest.approx(1.0 - auc_roc(scores, 1 - labels), abs=1e-12)
 
 
+class TestInfiniteAndNanScores:
+    def test_tied_infinities_match_oracles(self):
+        scores = [np.inf, np.inf, 0.5, -np.inf, -np.inf, np.inf]
+        labels = [0, 1, 1, 1, 0, 0]
+        assert auc_roc(scores, labels) == auc_roc_pairwise(scores, labels)
+        assert average_precision(scores, labels) == \
+            average_precision_stepwise(scores, labels)
+
+    def test_nan_score_rejected(self):
+        for metric in (auc_roc, auc_roc_pairwise, average_precision):
+            with pytest.raises(MetricError, match="NaN"):
+                metric([0.1, np.nan, 0.9], [0, 1, 1])
+
+
 class TestEvaluate:
     def test_counts_and_json(self):
         result = evaluate([0.1, 0.9, 0.8], [0, 1, 1])

@@ -78,6 +78,12 @@ class TestRead:
         with pytest.raises(LoadError, match="payload"):
             read_matrix(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "m.npy"
+        p.write_bytes(_raw_npy(payload=struct.pack("<2d", 7.0, 8.0)))
+        with pytest.raises(LoadError, match="payload is 16 bytes"):
+            read_matrix(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
             read_matrix(tmp_path / "nope.npy")

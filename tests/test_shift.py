@@ -14,6 +14,7 @@ from msde import (
     run_shift,
     shift_step,
 )
+import msde.shift as shift_module
 from msde.data import concat_matrices
 from msde.exceptions import ConfigError
 from msde.knn import NeighborGraph
@@ -98,6 +99,26 @@ class TestShiftStep:
             moved = np.linalg.norm(shifted.values - pts, axis=1)
             radius = graph.distances.max(axis=1)
             assert np.all(moved <= eta * radius + 1e-12)
+
+    @pytest.mark.parametrize("eta", [0.33, 1.0])
+    def test_block_size_does_not_change_step(self, monkeypatch, eta):
+        # Each row's sum is reduced on its own, so the gather block height
+        # must not change a single bit; zero weights (and one all-zero
+        # neighborhood) exercise the fallback inside and across blocks.
+        rng = np.random.default_rng(11)
+        n = 53
+        pts = rng.normal(size=(n, 6))
+        graph = build_knn_graph(_matrix(pts), 5)
+        w = rng.uniform(0.0, 5.0, size=n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[graph.neighbors[20]] = 0.0
+        results = []
+        for rows in (1, 7, n + 1):
+            monkeypatch.setattr(shift_module, "STEP_BLOCK_ROWS", rows)
+            results.append(shift_module._step_values(pts, graph, w, eta))
+        for new, delta in results[1:]:
+            assert new.tobytes() == results[0][0].tobytes()
+            assert delta == results[0][1]
 
     def test_invalid_eta(self):
         pts = np.array([[0.0], [1.0]])
@@ -193,6 +214,18 @@ class TestJointShift:
         assert shifted_test.n_samples == 0
         reference = run_shift(train, _quiet_params(max_iters=2))
         np.testing.assert_array_equal(solo.points.values, reference.points.values)
+
+    def test_no_shift_passes_rows_through(self):
+        rng = np.random.default_rng(13)
+        train = _matrix(rng.normal(size=(20, 2)))
+        test = EmbeddingMatrix(rng.normal(size=(5, 2)),
+                               tuple(f"t{i}" for i in range(5)),
+                               np.array([0, 1, 0, 1, 1], dtype=np.int64))
+        split = DatasetSplit(train=train, test=test)
+        solo, train_joint, test_joint = joint_shift(split, _quiet_params(max_iters=0))
+        assert test_joint is test
+        assert solo.points is train and train_joint.points is train
+        assert train_joint.trace.iterations_run == 0
 
     def test_extracted_test_rows_come_from_joint_run(self):
         rng = np.random.default_rng(11)
