@@ -12,24 +12,18 @@ Run:  python demos/02_density_weights.py
 
 import numpy as np
 
-from msde import (
-    EmbeddingMatrix,
-    build_fuzzy_graph,
-    compute_empirical_weights,
-    count_within_radius,
-)
+from msde import build_fuzzy_graph, compute_empirical_weights, count_within_radius
 
 rng = np.random.default_rng(1)
 values = rng.normal(0.0, 1.0, size=(200, 2))
-points = EmbeddingMatrix(values, tuple(f"p{i}" for i in range(200)))
 
-fuzzy = build_fuzzy_graph(points, k_umap=15)
+fuzzy = build_fuzzy_graph(values, k_umap=15)
 G = fuzzy.memberships
 print(f"fuzzy graph: {G.shape[0]} nodes, {G.nnz} nonzero memberships")
 print(f"membership range [{G.data.min():.3f}, {G.data.max():.3f}]")
 print(f"nearest-neighbor distances rho: median {np.median(fuzzy.rho):.4f}")
 
-dw = compute_empirical_weights(points, t_nbd=30, k_umap=15)
+dw = compute_empirical_weights(values, t_nbd=30, k_umap=15)
 print(f"\nbase radius epsilon = {dw.schedule.epsilon:.4f} "
       f"(binary search, 30% of rows must have >= 30 strict neighbors)")
 print("four shrinking radii:", [f"{r:.4f}" for r in dw.schedule.radii])

@@ -10,7 +10,7 @@ Run:  python demos/03_shift_dynamics.py
 
 import numpy as np
 
-from msde import EmbeddingMatrix, ShiftParams, run_shift
+from msde import ShiftParams, run_shift
 
 rng = np.random.default_rng(2)
 
@@ -22,10 +22,9 @@ def ring(n, radius, noise):
 
 
 values = np.vstack([ring(200, 3.0, 0.25), ring(100, 1.0, 0.25)])
-points = EmbeddingMatrix(values, tuple(f"p{i}" for i in range(300)))
 
 params = ShiftParams(k=12, eta=0.33, max_iters=10, tol=1e-3, t_nbd=20, k_umap=15)
-out = run_shift(points, params)
+out = run_shift(values, params)
 
 print("iteration  mean displacement")
 for i, delta in enumerate(out.trace.deltas, start=1):
@@ -39,7 +38,7 @@ def ring_thickness(pts):
     return radii.std()
 
 
-before, after = values, out.points.values
+before, after = values, out.values
 print(f"\nouter ring thickness: {ring_thickness(before[:200]):.4f} -> "
       f"{ring_thickness(after[:200]):.4f}")
 print(f"inner ring thickness: {ring_thickness(before[200:]):.4f} -> "

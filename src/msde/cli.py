@@ -178,9 +178,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if report.joint_weights is not None:
             union_ids = [f"train:{r}" for r in split.train.row_ids] + \
                         [f"test:{r}" for r in split.test.row_ids]
-            if len(union_ids) == len(report.joint_weights.weights):
-                _dump_weights(out / "weights_joint.csv", union_ids,
-                              report.joint_weights)
+            _dump_weights(out / "weights_joint.csv", union_ids,
+                          report.joint_weights)
     if report.metrics is None:
         raise MetricError("test labels contain a single class; no metrics")
     (out / "metrics.json").write_text(metrics_json(report.metrics) + "\n")

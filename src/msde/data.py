@@ -36,6 +36,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _shareable(a) -> bool:
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
+            and a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable)
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """n samples of d-dimensional real vectors with stable row identifiers.
@@ -44,6 +49,10 @@ class EmbeddingMatrix:
     (0 = normal, 1 = anomalous). Values are validated finite on
     construction. Zero-row matrices are representable so that empty test
     sets can flow through the pipeline; loaders reject them.
+
+    A values array that is float64, 2-D, C-contiguous, owns its data and is
+    read-only is shared; anything else is copied (and the copy frozen), so
+    a caller's writable array is never aliased or frozen.
     """
 
     values: np.ndarray
@@ -51,7 +60,9 @@ class EmbeddingMatrix:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, order="C", ndmin=2)
+        values = self.values
+        if not _shareable(values):
+            values = _readonly(np.array(values, dtype=np.float64, order="C", ndmin=2))
         if values.ndim != 2:
             raise ShapeError(f"embedding values must be 2-D, got shape {values.shape}")
         if values.shape[1] < 1:
@@ -61,7 +72,7 @@ class EmbeddingMatrix:
             raise LoadError(
                 f"non-finite value at row {bad[0]}, column {bad[1]}"
             )
-        object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "values", values)
 
         row_ids = tuple(str(r) for r in self.row_ids)
         if len(row_ids) != values.shape[0]:
@@ -90,32 +101,12 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def with_values(self, values: np.ndarray) -> "EmbeddingMatrix":
-        """Same rows and labels, new coordinates (shape must be preserved)."""
-        values = np.asarray(values)
-        if values.shape != self.values.shape:
-            raise ShapeError(
-                f"replacement values {values.shape} != original {self.values.shape}"
-            )
-        return EmbeddingMatrix(values, self.row_ids, self.labels)
-
     def take(self, indices: np.ndarray) -> "EmbeddingMatrix":
         """Row subset in the given order."""
         indices = np.asarray(indices, dtype=np.intp)
         ids = tuple(self.row_ids[i] for i in indices)
         labels = self.labels[indices] if self.labels is not None else None
         return EmbeddingMatrix(self.values[indices], ids, labels)
-
-
-def concat_matrices(a: EmbeddingMatrix, b: EmbeddingMatrix,
-                    id_prefixes: tuple[str, str] = ("a", "b")) -> EmbeddingMatrix:
-    """Stack two matrices; ids are prefixed so identical ids cannot collide."""
-    if a.dim != b.dim:
-        raise ShapeError(f"cannot concatenate dims {a.dim} and {b.dim}")
-    ids = tuple(f"{id_prefixes[0]}:{r}" for r in a.row_ids) + tuple(
-        f"{id_prefixes[1]}:{r}" for r in b.row_ids
-    )
-    return EmbeddingMatrix(np.vstack([a.values, b.values]), ids, None)
 
 
 @dataclass(frozen=True)
@@ -170,7 +161,7 @@ def apply_standardizer(s: Standardizer, x: EmbeddingMatrix) -> EmbeddingMatrix:
         raise ShapeError(f"standardizer dim {s.dim} != data dim {x.dim}")
     out = x.values - s.mean
     out /= s.std
-    return x.with_values(out)
+    return EmbeddingMatrix(_readonly(out), x.row_ids, x.labels)
 
 
 @dataclass(frozen=True)
@@ -261,32 +252,25 @@ def _parse_csv_matrix(path: Path) -> np.ndarray:
     return np.array(data, dtype=np.float64)
 
 
-def load_embeddings(path: str | Path, format: str | None = None,
-                    id_prefix: str = "row") -> EmbeddingMatrix:
-    """Load a 2-D embedding matrix from ``.npy`` or ``.csv``.
+def load_embeddings(path: str | Path, id_prefix: str = "row") -> EmbeddingMatrix:
+    """Load a 2-D embedding matrix from ``.npy`` or ``.csv`` (by suffix).
 
     Neither format carries row identifiers, so positional ids
     ``{id_prefix}_NNNNNN`` are assigned; the CLI loads train and test with
     distinct prefixes so their ids never collide.
     """
     path = Path(path)
-    if format is None:
-        suffix = path.suffix.lower()
-        if suffix == ".npy":
-            format = "npy"
-        elif suffix == ".csv":
-            format = "csv"
-        else:
-            raise LoadError(f"{path}: cannot infer format from suffix {suffix!r}")
-    if format == "npy":
+    suffix = path.suffix.lower()
+    if suffix == ".npy":
         values = npyio.read_matrix(path)
-    elif format == "csv":
+    elif suffix == ".csv":
         values = _parse_csv_matrix(path)
     else:
-        raise LoadError(f"unknown format {format!r}, expected 'npy' or 'csv'")
+        raise LoadError(f"{path}: cannot infer format from suffix {suffix!r}")
     if values.shape[0] < 1 or values.shape[1] < 1:
         raise LoadError(f"{path}: empty matrix of shape {values.shape}")
-    return EmbeddingMatrix(values, default_row_ids(values.shape[0], id_prefix))
+    return EmbeddingMatrix(_readonly(values),
+                           default_row_ids(values.shape[0], id_prefix))
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:

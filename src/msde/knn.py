@@ -26,8 +26,7 @@ SCAN_BLOCK_ROWS = 256
 
 
 def _as_values(points) -> np.ndarray:
-    values = getattr(points, "values", points)
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(points, dtype=np.float64)
     if values.ndim != 2:
         raise GraphError(f"points must be a 2-D matrix, got shape {values.shape}")
     return values

@@ -4,7 +4,9 @@ The model is fitted on (solo-)shifted training embeddings only: PCA by
 symmetric eigendecomposition of the sample covariance, then a Gaussian
 with Tikhonov-regularized covariance whose inverse is applied through a
 Cholesky factorization. Raw test scores are Mahalanobis distances;
-normalized scores squash their z-scores through a logistic map.
+normalized scores squash their z-scores through a logistic map. The
+fitting and scoring functions take float64 ``(n, d)`` arrays; only
+``score_pipeline`` reads row ids and labels, from its ``DatasetSplit``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.special import expit
 
 from .config import MsdeConfig
-from .data import DatasetSplit, EmbeddingMatrix, apply_standardizer, fit_standardizer
+from .data import DatasetSplit, apply_standardizer, fit_standardizer
 from .exceptions import FitError, NumericError, ShapeError
 from .metrics import MetricResult, evaluate
 from .shift import ShiftTrace, joint_shift
@@ -55,10 +57,8 @@ class GaussianScorer:
     solves against it, and an indefinite ``sigma`` raises ``NumericError``.
     """
 
-    basis: PcaBasis
     mu: np.ndarray
     sigma: np.ndarray       # covariance + lam * I
-    lam: float
 
     def __post_init__(self):
         try:
@@ -85,13 +85,12 @@ class ScoreReport:
     joint_weights: "DensityWeights | None" = None
 
 
-def fit_pca(train_shifted: EmbeddingMatrix, reduced_dim: int) -> PcaBasis:
+def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
     """Top principal components of the sample covariance (divisor n-1).
 
     Eigenvector sign is pinned by making each component's largest-magnitude
     entry positive; ``reduced_dim`` is clamped to min(input_dim, n-1).
     """
-    x = train_shifted.values
     n, d = x.shape
     if n < 2:
         raise FitError(f"PCA needs at least 2 training rows, got {n}")
@@ -119,20 +118,17 @@ def fit_pca(train_shifted: EmbeddingMatrix, reduced_dim: int) -> PcaBasis:
                     explained_variance=variance)
 
 
-def project(basis: PcaBasis, x: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Center and rotate rows into the reduced space; ids/labels kept."""
-    if x.dim != basis.input_dim:
+def project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
+    """Center and rotate rows into the reduced space."""
+    if x.shape[1] != basis.input_dim:
         raise ShapeError(
-            f"projection expects dim {basis.input_dim}, got {x.dim}"
+            f"projection expects dim {basis.input_dim}, got {x.shape[1]}"
         )
-    reduced = (x.values - basis.center) @ basis.components.T
-    return EmbeddingMatrix(reduced, x.row_ids, x.labels)
+    return (x - basis.center) @ basis.components.T
 
 
-def fit_gaussian(z_train: EmbeddingMatrix, lam: float,
-                 basis: PcaBasis | None = None) -> GaussianScorer:
+def fit_gaussian(z: np.ndarray, lam: float) -> GaussianScorer:
     """Mean and regularized covariance of the reduced training sample."""
-    z = z_train.values
     n, d = z.shape
     if n < 2:
         raise FitError(f"Gaussian fit needs at least 2 rows, got {n}")
@@ -141,10 +137,7 @@ def fit_gaussian(z_train: EmbeddingMatrix, lam: float,
     mu = z.mean(axis=0)
     centered = z - mu
     sigma = centered.T @ centered / (n - 1) + lam * np.eye(d)
-    if basis is None:
-        basis = PcaBasis(center=np.zeros(d), components=np.eye(d),
-                         explained_variance=np.ones(d))
-    return GaussianScorer(basis=basis, mu=mu, sigma=sigma, lam=lam)
+    return GaussianScorer(mu=mu, sigma=sigma)
 
 
 def mahalanobis(scorer: GaussianScorer, z) -> np.ndarray | float:
@@ -180,37 +173,34 @@ def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
     PCA and the Gaussian are fitted on the solo-shifted train set; test
     rows are scored from the joint run.
     """
+    train, test = split.train, split.test
     if config.standardize:
-        standardizer = fit_standardizer(split.train)
-        split = DatasetSplit(
-            train=apply_standardizer(standardizer, split.train),
-            test=apply_standardizer(standardizer, split.test),
-        )
-    solo, train_joint, test_shifted = joint_shift(split, config.shift,
-                                                  threads=config.threads)
+        standardizer = fit_standardizer(train)
+        train = apply_standardizer(standardizer, train)
+        test = apply_standardizer(standardizer, test)
+    solo, joint, test_shifted = joint_shift(train.values, test.values,
+                                            config.shift, threads=config.threads)
 
-    basis = fit_pca(solo.points, config.pca_dim)
-    z_train = project(basis, solo.points)
-    scorer = fit_gaussian(z_train, config.lam, basis=basis)
+    basis = fit_pca(solo.values, config.pca_dim)
+    scorer = fit_gaussian(project(basis, solo.values), config.lam)
     z_test = project(basis, test_shifted)
-    raw = mahalanobis(scorer, z_test.values) if z_test.n_samples else np.empty(0)
+    raw = mahalanobis(scorer, z_test) if len(z_test) else np.empty(0)
     normalized = normalize_scores(raw)
 
-    labels = test_shifted.labels
+    labels = split.test.labels
     metrics = None
-    if labels is not None and 0 < int(labels.sum()) < labels.size:
+    if 0 < int(labels.sum()) < labels.size:
         metrics = evaluate(raw, labels)
     else:
         warnings.warn("test labels contain a single class; metrics skipped")
     return ScoreReport(
-        row_ids=test_shifted.row_ids,
+        row_ids=split.test.row_ids,
         raw=np.asarray(raw, dtype=np.float64),
         normalized=normalized,
-        labels=labels if labels is not None else np.zeros(0, dtype=np.int64),
+        labels=labels,
         metrics=metrics,
         solo_trace=solo.trace,
-        joint_trace=train_joint.trace,
+        joint_trace=joint.trace,
         solo_weights=solo.weights_used,
-        joint_weights=train_joint.weights_used,
+        joint_weights=joint.weights_used,
     )
-

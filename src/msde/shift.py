@@ -5,7 +5,8 @@ every point a fraction ``eta`` of the way toward the density-weighted
 mean of its neighborhood (all updates from the iteration-start snapshot),
 and stops once the mean displacement drops below ``tol`` or after
 ``max_iters`` iterations. Density weights are computed once per run, on
-the points as given.
+the points as given. Points are float64 ``(n, d)`` arrays; row ids and
+labels stay with the caller.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetSplit, EmbeddingMatrix, concat_matrices
 from .exceptions import ConfigError, GraphError, NumericError
 from .knn import NeighborGraph, build_knn_graph
 from .weights import DensityWeights, compute_empirical_weights
@@ -70,19 +70,24 @@ class ShiftTrace:
 
 @dataclass(frozen=True)
 class ShiftedEmbeddings:
-    points: EmbeddingMatrix
+    values: np.ndarray
     trace: ShiftTrace
     weights_used: DensityWeights | None
 
 
-def _step_values(values: np.ndarray, graph: NeighborGraph,
-                 weights: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
+def shift_step(values: np.ndarray, graph: NeighborGraph,
+               weights: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
     """One synchronous update from the snapshot; returns (new, mean shift).
 
-    Neighborhoods whose weights sum to zero fall back to the unweighted
-    neighborhood mean so the target stays defined.
+    ``weights`` holds one density weight per row. Neighborhoods whose
+    weights sum to zero fall back to the unweighted neighborhood mean so
+    the target stays defined.
     """
+    if not 0.0 < eta <= 1.0:
+        raise ConfigError(f"eta must be in (0, 1], got {eta}")
     n = values.shape[0]
+    if graph.n_samples != n:
+        raise GraphError(f"graph built for {graph.n_samples} points, got {n}")
     w = weights[graph.neighbors]
     wsum = w.sum(axis=1)
     new = np.empty_like(values)
@@ -109,73 +114,46 @@ def _step_values(values: np.ndarray, graph: NeighborGraph,
     return new, delta
 
 
-def shift_step(points: EmbeddingMatrix, graph: NeighborGraph,
-               weights: DensityWeights, eta: float) -> tuple[EmbeddingMatrix, float]:
-    """Single weighted mean-shift update over an existing graph."""
-    if not 0.0 < eta <= 1.0:
-        raise ConfigError(f"eta must be in (0, 1], got {eta}")
-    if graph.n_samples != points.n_samples:
-        raise GraphError(
-            f"graph built for {graph.n_samples} points, got {points.n_samples}"
-        )
-    new, delta = _step_values(points.values, graph, weights.weights, eta)
-    return points.with_values(new), delta
-
-
-def run_shift(points: EmbeddingMatrix, params: ShiftParams,
+def run_shift(points: np.ndarray, params: ShiftParams,
               threads: int = 1) -> ShiftedEmbeddings:
     """Full refinement loop: weights once, then iterate graph + step."""
     if params.max_iters == 0:
         return ShiftedEmbeddings(points, ShiftTrace(0, (), False), None)
-    if points.n_samples < 2:
-        raise GraphError(f"shift needs at least 2 points, got {points.n_samples}")
+    if points.shape[0] < 2:
+        raise GraphError(f"shift needs at least 2 points, got {points.shape[0]}")
 
     weights = compute_empirical_weights(
         points, params.t_nbd, params.k_umap, threads=threads
     )
-    values = points.values
+    values = points
     deltas: list[float] = []
     converged = False
     for iteration in range(1, params.max_iters + 1):
         graph = build_knn_graph(values, params.k, threads=threads)
-        values, delta = _step_values(values, graph, weights.weights, params.eta)
+        values, delta = shift_step(values, graph, weights.weights, params.eta)
         deltas.append(delta)
         logger.info("shift iteration %d: mean displacement %.6g", iteration, delta)
         if delta < params.tol:
             converged = True
             break
     trace = ShiftTrace(len(deltas), tuple(deltas), converged)
-    return ShiftedEmbeddings(points.with_values(values), trace, weights)
+    return ShiftedEmbeddings(values, trace, weights)
 
 
-def joint_shift(split: DatasetSplit, params: ShiftParams, threads: int = 1
-                ) -> tuple[ShiftedEmbeddings, ShiftedEmbeddings, EmbeddingMatrix]:
+def joint_shift(train: np.ndarray, test: np.ndarray, params: ShiftParams,
+                threads: int = 1
+                ) -> tuple[ShiftedEmbeddings, ShiftedEmbeddings, np.ndarray]:
     """Refine train alone (for model fitting) and train+test jointly.
 
-    Returns ``(solo, train_joint, test_joint)``: the solo train run, then
-    the union run split back into its train and test rows. The union run
-    recomputes weights and radii from scratch, so test samples are scored
-    from geometry consistent with the train set.
+    Returns ``(solo, joint, test_values)``: the solo train run, the run
+    over the stacked train and test rows, and that run's test rows. The
+    joint run recomputes weights and radii from scratch, so test samples
+    are scored from geometry consistent with the train set. With
+    ``max_iters == 0`` nothing moves, so the joint run is skipped:
+    ``joint`` is ``solo`` and ``test`` is returned as given.
     """
-    solo = run_shift(split.train, params, threads=threads)
-    n_train = split.train.n_samples
+    solo = run_shift(train, params, threads=threads)
     if params.max_iters == 0:
-        # No-shift baseline: the union run would only copy the rows back.
-        return solo, solo, split.test
-    if split.test.n_samples == 0:
-        empty = EmbeddingMatrix(
-            np.empty((0, split.train.dim)), (), np.empty(0, dtype=np.int64)
-        )
-        return solo, solo, empty
-
-    union = concat_matrices(split.train, split.test, ("train", "test"))
-    joint = run_shift(union, params, threads=threads)
-    joint_values = joint.points.values
-    train_joint = ShiftedEmbeddings(
-        split.train.with_values(joint_values[:n_train]), joint.trace,
-        joint.weights_used,
-    )
-    test_joint = EmbeddingMatrix(
-        joint_values[n_train:], split.test.row_ids, split.test.labels
-    )
-    return solo, train_joint, test_joint
+        return solo, solo, test
+    joint = run_shift(np.vstack([train, test]), params, threads=threads)
+    return solo, joint, joint.values[train.shape[0]:]

@@ -100,8 +100,7 @@ def build_fuzzy_graph(points, k_umap: int, threads: int = 1) -> FuzzyGraph:
     bandwidth sigma is calibrated so the remaining k-1 memberships sum to
     log2(k). Directed memberships A combine into G = A + A^T - A*A^T.
     """
-    values = getattr(points, "values", points)
-    n = values.shape[0]
+    n = points.shape[0]
     if n < 2:
         raise GraphError(f"fuzzy graph needs at least 2 points, got {n}")
     if k_umap < 1:
@@ -133,8 +132,7 @@ def build_fuzzy_graph(points, k_umap: int, threads: int = 1) -> FuzzyGraph:
 
 def pairwise_distances(points, threads: int = 1) -> np.ndarray:
     """Dense n x n Euclidean distance matrix via the canonical kernel."""
-    values = getattr(points, "values", points)
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(points, dtype=np.float64)
     n = values.shape[0]
     out = np.empty((n, n))
 
@@ -147,21 +145,25 @@ def pairwise_distances(points, threads: int = 1) -> np.ndarray:
 
 
 def _kth_neighbor_distance(dist_matrix: np.ndarray, t_nbd: int) -> np.ndarray:
-    """Per row, the t_nbd-th smallest distance to another point."""
-    d = dist_matrix.copy()
-    np.fill_diagonal(d, np.inf)
-    return np.partition(d, t_nbd - 1, axis=1)[:, t_nbd - 1]
+    """Per row, the t_nbd-th smallest distance to another point.
+
+    ``dist_matrix`` must carry an inf diagonal; each row is partitioned in place.
+    """
+    dist_matrix.partition(t_nbd - 1, axis=1)
+    return dist_matrix[:, t_nbd - 1].copy()
 
 
 def _bisect_radius(dist_matrix: np.ndarray, t_nbd: int):
     """Smallest radius at which >= ceil(TARGET_FRACTION*n) rows have at
     least ``t_nbd`` strictly-closer neighbors. Returns (epsilon, t_nbd_used,
-    satisfied_fraction)."""
+    satisfied_fraction). Sets the zero diagonal of ``dist_matrix`` to inf
+    and partitions its rows in place."""
     n = dist_matrix.shape[0]
     need = math.ceil(TARGET_FRACTION * n)
-    offdiag = dist_matrix[~np.eye(n, dtype=bool)]
-    d_min = float(offdiag.min())
-    d_max = float(offdiag.max())
+    # Distances are >= 0, so the zero diagonal cannot raise the maximum.
+    d_max = float(dist_matrix.max())
+    np.fill_diagonal(dist_matrix, np.inf)
+    d_min = float(dist_matrix.min())
     lo = d_min if d_min > 0.0 else DEGENERATE_MIN_DISTANCE
     hi = d_max if d_max > lo else 2.0 * lo
 
@@ -211,7 +213,6 @@ def _weights_from_coords(coords: np.ndarray, t_nbd: int,
     eps, t_used, fraction = _bisect_radius(dist_matrix, t_nbd)
     schedule = RadiusSchedule(epsilon=eps)
 
-    np.fill_diagonal(dist_matrix, np.inf)
     counts = np.zeros(n)
     for radius in schedule.radii:
         counts += np.count_nonzero(dist_matrix < radius, axis=1)
@@ -232,8 +233,7 @@ def compute_empirical_weights(points, t_nbd: int, k_umap: int,
     finds the base radius by binary search, counts strictly-closer
     neighbors at the four shrinking radii, and averages the four counts.
     """
-    values = getattr(points, "values", points)
-    n = values.shape[0]
+    n = points.shape[0]
     if n < 2:
         raise GraphError(f"empirical weights need at least 2 points, got {n}")
     if t_nbd < 1:

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from msde import (
-    EmbeddingMatrix,
     MsdeConfig,
     SearchSpace,
     ShiftParams,
@@ -45,7 +44,7 @@ from msde import (
 )
 from msde.cli import main
 from msde.knn import distances_from
-from msde.weights import DensityWeights, RadiusSchedule, _kth_neighbor_distance, pairwise_distances
+from msde.weights import _kth_neighbor_distance, pairwise_distances
 
 # Criterion 7 golden values, derived once on the frozen instance
 # (seed 42, Table-3 defaults vs no-shift) and anchored thereafter.
@@ -59,10 +58,6 @@ GOLDEN_TOL = 0.002
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'} {detail}".rstrip())
-
-
-def _ids(n):
-    return tuple(f"r{i}" for i in range(n))
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +96,7 @@ def test_criterion_01_knn_oracle_equivalence():
             rng = np.random.default_rng(1000 * dim + seed)
             n = int(rng.integers(30, 501))
             k = int(rng.integers(1, 16))
-            m = EmbeddingMatrix(rng.normal(size=(n, dim)), _ids(n))
+            m = rng.normal(size=(n, dim))
             fast = build_knn_graph(m, k)
             slow = brute_force_knn(m, k)
             np.testing.assert_array_equal(fast.neighbors, slow.neighbors)
@@ -134,13 +129,10 @@ def test_criterion_02_metric_oracle_equivalence():
 
 
 def test_criterion_03_mahalanobis_correctness():
-    from msde.scoring import GaussianScorer, PcaBasis
+    from msde.scoring import GaussianScorer
 
     def scorer_for(mu, sigma):
-        d = mu.shape[0]
-        basis = PcaBasis(center=np.zeros(d), components=np.eye(d),
-                         explained_variance=np.ones(d))
-        return GaussianScorer(basis=basis, mu=mu, sigma=sigma, lam=1e-12)
+        return GaussianScorer(mu=mu, sigma=sigma)
 
     t0 = time.monotonic()
     rng = np.random.default_rng(3)
@@ -167,16 +159,15 @@ def test_criterion_04_pca_correctness():
     t0 = time.monotonic()
     rng = np.random.default_rng(4)
     x = rng.normal(size=(120, 10)) @ np.diag(np.linspace(3.0, 0.5, 10))
-    m = EmbeddingMatrix(x, _ids(120))
-    basis = fit_pca(m, 10)
+    basis = fit_pca(x, 10)
     cov = np.cov(x, rowvar=False, ddof=1)
     eig = np.sort(np.linalg.eigvalsh(cov))[::-1]
     np.testing.assert_allclose(basis.explained_variance, eig, atol=1e-8)
     gram = basis.components @ basis.components.T
     np.testing.assert_allclose(gram, np.eye(10), atol=1e-8)
     from scipy.spatial.distance import pdist
-    z = project(basis, m)
-    np.testing.assert_allclose(pdist(z.values), pdist(x), atol=1e-8)
+    z = project(basis, x)
+    np.testing.assert_allclose(pdist(z), pdist(x), atol=1e-8)
     elapsed = time.monotonic() - t0
     ok = elapsed < 2.0
     _report(4, ok, f"{elapsed:.1f}s")
@@ -186,7 +177,7 @@ def test_criterion_04_pca_correctness():
 def test_criterion_05_weight_determinism_and_structure():
     t0 = time.monotonic()
     rng = np.random.default_rng(5)
-    m = EmbeddingMatrix(rng.normal(size=(300, 8)), _ids(300))
+    m = rng.normal(size=(300, 8))
     runs = [
         compute_empirical_weights(m, t_nbd=70, k_umap=15, threads=threads)
         for threads in (1, 1, 4)
@@ -226,31 +217,29 @@ def test_criterion_06_shift_mechanics():
 
     # eta -> 0 limit: no movement, immediate convergence
     from msde import run_shift
-    m = EmbeddingMatrix(rng.normal(size=(40, 4)), _ids(40))
+    m = rng.normal(size=(40, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = run_shift(m, ShiftParams(k=6, eta=1e-12, max_iters=8, tol=1e-6,
                                        t_nbd=6, k_umap=6))
-    assert np.abs(out.points.values - m.values).max() <= 1e-9
+    assert np.abs(out.values - m).max() <= 1e-9
     assert out.trace.iterations_run == 1 and out.trace.converged
 
     # eta = 1 lands exactly on the weighted neighborhood mean
     pts = rng.normal(size=(50, 3))
-    m2 = EmbeddingMatrix(pts, _ids(50))
-    graph = build_knn_graph(m2, 7)
+    graph = build_knn_graph(pts, 7)
     w = rng.uniform(0.1, 4.0, size=50)
-    dw = DensityWeights(w, RadiusSchedule(1.0), 1.0)
-    stepped, _ = shift_step(m2, graph, dw, eta=1.0)
+    stepped, _ = shift_step(pts, graph, w, eta=1.0)
     for i in range(50):
         nb = pts[graph.neighbors[i]]
         wr = w[graph.neighbors[i]]
         target = (wr[:, None] * nb).sum(axis=0) / wr.sum()
-        np.testing.assert_array_equal(stepped.values[i], target)
+        np.testing.assert_array_equal(stepped[i], target)
 
     # per-point displacement bound for random etas and weights
     for eta in (0.25, 0.6, 1.0):
-        stepped, _ = shift_step(m2, graph, dw, eta=eta)
-        moved = np.linalg.norm(stepped.values - pts, axis=1)
+        stepped, _ = shift_step(pts, graph, w, eta=eta)
+        moved = np.linalg.norm(stepped - pts, axis=1)
         assert np.all(moved <= eta * graph.distances.max(axis=1) + 1e-12)
 
     elapsed = time.monotonic() - t0

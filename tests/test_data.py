@@ -51,6 +51,15 @@ class TestEmbeddingMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
 
+    def test_writable_input_copied_and_stays_writable(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = EmbeddingMatrix(a, ("a", "b"))
+        assert not np.shares_memory(m.values, a)
+        a[0, 0] = 9.0
+        assert m.values[0, 0] == 1.0
+        a.setflags(write=False)
+        assert EmbeddingMatrix(a, ("a", "b")).values is a
+
 
 class TestCsvLoading:
     def test_two_by_three(self, tmp_path):
@@ -262,6 +271,10 @@ class TestLabelSidecar:
         p2.write_text("row_id,label\nr0,0\nrX,1\n")
         with pytest.raises(LoadError):
             attach_labels(m, load_labels(p2))
+
+    def test_attach_shares_values(self):
+        m = _matrix([[1.0], [2.0]])
+        assert attach_labels(m, {"r0": 0, "r1": 1}).values is m.values
 
     def test_bad_label_value(self, tmp_path):
         p = tmp_path / "labels.csv"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from msde import (
-    EmbeddingMatrix,
     brute_force_knn,
     build_knn_graph,
     count_within_radius,
@@ -14,8 +13,7 @@ from msde.knn import SCAN_BLOCK_ROWS
 
 
 def _matrix(values):
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    return EmbeddingMatrix(values, tuple(f"r{i}" for i in range(values.shape[0])))
+    return np.atleast_2d(np.asarray(values, dtype=float))
 
 
 COLLINEAR = _matrix([[0.0], [1.0], [2.0], [10.0]])

@@ -25,10 +25,13 @@ from msde.exceptions import FitError, ShapeError
 from msde.metrics import auc_roc, average_precision
 
 
-def _matrix(values, labels=None):
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    return EmbeddingMatrix(values, tuple(f"r{i}" for i in range(values.shape[0])),
-                           labels)
+def _matrix(values):
+    return np.atleast_2d(np.asarray(values, dtype=float))
+
+
+def _embedding(values):
+    values = _matrix(values)
+    return EmbeddingMatrix(values, tuple(f"r{i}" for i in range(values.shape[0])))
 
 
 class TestFitPca:
@@ -52,7 +55,7 @@ class TestFitPca:
         basis = fit_pca(m, 6)
         z = project(basis, m)
         from scipy.spatial.distance import pdist
-        np.testing.assert_allclose(pdist(z.values), pdist(m.values), atol=1e-8)
+        np.testing.assert_allclose(pdist(z), pdist(m), atol=1e-8)
 
     def test_matches_dense_eigensolve_oracle(self):
         rng = np.random.default_rng(1)
@@ -99,22 +102,22 @@ class TestProject:
         m = _matrix(rng.normal(size=(20, 4)))
         basis = fit_pca(m, 3)
         z = project(basis, _matrix([list(basis.center)]))
-        np.testing.assert_allclose(z.values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(z, 0.0, atol=1e-12)
 
     def test_projected_training_mean_is_zero(self):
         rng = np.random.default_rng(7)
         m = _matrix(rng.normal(size=(30, 5)))
         basis = fit_pca(m, 4)
         z = project(basis, m)
-        np.testing.assert_allclose(z.values.mean(axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-9)
 
     def test_projection_nonexpansive(self):
         rng = np.random.default_rng(8)
         m = _matrix(rng.normal(size=(30, 6)))
         basis = fit_pca(m, 3)
         z = project(basis, m)
-        orig = np.linalg.norm(m.values - basis.center, axis=1)
-        red = np.linalg.norm(z.values, axis=1)
+        orig = np.linalg.norm(m - basis.center, axis=1)
+        red = np.linalg.norm(z, axis=1)
         assert np.all(red <= orig + 1e-12)
 
     def test_dim_mismatch(self):
@@ -122,14 +125,6 @@ class TestProject:
         basis = fit_pca(_matrix(rng.normal(size=(10, 3))), 2)
         with pytest.raises(ShapeError):
             project(basis, _matrix([[1.0, 2.0]]))
-
-    def test_labels_and_ids_preserved(self):
-        labels = np.array([0, 1, 0], dtype=np.int64)
-        m = _matrix(np.arange(12).reshape(3, 4).astype(float), labels)
-        basis = fit_pca(m, 2)
-        z = project(basis, m)
-        assert z.row_ids == m.row_ids
-        np.testing.assert_array_equal(z.labels, labels)
 
 
 class TestFitGaussian:
@@ -157,15 +152,11 @@ class TestFitGaussian:
 
 
 class TestMahalanobis:
-    def _scorer(self, mu, sigma, lam=1e-12):
+    def _scorer(self, mu, sigma):
         # fit from data is overkill for closed-form checks; build directly
-        from msde.scoring import GaussianScorer, PcaBasis
-        mu = np.asarray(mu, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        d = mu.shape[0]
-        basis = PcaBasis(center=np.zeros(d), components=np.eye(d),
-                         explained_variance=np.ones(d))
-        return GaussianScorer(basis=basis, mu=mu, sigma=sigma, lam=lam)
+        from msde.scoring import GaussianScorer
+        return GaussianScorer(mu=np.asarray(mu, dtype=float),
+                              sigma=np.asarray(sigma, dtype=float))
 
     def test_score_at_mean_is_zero(self):
         scorer = self._scorer([1.0, 2.0], np.eye(2))
@@ -271,7 +262,7 @@ class TestScorePipeline:
         test_values = np.vstack([train_values[0], rng.normal(size=(9, 6)) * 3.0])
         labels = np.array([0] + [1] * 9, dtype=np.int64)
         split = DatasetSplit(
-            train=_matrix(train_values),
+            train=_embedding(train_values),
             test=EmbeddingMatrix(test_values,
                                  tuple(f"t{i}" for i in range(10)), labels),
         )
@@ -289,7 +280,7 @@ class TestScorePipeline:
         split = generate_synthetic(spec, 19)
         rot = ortho_group.rvs(5, random_state=20)
         rotated = DatasetSplit(
-            train=split.train.with_values(split.train.values @ rot.T),
+            train=EmbeddingMatrix(split.train.values @ rot.T, split.train.row_ids),
             test=EmbeddingMatrix(split.test.values @ rot.T,
                                  split.test.row_ids, split.test.labels),
         )
@@ -319,9 +310,9 @@ class TestScorePipeline:
         test = apply_standardizer(std, split.test)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            basis = fit_pca(train, 6)
-        scorer = fit_gaussian(project(basis, train), lam=1e-4, basis=basis)
-        expected = mahalanobis(scorer, project(basis, test).values)
+            basis = fit_pca(train.values, 6)
+        scorer = fit_gaussian(project(basis, train.values), lam=1e-4)
+        expected = mahalanobis(scorer, project(basis, test.values))
         np.testing.assert_array_equal(report.raw, expected)
 
     def test_raw_scores_move_continuously_in_lambda(self):
@@ -331,13 +322,13 @@ class TestScorePipeline:
         basis = fit_pca(train, 5)
         z = project(basis, train)
         queries = rng.normal(size=(10, 5))
-        s1 = mahalanobis(fit_gaussian(z, lam=1e-4, basis=basis), queries)
-        s2 = mahalanobis(fit_gaussian(z, lam=2e-4, basis=basis), queries)
+        s1 = mahalanobis(fit_gaussian(z, lam=1e-4), queries)
+        s2 = mahalanobis(fit_gaussian(z, lam=2e-4), queries)
         assert np.abs(s1 - s2).max() < 1.0
 
     def test_single_class_labels_warned_and_skipped(self):
         rng = np.random.default_rng(23)
-        train = _matrix(rng.normal(size=(30, 4)))
+        train = _embedding(rng.normal(size=(30, 4)))
         test = EmbeddingMatrix(rng.normal(size=(8, 4)),
                                tuple(f"t{i}" for i in range(8)),
                                np.zeros(8, dtype=np.int64))
@@ -345,3 +336,17 @@ class TestScorePipeline:
         with pytest.warns(UserWarning, match="single class"):
             report = score_pipeline(split, _pipeline_config(max_iters=0))
         assert report.metrics is None
+
+    def test_report_carries_test_ids_and_labels(self):
+        rng = np.random.default_rng(24)
+        train = _embedding(rng.normal(size=(30, 3)))
+        labels = np.array([1, 0, 0, 1, 0, 1], dtype=np.int64)
+        ids = ("t5", "t0", "t3", "t1", "t4", "t2")
+        test = EmbeddingMatrix(rng.normal(size=(6, 3)), ids, labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = score_pipeline(DatasetSplit(train=train, test=test),
+                                    _pipeline_config(k=5, t_nbd=5, k_umap=5,
+                                                     max_iters=2))
+        assert report.row_ids == ids
+        np.testing.assert_array_equal(report.labels, labels)

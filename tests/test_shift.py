@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from msde import (
-    DatasetSplit,
-    EmbeddingMatrix,
     ShiftParams,
     build_knn_graph,
     joint_shift,
@@ -15,22 +13,16 @@ from msde import (
     shift_step,
 )
 import msde.shift as shift_module
-from msde.data import concat_matrices
 from msde.exceptions import ConfigError
 from msde.knn import NeighborGraph
-from msde.weights import DensityWeights, RadiusSchedule
 
 
-def _matrix(values, labels=None):
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    return EmbeddingMatrix(values, tuple(f"r{i}" for i in range(values.shape[0])),
-                           labels)
+def _matrix(values):
+    return np.atleast_2d(np.asarray(values, dtype=float))
 
 
 def _manual_weights(w):
-    w = np.asarray(w, dtype=float)
-    return DensityWeights(weights=w, schedule=RadiusSchedule(1.0),
-                          satisfied_fraction=1.0)
+    return np.asarray(w, dtype=float)
 
 
 def _chain_graph(neighbors, points):
@@ -51,7 +43,7 @@ class TestShiftStep:
         graph = _chain_graph([[1, 2], [0, 2], [0, 1]], pts)
         weights = _manual_weights([1.0, 3.0, 1.0])
         shifted, delta = shift_step(m, graph, weights, eta=0.33)
-        np.testing.assert_allclose(shifted.values[0], [0.495, 0.0], atol=1e-15)
+        np.testing.assert_allclose(shifted[0], [0.495, 0.0], atol=1e-15)
         assert delta > 0
 
     def test_coincident_neighborhood_is_fixed_point(self):
@@ -60,7 +52,7 @@ class TestShiftStep:
         graph = _chain_graph([[1, 2], [0, 2], [0, 1]], pts)
         shifted, delta = shift_step(m, graph, _manual_weights([2.0, 5.0, 1.0]),
                                     eta=0.7)
-        np.testing.assert_array_equal(shifted.values, pts)
+        np.testing.assert_array_equal(shifted, pts)
         assert delta == 0.0
 
     def test_uniform_weights_reduce_to_centroid(self):
@@ -71,14 +63,14 @@ class TestShiftStep:
         shifted, _ = shift_step(m, graph, _manual_weights(np.ones(6)), eta=1.0)
         for i in range(6):
             centroid = pts[graph.neighbors[i]].mean(axis=0)
-            np.testing.assert_allclose(shifted.values[i], centroid, atol=1e-12)
+            np.testing.assert_allclose(shifted[i], centroid, atol=1e-12)
 
     def test_zero_weight_neighborhood_falls_back_to_uniform(self):
         pts = np.array([[0.0], [1.0], [3.0]])
         m = _matrix(pts)
         graph = _chain_graph([[1, 2], [0, 2], [0, 1]], pts)
         shifted, _ = shift_step(m, graph, _manual_weights([0.0, 0.0, 0.0]), eta=1.0)
-        np.testing.assert_allclose(shifted.values[0], [(1.0 + 3.0) / 2.0])
+        np.testing.assert_allclose(shifted[0], [(1.0 + 3.0) / 2.0])
 
     def test_eta_one_lands_on_weighted_mean(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]])
@@ -86,7 +78,7 @@ class TestShiftStep:
         graph = _chain_graph([[1, 2], [0, 2], [0, 1]], pts)
         w = _manual_weights([1.0, 3.0, 1.0])
         shifted, _ = shift_step(m, graph, w, eta=1.0)
-        np.testing.assert_allclose(shifted.values[0], [1.5, 1.0], atol=1e-15)
+        np.testing.assert_allclose(shifted[0], [1.5, 1.0], atol=1e-15)
 
     def test_displacement_bounded_by_eta_times_radius(self):
         rng = np.random.default_rng(9)
@@ -96,7 +88,7 @@ class TestShiftStep:
         w = _manual_weights(rng.uniform(0.0, 5.0, size=40))
         for eta in (0.1, 0.5, 1.0):
             shifted, _ = shift_step(m, graph, w, eta=eta)
-            moved = np.linalg.norm(shifted.values - pts, axis=1)
+            moved = np.linalg.norm(shifted - pts, axis=1)
             radius = graph.distances.max(axis=1)
             assert np.all(moved <= eta * radius + 1e-12)
 
@@ -115,7 +107,7 @@ class TestShiftStep:
         results = []
         for rows in (1, 7, n + 1):
             monkeypatch.setattr(shift_module, "STEP_BLOCK_ROWS", rows)
-            results.append(shift_module._step_values(pts, graph, w, eta))
+            results.append(shift_step(pts, graph, w, eta))
         for new, delta in results[1:]:
             assert new.tobytes() == results[0][0].tobytes()
             assert delta == results[0][1]
@@ -138,7 +130,7 @@ class TestRunShift:
         rng = np.random.default_rng(1)
         m = _matrix(rng.normal(size=(30, 3)))
         out = run_shift(m, _quiet_params(eta=1e-12, tol=1e-6))
-        np.testing.assert_allclose(out.points.values, m.values, atol=1e-9)
+        np.testing.assert_allclose(out.values, m, atol=1e-9)
         assert out.trace.iterations_run == 1
         assert out.trace.converged
 
@@ -153,7 +145,7 @@ class TestRunShift:
         rng = np.random.default_rng(3)
         m = _matrix(rng.normal(size=(10, 2)))
         out = run_shift(m, _quiet_params(max_iters=0))
-        np.testing.assert_array_equal(out.points.values, m.values)
+        np.testing.assert_array_equal(out.values, m)
         assert out.trace.iterations_run == 0
         assert out.weights_used is None
 
@@ -163,7 +155,7 @@ class TestRunShift:
         b = rng.normal(0.0, 0.1, size=(30, 2)) + [10.0, 0.0]
         m = _matrix(np.vstack([a, b]))
         out = run_shift(m, _quiet_params(k=5, max_iters=8, tol=1e-6))
-        v = out.points.values
+        v = out.values
 
         def diameter(x):
             from scipy.spatial.distance import pdist
@@ -184,14 +176,11 @@ class TestRunShift:
         fresh = compute_empirical_weights(m, 5, 5)
         np.testing.assert_array_equal(out.weights_used.weights, fresh.weights)
 
-    def test_shape_ids_labels_preserved(self):
+    def test_shape_preserved(self):
         rng = np.random.default_rng(6)
-        labels = np.zeros(20, dtype=int)
-        m = _matrix(rng.normal(size=(20, 3)), labels)
+        m = _matrix(rng.normal(size=(20, 3)))
         out = run_shift(m, _quiet_params(max_iters=2))
-        assert out.points.row_ids == m.row_ids
-        np.testing.assert_array_equal(out.points.labels, labels)
-        assert out.points.values.shape == m.values.shape
+        assert out.values.shape == m.shape
 
     def test_permutation_equivariance_synchronous_update(self):
         rng = np.random.default_rng(7)
@@ -200,7 +189,7 @@ class TestRunShift:
         inv = np.argsort(perm)
         out = run_shift(_matrix(values), _quiet_params(max_iters=2, tol=1e-9))
         outp = run_shift(_matrix(values[perm]), _quiet_params(max_iters=2, tol=1e-9))
-        np.testing.assert_allclose(outp.points.values[inv], out.points.values,
+        np.testing.assert_allclose(outp.values[inv], out.values,
                                    atol=1e-12)
 
 
@@ -208,37 +197,31 @@ class TestJointShift:
     def test_empty_test_equals_solo(self):
         rng = np.random.default_rng(10)
         train = _matrix(rng.normal(size=(20, 2)))
-        test = EmbeddingMatrix(np.empty((0, 2)), (), np.empty(0, dtype=np.int64))
-        split = DatasetSplit(train=train, test=test)
-        solo, _, shifted_test = joint_shift(split, _quiet_params(max_iters=2))
-        assert shifted_test.n_samples == 0
+        solo, joint, shifted_test = joint_shift(train, np.empty((0, 2)),
+                                                _quiet_params(max_iters=2))
+        assert shifted_test.shape == (0, 2)
         reference = run_shift(train, _quiet_params(max_iters=2))
-        np.testing.assert_array_equal(solo.points.values, reference.points.values)
+        np.testing.assert_array_equal(solo.values, reference.values)
+        np.testing.assert_array_equal(joint.values, reference.values)
 
     def test_no_shift_passes_rows_through(self):
         rng = np.random.default_rng(13)
         train = _matrix(rng.normal(size=(20, 2)))
-        test = EmbeddingMatrix(rng.normal(size=(5, 2)),
-                               tuple(f"t{i}" for i in range(5)),
-                               np.array([0, 1, 0, 1, 1], dtype=np.int64))
-        split = DatasetSplit(train=train, test=test)
-        solo, train_joint, test_joint = joint_shift(split, _quiet_params(max_iters=0))
+        test = rng.normal(size=(5, 2))
+        solo, joint, test_joint = joint_shift(train, test, _quiet_params(max_iters=0))
         assert test_joint is test
-        assert solo.points is train and train_joint.points is train
-        assert train_joint.trace.iterations_run == 0
+        assert solo.values is train and joint is solo
+        assert joint.trace.iterations_run == 0
 
     def test_extracted_test_rows_come_from_joint_run(self):
         rng = np.random.default_rng(11)
         train = _matrix(rng.normal(size=(25, 3)))
-        test = EmbeddingMatrix(rng.normal(size=(6, 3)),
-                               tuple(f"t{i}" for i in range(6)),
-                               np.zeros(6, dtype=np.int64))
-        split = DatasetSplit(train=train, test=test)
-        _, _, shifted_test = joint_shift(split, _quiet_params(max_iters=3))
-        union = concat_matrices(train, test, ("train", "test"))
+        test = rng.normal(size=(6, 3))
+        _, _, shifted_test = joint_shift(train, test, _quiet_params(max_iters=3))
+        union = np.vstack([train, test])
         reference = run_shift(union, _quiet_params(max_iters=3))
-        np.testing.assert_array_equal(shifted_test.values,
-                                      reference.points.values[train.n_samples:])
+        np.testing.assert_array_equal(shifted_test,
+                                      reference.values[train.shape[0]:])
 
     def test_duplicated_test_rows_track_train_rows(self):
         # With complete neighborhoods (k = n-1) the k-th boundary never cuts
@@ -246,27 +229,11 @@ class TestJointShift:
         # coincident through the whole joint run. Smaller k can split ties
         # at the neighborhood boundary by index and let the twins drift.
         rng = np.random.default_rng(11)
-        values = rng.normal(size=(12, 3))
-        train = _matrix(values)
-        test = EmbeddingMatrix(values[:4].copy(),
-                               tuple(f"t{i}" for i in range(4)),
-                               np.zeros(4, dtype=np.int64))
-        split = DatasetSplit(train=train, test=test)
+        train = rng.normal(size=(12, 3))
+        test = train[:4].copy()
         params = ShiftParams(k=15, eta=0.33, max_iters=3, tol=1e-9,
                              t_nbd=5, k_umap=15)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # k clamps to n-1
-            _, train_joint, test_joint = joint_shift(split, params)
-        np.testing.assert_array_equal(train_joint.points.values[:4],
-                                      test_joint.values)
-
-    def test_test_rows_keep_ids_and_labels(self):
-        rng = np.random.default_rng(12)
-        train = _matrix(rng.normal(size=(20, 2)))
-        labels = np.array([0, 1, 0, 1, 1], dtype=np.int64)
-        test = EmbeddingMatrix(rng.normal(size=(5, 2)),
-                               tuple(f"t{i}" for i in range(5)), labels)
-        split = DatasetSplit(train=train, test=test)
-        _, _, shifted_test = joint_shift(split, _quiet_params(max_iters=2))
-        assert shifted_test.row_ids == test.row_ids
-        np.testing.assert_array_equal(shifted_test.labels, labels)
+            _, joint, test_joint = joint_shift(train, test, params)
+        np.testing.assert_array_equal(joint.values[:4], test_joint)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from msde import (
-    EmbeddingMatrix,
     RadiusSchedule,
     build_fuzzy_graph,
     compute_empirical_weights,
@@ -21,8 +20,7 @@ RHO_SATURATION_TARGET = math.log2(15)
 
 
 def _matrix(values):
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    return EmbeddingMatrix(values, tuple(f"r{i}" for i in range(values.shape[0])))
+    return np.atleast_2d(np.asarray(values, dtype=float))
 
 
 class TestFuzzyGraph:
@@ -101,7 +99,7 @@ class TestSearchRadius:
         # points 0,1,2,3 with t_nbd=2 and 30% of 4 -> 2 rows needed: only at
         # radii > 1 do rows 1 and 2 each see two strict neighbors.
         m = _matrix([[0.0], [1.0], [2.0], [3.0]])
-        schedule = _weights_from_coords(m.values, t_nbd=2, threads=1).schedule
+        schedule = _weights_from_coords(m, t_nbd=2, threads=1).schedule
         assert schedule.epsilon > 1.0
         assert schedule.epsilon == pytest.approx(1.0, rel=1e-5)
         # independent confirmation of the limit by fine grid scan
@@ -115,14 +113,14 @@ class TestSearchRadius:
 
     def test_all_points_coincident(self):
         m = _matrix([[2.0, 2.0]] * 6)
-        schedule = _weights_from_coords(m.values, t_nbd=3, threads=1).schedule
+        schedule = _weights_from_coords(m, t_nbd=3, threads=1).schedule
         assert 0.0 < schedule.epsilon <= 2e-12
 
     def test_impossible_t_nbd_clamped(self):
         rng = np.random.default_rng(3)
         m = _matrix(rng.normal(size=(10, 2)))
         with pytest.warns(UserWarning, match="clamped"):
-            schedule = _weights_from_coords(m.values, t_nbd=10, threads=1).schedule
+            schedule = _weights_from_coords(m, t_nbd=10, threads=1).schedule
         assert schedule.epsilon > 0.0
 
     def test_predicate_monotone_in_radius(self):
@@ -141,7 +139,7 @@ class TestSearchRadius:
         rng = np.random.default_rng(23)
         values = rng.normal(size=(60, 3))
         m = _matrix(values)
-        schedule = _weights_from_coords(m.values, t_nbd=5, threads=1).schedule
+        schedule = _weights_from_coords(m, t_nbd=5, threads=1).schedule
         satisfied = sum(
             count_within_radius(m, i, schedule.epsilon) >= 5 for i in range(60)
         )
