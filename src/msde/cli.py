@@ -1,9 +1,9 @@
 """Command-line entry point: run, synth, tune, eval.
 
-Every run writes a resolved-config echo (settings, seed, input digests)
-sufficient to reproduce it byte for byte. Errors print one
-machine-parsable line ``MSDE-ERR <module>: detail`` and map to exit codes
-1 (usage), 2 (data), 3 (numeric).
+Every run and tune writes a resolved-config echo (all settings, tune's
+seed and trial count, input digests) sufficient to reproduce it byte for
+byte. Errors print one machine-parsable line ``MSDE-ERR <module>: detail``
+and map to exit codes 1 (usage), 2 (data), 3 (numeric).
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ def _build_parser() -> _Parser:
     tune.add_argument("--labels")
     tune.add_argument("--out", required=True)
     tune.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    tune.add_argument("--seed", type=int, default=0)
     _add_config_flags(tune)
 
     ev = sub.add_parser("eval", help="recompute metrics from a scores CSV")
@@ -186,7 +187,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     inputs = {"train": args.train, "test": args.test}
     if args.labels:
         inputs["labels"] = args.labels
-    (out / "config_echo.txt").write_text(config_echo(config, inputs))
+    (out / "config_echo.txt").write_text(config_echo(config.flat(), inputs))
     _write_trace(out / "shift_trace.log", report)
     print(metrics_json(report.metrics))
     return 0
@@ -225,7 +226,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     best, records, final_metrics = random_search(
-        split, SearchSpace(), n_trials=args.trials, seed=config.seed,
+        split, SearchSpace(), n_trials=args.trials, seed=args.seed,
         base_config=config,
     )
     with open(out / "trials.jsonl", "w", encoding="utf-8") as fh:
@@ -257,7 +258,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     inputs = {"train": args.train, "test": args.test}
     if args.labels:
         inputs["labels"] = args.labels
-    (out / "config_echo.txt").write_text(config_echo(config, inputs))
+    settings = {**config.flat(), "seed": args.seed, "trials": args.trials}
+    (out / "config_echo.txt").write_text(config_echo(settings, inputs))
     print(metrics_json(final_metrics))
     return 0
 

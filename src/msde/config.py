@@ -34,7 +34,6 @@ class MsdeConfig:
     pca_dim: int = 256
     lam: float = 1e-4
     standardize: bool = True
-    seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
@@ -128,9 +127,9 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def config_echo(config: MsdeConfig, inputs: dict[str, str | Path]) -> str:
-    """Fully resolved settings plus input digests; enough to rerun exactly."""
-    lines = [f"{key} = {_format_value(v)}" for key, v in sorted(config.flat().items())]
+def config_echo(settings: dict, inputs: dict[str, str | Path]) -> str:
+    """Flat resolved settings plus input digests; enough to rerun exactly."""
+    lines = [f"{key} = {_format_value(v)}" for key, v in sorted(settings.items())]
     for name, path in sorted(inputs.items()):
         lines.append(f"input.{name} = \"{path}\"")
         lines.append(f"input.{name}.sha256 = \"{file_digest(path)}\"")

@@ -106,7 +106,7 @@ class EmbeddingMatrix:
         indices = np.asarray(indices, dtype=np.intp)
         ids = tuple(self.row_ids[i] for i in indices)
         labels = self.labels[indices] if self.labels is not None else None
-        return EmbeddingMatrix(self.values[indices], ids, labels)
+        return EmbeddingMatrix(_readonly(self.values[indices]), ids, labels)
 
 
 @dataclass(frozen=True)

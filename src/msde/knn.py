@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GraphError
-from .parallel import map_row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -35,10 +34,11 @@ def _as_values(points) -> np.ndarray:
 def distances_from(values: np.ndarray, i: int, indices=None) -> np.ndarray:
     """Euclidean distances from row ``i`` to ``indices`` (default: all rows).
 
+    ``indices`` is an integer index array or a slice; a slice reads a view.
     This is the only place pairwise distances are evaluated, so every
     search route, oracle, and radius count shares one rounding behavior.
     """
-    base = values if indices is None else values[np.asarray(indices, dtype=np.intp)]
+    base = values if indices is None else values[indices]
     diff = base - values[i]
     return np.sqrt(np.sum(diff * diff, axis=1))
 
@@ -84,7 +84,7 @@ def brute_force_knn(points, k: int) -> NeighborGraph:
     return NeighborGraph(k, neighbors, distances)
 
 
-def _knn_blocked_scan(values: np.ndarray, k: int, threads: int) -> tuple[np.ndarray, np.ndarray]:
+def _knn_blocked_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = values.shape[0]
     neighbors = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=np.float64)
@@ -94,31 +94,28 @@ def _knn_blocked_scan(values: np.ndarray, k: int, threads: int) -> tuple[np.ndar
     # k-set is always inside the candidate set.
     slack = 32.0 * np.finfo(np.float64).eps * (sq_norms + sq_norms.max())
 
-    def worker(start: int, stop: int) -> None:
-        # Squared-distance screen via the Gram expansion, then exact
-        # canonical re-ranking of everything at or near the k-th boundary.
-        for lo in range(start, stop, SCAN_BLOCK_ROWS):
-            hi = min(lo + SCAN_BLOCK_ROWS, stop)
-            d2 = sq_norms[lo:hi, None] + sq_norms[None, :] - 2.0 * values[lo:hi] @ values.T
-            np.maximum(d2, 0.0, out=d2)
-            for row, i in enumerate(range(lo, hi)):
-                d2[row, i] = np.inf
-                kth = np.partition(d2[row], k - 1)[k - 1]
-                cand = np.flatnonzero(d2[row] <= kth * (1.0 + 1e-9) + slack[i])
-                d = distances_from(values, i, cand)
-                order = np.lexsort((cand, d))[:k]
-                neighbors[i], distances[i] = cand[order], d[order]
-
-    map_row_blocks(worker, n, threads)
+    # Squared-distance screen via the Gram expansion, then exact canonical
+    # re-ranking of everything at or near the k-th boundary.
+    for lo in range(0, n, SCAN_BLOCK_ROWS):
+        hi = min(lo + SCAN_BLOCK_ROWS, n)
+        d2 = sq_norms[lo:hi, None] + sq_norms[None, :] - 2.0 * values[lo:hi] @ values.T
+        np.maximum(d2, 0.0, out=d2)
+        for row, i in enumerate(range(lo, hi)):
+            d2[row, i] = np.inf
+            kth = np.partition(d2[row], k - 1)[k - 1]
+            cand = np.flatnonzero(d2[row] <= kth * (1.0 + 1e-9) + slack[i])
+            d = distances_from(values, i, cand)
+            order = np.lexsort((cand, d))[:k]
+            neighbors[i], distances[i] = cand[order], d[order]
     return neighbors, distances
 
 
-def build_knn_graph(points, k: int, threads: int = 1) -> NeighborGraph:
+def build_knn_graph(points, k: int) -> NeighborGraph:
     """Exact k-NN graph; ties by lower index; k clamped to n-1 with warning."""
     values = _as_values(points)
     n = values.shape[0]
     k = _effective_k(k, n)
-    neighbors, distances = _knn_blocked_scan(values, k, threads)
+    neighbors, distances = _knn_blocked_scan(values, k)
     return NeighborGraph(k, neighbors, distances)
 
 

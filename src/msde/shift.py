@@ -129,7 +129,7 @@ def run_shift(points: np.ndarray, params: ShiftParams,
     deltas: list[float] = []
     converged = False
     for iteration in range(1, params.max_iters + 1):
-        graph = build_knn_graph(values, params.k, threads=threads)
+        graph = build_knn_graph(values, params.k)
         values, delta = shift_step(values, graph, weights.weights, params.eta)
         deltas.append(delta)
         logger.info("shift iteration %d: mean displacement %.6g", iteration, delta)

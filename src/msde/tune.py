@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .config import MsdeConfig
-from .data import DatasetSplit, EmbeddingMatrix
+from .data import DatasetSplit, EmbeddingMatrix, _readonly
 from .exceptions import MsdeError, SplitError
 from .metrics import MetricResult
 from .scoring import score_pipeline
@@ -64,7 +64,8 @@ class LeakageSplit:
 
     def validation_split(self) -> DatasetSplit:
         """Trial-time split: reduced train vs the labeled validation set."""
-        values = np.vstack([self.val_normals.values, self.val_anomalies.values])
+        values = _readonly(np.vstack([self.val_normals.values,
+                                      self.val_anomalies.values]))
         ids = self.val_normals.row_ids + self.val_anomalies.row_ids
         labels = np.concatenate([
             np.zeros(self.val_normals.n_samples, dtype=np.int64),
@@ -144,7 +145,7 @@ def random_search(
     for index in range(n_trials):
         trial_seed = seed + index
         params = space.sample(np.random.default_rng(trial_seed))
-        config = replace(base, shift=params, seed=trial_seed)
+        config = replace(base, shift=params)
         if trial_observer is not None:
             trial_observer(index, val_split.train.row_ids, val_split.test.row_ids)
         try:
@@ -160,6 +161,6 @@ def random_search(
                     index, val_auc, val_ap, params)
 
     best = max(records, key=lambda r: (r.val_auc, -r.trial_index))
-    final_config = replace(base, shift=best.params, seed=seed)
+    final_config = replace(base, shift=best.params)
     final_report = score_pipeline(leakage.final_test, final_config)
     return best, records, final_report.metrics

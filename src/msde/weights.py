@@ -32,6 +32,11 @@ SIGMA_BISECTION_STEPS = 64
 RADIUS_BISECTION_STEPS = 60
 RADIUS_REL_TOL = 1e-6
 DEGENERATE_MIN_DISTANCE = 1e-12  # lower bracket when coincident points make d_min = 0
+# Rows of ``values`` per distance-kernel call in ``pairwise_distances``; keeps
+# the kernel's temporaries this many rows high instead of n x n. Each output
+# element is the same reduction over one contiguous row, so the height never
+# changes the result.
+PAIRWISE_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ def _solve_bandwidth(dists: np.ndarray, rho: float, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def build_fuzzy_graph(points, k_umap: int, threads: int = 1) -> FuzzyGraph:
+def build_fuzzy_graph(points, k_umap: int) -> FuzzyGraph:
     """Exponential-membership k-NN graph, symmetrized by probabilistic union.
 
     For each sample the nearest neighbor saturates at membership 1; the
@@ -106,7 +111,7 @@ def build_fuzzy_graph(points, k_umap: int, threads: int = 1) -> FuzzyGraph:
     if k_umap < 1:
         raise ConfigError(f"k_umap must be >= 1, got {k_umap}")
 
-    graph = build_knn_graph(points, k_umap, threads=threads)
+    graph = build_knn_graph(points, k_umap)
     k_eff = graph.k
     target = math.log2(k_eff) if k_eff > 1 else 0.0
 
@@ -138,7 +143,9 @@ def pairwise_distances(points, threads: int = 1) -> np.ndarray:
 
     def worker(start: int, stop: int) -> None:
         for i in range(start, stop):
-            out[i] = distances_from(values, i)
+            for lo in range(0, n, PAIRWISE_BLOCK_ROWS):
+                cols = slice(lo, lo + PAIRWISE_BLOCK_ROWS)
+                out[i, cols] = distances_from(values, i, cols)
 
     map_row_blocks(worker, n, threads)
     return out
@@ -239,6 +246,6 @@ def compute_empirical_weights(points, t_nbd: int, k_umap: int,
     if t_nbd < 1:
         raise ConfigError(f"t_nbd must be >= 1, got {t_nbd}")
 
-    fuzzy = build_fuzzy_graph(points, k_umap, threads=threads)
+    fuzzy = build_fuzzy_graph(points, k_umap)
     coords = np.ascontiguousarray(fuzzy.memberships.toarray())
     return _weights_from_coords(coords, t_nbd, threads)

@@ -23,8 +23,10 @@ def synth_dir(tmp_path):
     return out
 
 
-# Flags of settings that no paper setting, demo or test used; now gone.
-REMOVED_FLAGS = ("--fit-on-joint", "--static-graph")
+# Flags of settings removed from `msde run` and the config file, each with
+# the value it once took: two that no paper setting, demo or test used, and
+# --seed, which run never read (tune and synth have their own --seed).
+REMOVED_FLAGS = {"--fit-on-joint": (), "--static-graph": (), "--seed": ("3",)}
 
 
 def _run_args(synth_dir, out, extra=()):
@@ -69,7 +71,7 @@ class TestRun:
         assert set(metrics) == {"auc", "ap", "n_pos", "n_neg"}
         assert metrics["auc"] > 0.9
         echo = (out / "config_echo.txt").read_text()
-        assert "seed = " in echo and "sha256" in echo
+        assert "seed = " not in echo and "sha256" in echo
         printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert printed == metrics
 
@@ -124,7 +126,7 @@ class TestRun:
     def test_config_file_applied_and_flags_override(self, synth_dir, tmp_path):
         cfg = tmp_path / "msde.cfg"
         cfg.write_text("k = 10\nt_nbd = 10\nk_umap = 10\n"
-                       "max_iters = 2\npca_dim = 6\nseed = 9\n")
+                       "max_iters = 2\npca_dim = 6\n")
         out_file = tmp_path / "file_only"
         out_flag = tmp_path / "flag_wins"
         base = ["run", "--train", str(synth_dir / "train.npy"),
@@ -184,6 +186,8 @@ class TestTuneCommand:
         assert (a / "trials.jsonl").read_bytes() == (b / "trials.jsonl").read_bytes()
         assert (a / "best_params.json").exists()
         assert (a / "final_metrics.json").exists()
+        echo = (a / "config_echo.txt").read_text().splitlines()
+        assert "seed = 11" in echo and "trials = 5" in echo
         table = (a / "trials.csv").read_text().splitlines()
         assert table[0] == "trial_index,k,eta,max_iters,tol,t_nbd,val_auc,val_ap,seed"
         assert len(table) == 6
@@ -241,10 +245,11 @@ class TestConfigParsing:
             with pytest.raises(ConfigError):
                 build_config({key: True})
 
-    @pytest.mark.parametrize("flag", REMOVED_FLAGS)
+    @pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
     def test_removed_flag_is_usage_error(self, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--train", "x", "--test", "y", "--out", str(tmp_path), flag])
+            main(["run", "--train", "x", "--test", "y", "--out", str(tmp_path),
+                  flag, *REMOVED_FLAGS[flag]])
         assert exc.value.code == 1
         assert "MSDE-ERR cli:" in capsys.readouterr().err
 
@@ -255,7 +260,7 @@ class TestConfigParsing:
         other = {"command", "train", "test", "labels", "out", "dump_weights",
                  "config", "no_shift"}
         assert set(vars(ns)) - other == set(CONFIG_FIELD_TYPES)
-        assert len(build_config().flat()) == len(CONFIG_FIELD_TYPES) == 11
+        assert len(build_config().flat()) == len(CONFIG_FIELD_TYPES) == 10
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -60,6 +60,13 @@ class TestEmbeddingMatrix:
         a.setflags(write=False)
         assert EmbeddingMatrix(a, ("a", "b")).values is a
 
+    def test_take_does_not_copy_the_subset_twice(self, peak_bytes):
+        values = np.random.default_rng(0).normal(size=(2000, 64))
+        values.setflags(write=False)
+        m = EmbeddingMatrix(values, tuple(f"r{i}" for i in range(2000)))
+        order = np.arange(2000)[::-1]
+        assert peak_bytes(m.take, order) < 1.6 * values.nbytes
+
 
 class TestCsvLoading:
     def test_two_by_three(self, tmp_path):

@@ -14,7 +14,13 @@ from msde import (
     pairwise_distances,
 )
 from msde.exceptions import GraphError
-from msde.weights import _bisect_radius, _solve_bandwidth, _weights_from_coords
+from msde.knn import distances_from
+from msde.weights import (
+    PAIRWISE_BLOCK_ROWS,
+    _bisect_radius,
+    _solve_bandwidth,
+    _weights_from_coords,
+)
 
 RHO_SATURATION_TARGET = math.log2(15)
 
@@ -248,6 +254,30 @@ class TestEmpiricalWeights:
         m = _matrix(rng.normal(size=(50, 2)))
         dw = compute_empirical_weights(m, t_nbd=5, k_umap=10)
         assert dw.satisfied_fraction >= 0.3
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["random", "integer_ties"])
+    def test_equals_whole_row_kernel_bytewise(self, kind, threads):
+        # 150 rows: column slices of 64, 64 and 22.
+        assert 2 * PAIRWISE_BLOCK_ROWS < 150 < 3 * PAIRWISE_BLOCK_ROWS
+        rng = np.random.default_rng(12)
+        if kind == "random":
+            values = rng.normal(size=(150, 20))
+        else:
+            values = rng.integers(0, 3, size=(150, 20)).astype(float)
+        D = pairwise_distances(values, threads=threads)
+        oracle = np.array([distances_from(values, i) for i in range(150)])
+        assert D.tobytes() == oracle.tobytes()
+
+    def test_peak_memory_has_no_n_by_n_temporaries(self, peak_bytes):
+        rng = np.random.default_rng(13)
+        coords = np.ascontiguousarray(
+            build_fuzzy_graph(rng.normal(size=(300, 8)), 15).memberships.toarray()
+        )
+        output_bytes = 300 * 300 * 8
+        assert peak_bytes(pairwise_distances, coords) < 2 * output_bytes
 
 
 class TestBisectRadiusInternals:
