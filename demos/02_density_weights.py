@@ -12,7 +12,8 @@ Run:  python demos/02_density_weights.py
 
 import numpy as np
 
-from msde import build_fuzzy_graph, compute_empirical_weights, count_within_radius
+from msde import build_fuzzy_graph, compute_empirical_weights
+from msde.knn import count_within_radius
 
 rng = np.random.default_rng(1)
 values = rng.normal(0.0, 1.0, size=(200, 2))

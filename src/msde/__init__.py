@@ -15,20 +15,8 @@ from .data import (
     load_embeddings,
     save_scores,
 )
-from .knn import (
-    NeighborGraph,
-    brute_force_knn,
-    build_knn_graph,
-    count_within_radius,
-)
-from .metrics import (
-    MetricResult,
-    auc_roc,
-    auc_roc_pairwise,
-    average_precision,
-    average_precision_stepwise,
-    evaluate,
-)
+from .knn import NeighborGraph, build_knn_graph
+from .metrics import MetricResult, auc_roc, average_precision, evaluate
 from .scoring import (
     GaussianScorer,
     PcaBasis,
@@ -88,15 +76,11 @@ __all__ = [
     "TrialRecord",
     "apply_standardizer",
     "auc_roc",
-    "auc_roc_pairwise",
     "average_precision",
-    "average_precision_stepwise",
-    "brute_force_knn",
     "build_config",
     "build_fuzzy_graph",
     "build_knn_graph",
     "compute_empirical_weights",
-    "count_within_radius",
     "evaluate",
     "fit_gaussian",
     "fit_pca",

@@ -111,12 +111,24 @@ def build_config(*overrides: dict) -> MsdeConfig:
     unknown = [k for k in merged if k not in CONFIG_FIELD_TYPES]
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    merged = {k: _typed(k, v) for k, v in merged.items()}
     shift_kwargs = {k: merged.pop(k) for k in list(merged) if k in _SHIFT_KEYS}
-    try:
-        shift = replace(ShiftParams(), **shift_kwargs)
-        return MsdeConfig(shift=shift, **merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    shift = replace(ShiftParams(), **shift_kwargs)
+    return MsdeConfig(shift=shift, **merged)
+
+
+def _typed(key: str, value):
+    """``value`` as field ``key``'s type: a bool is not an int, and an int
+    is a valid float."""
+    typ = CONFIG_FIELD_TYPES[key]
+    if isinstance(value, bool) == (typ is bool):
+        if isinstance(value, typ):
+            return value
+        if typ is float and isinstance(value, int):
+            return float(value)
+    raise ConfigError(
+        f"{external_key(key)} must be {typ.__name__}, got {value!r}"
+    )
 
 
 def file_digest(path: str | Path) -> str:

@@ -111,9 +111,8 @@ def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
     order = np.argsort(eigvals)[::-1][:reduced_dim]
     variance = np.maximum(eigvals[order], 0.0)
     components = eigvecs[:, order].T.copy()
-    for row in components:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
+    pivot = components[np.arange(reduced_dim), np.argmax(np.abs(components), axis=1)]
+    components[pivot < 0] *= -1.0
     return PcaBasis(center=center, components=components,
                     explained_variance=variance)
 

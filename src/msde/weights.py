@@ -5,6 +5,7 @@ inside four nested radii, measured not in the raw embedding space but in
 "graph space": each sample's coordinate is its row of the symmetrized
 fuzzy k-NN membership matrix. The base radius is found by binary search
 so that at least 30% of samples have at least ``t_nbd`` strict neighbors.
+The fuzzy graph's per-row bandwidths are solved for all rows at once.
 """
 
 from __future__ import annotations
@@ -83,18 +84,21 @@ class DensityWeights:
     satisfied_fraction: float
 
 
-def _solve_bandwidth(dists: np.ndarray, rho: float, target: float) -> float:
-    """Bisect sigma so the membership mass beyond the nearest neighbor hits
-    ``target``. ``dists`` holds the neighbor distances past the nearest one."""
-    lo = 1e-10
-    hi = max(dists[-1] if dists.size else 0.0, lo) * 1e3
-    gaps = np.maximum(dists - rho, 0.0)
+def _solve_bandwidths(dists: np.ndarray, rho: np.ndarray,
+                      target: float) -> np.ndarray:
+    """Bisect every row's sigma at once so the membership mass beyond the
+    nearest neighbor hits ``target``. ``dists`` is ``(n, k-1)``: each row's
+    neighbor distances past the nearest one. Each row keeps its own bracket,
+    and the row sums run along the contiguous last axis, so every sigma is
+    the one a scalar bisection of that row alone would give."""
+    lo = np.full(len(dists), 1e-10)
+    hi = np.maximum(dists[:, -1], lo) * 1e3 if dists.shape[1] else lo * 1e3
+    gaps = np.maximum(dists - rho[:, None], 0.0)
     for _ in range(SIGMA_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if np.exp(-gaps / mid).sum() > target:
-            hi = mid
-        else:
-            lo = mid
+        over = np.exp(-gaps / mid[:, None]).sum(axis=1) > target
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -116,12 +120,8 @@ def build_fuzzy_graph(points, k_umap: int) -> FuzzyGraph:
     target = math.log2(k_eff) if k_eff > 1 else 0.0
 
     rho = graph.distances[:, 0].copy()
-    sigma = np.empty(n)
-    vals = np.empty((n, k_eff))
-    for i in range(n):
-        d = graph.distances[i]
-        sigma[i] = _solve_bandwidth(d[1:], rho[i], target)
-        vals[i] = np.exp(-np.maximum(d - rho[i], 0.0) / sigma[i])
+    sigma = _solve_bandwidths(graph.distances[:, 1:], rho, target)
+    vals = np.exp(-np.maximum(graph.distances - rho[:, None], 0.0) / sigma[:, None])
 
     rows = np.repeat(np.arange(n), k_eff)
     directed = sp.csr_matrix(

@@ -26,10 +26,7 @@ from msde import (
     ShiftParams,
     SyntheticSpec,
     auc_roc,
-    auc_roc_pairwise,
     average_precision,
-    average_precision_stepwise,
-    brute_force_knn,
     build_knn_graph,
     compute_empirical_weights,
     fit_gaussian,
@@ -43,7 +40,8 @@ from msde import (
     shift_step,
 )
 from msde.cli import main
-from msde.knn import distances_from
+from msde.knn import brute_force_knn, distances_from
+from msde.metrics import auc_roc_pairwise, average_precision_stepwise
 from msde.weights import _kth_neighbor_distance, pairwise_distances
 
 # Criterion 7 golden values, derived once on the frozen instance

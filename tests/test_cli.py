@@ -284,6 +284,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config({"eta": 2.0})
 
+    @pytest.mark.parametrize("line", ["k = 20.0", "threads = 2.0",
+                                      "pca_dim = 2.5", "standardize = 1",
+                                      "max_iters = true", 'k = "20"'])
+    def test_value_of_wrong_type_is_config_error(self, line, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError):
+            build_config(parse_config_file(p))
+
+    def test_int_for_float_key_stored_as_float(self):
+        cfg = build_config({"eta": 1, "lambda": 2})
+        assert type(cfg.shift.eta) is float and cfg.shift.eta == 1.0
+        assert type(cfg.lam) is float and cfg.lam == 2.0
+
+    def test_wrong_type_in_config_file_exits_one(self, synth_dir, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("k = 20.0\n")
+        code = main(["run", "--train", str(synth_dir / "train.npy"),
+                     "--test", str(synth_dir / "test.npy"),
+                     "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        assert code == 1
+        assert "MSDE-ERR cli:" in capsys.readouterr().err
+
     def test_usage_error_exit_code_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run"])  # missing required flags

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from msde import (
-    brute_force_knn,
-    build_knn_graph,
-    count_within_radius,
-)
+from msde import build_knn_graph
 from msde.exceptions import GraphError
-from msde.knn import SCAN_BLOCK_ROWS
+from msde.knn import SCAN_BLOCK_ROWS, brute_force_knn, count_within_radius
 
 
 def _matrix(values):

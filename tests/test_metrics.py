@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from msde import (
-    auc_roc,
-    auc_roc_pairwise,
-    average_precision,
-    average_precision_stepwise,
-    evaluate,
-)
+from msde import auc_roc, average_precision, evaluate
 from msde.exceptions import MetricError
-from msde.metrics import metrics_json
+from msde.metrics import (
+    auc_roc_pairwise,
+    average_precision_stepwise,
+    metrics_json,
+)
 
 
 class TestAucRoc:

@@ -5,20 +5,25 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msde import (
     RadiusSchedule,
     build_fuzzy_graph,
+    build_knn_graph,
     compute_empirical_weights,
-    count_within_radius,
     pairwise_distances,
 )
 from msde.exceptions import GraphError
-from msde.knn import distances_from
+from msde.knn import count_within_radius, distances_from
 from msde.weights import (
     PAIRWISE_BLOCK_ROWS,
+    SIGMA_BISECTION_STEPS,
     _bisect_radius,
-    _solve_bandwidth,
+    _solve_bandwidths,
     _weights_from_coords,
 )
 
@@ -27,6 +32,59 @@ RHO_SATURATION_TARGET = math.log2(15)
 
 def _matrix(values):
     return np.atleast_2d(np.asarray(values, dtype=float))
+
+
+def _solve_bandwidth_reference(dists, rho, target):
+    """One row's bisection as a scalar loop; the oracle for
+    ``_solve_bandwidths``."""
+    lo = 1e-10
+    hi = max(dists[-1] if dists.size else 0.0, lo) * 1e3
+    gaps = np.maximum(dists - rho, 0.0)
+    for _ in range(SIGMA_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if np.exp(-gaps / mid).sum() > target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _per_row_fuzzy_graph(points, k_umap):
+    """The fuzzy graph built one row at a time with the scalar bisection."""
+    graph = build_knn_graph(points, k_umap)
+    n, k = graph.neighbors.shape
+    target = math.log2(k) if k > 1 else 0.0
+    rho = graph.distances[:, 0].copy()
+    sigma = np.empty(n)
+    vals = np.empty((n, k))
+    for i in range(n):
+        d = graph.distances[i]
+        sigma[i] = _solve_bandwidth_reference(d[1:], rho[i], target)
+        vals[i] = np.exp(-np.maximum(d - rho[i], 0.0) / sigma[i])
+    directed = sp.csr_matrix(
+        (vals.ravel(), (np.repeat(np.arange(n), k), graph.neighbors.ravel())),
+        shape=(n, n),
+    )
+    transpose = directed.T.tocsr()
+    combined = (directed + transpose - directed.multiply(transpose)).tocsr()
+    np.clip(combined.data, 0.0, 1.0, out=combined.data)
+    combined.eliminate_zeros()
+    return combined, rho, sigma
+
+
+@st.composite
+def _bandwidth_rows(draw):
+    """Sorted neighbor distances per row: the nearest one (rho) and the
+    k-1 past it. Integer grids give ties and, through zeros, rho = 0 with
+    zero gaps; 0 columns is the k = 1 case."""
+    n = draw(st.integers(1, 6))
+    cols = draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        elements = st.integers(0, 3).map(float)
+    else:
+        elements = st.floats(0.0, 1e3, allow_subnormal=False)
+    d = np.sort(draw(arrays(np.float64, (n, cols + 1), elements=elements)), axis=1)
+    return d[:, 1:], d[:, 0].copy()
 
 
 class TestFuzzyGraph:
@@ -53,8 +111,6 @@ class TestFuzzyGraph:
         rng = np.random.default_rng(7)
         m = _matrix(rng.uniform(size=(50, 2)))
         fg = build_fuzzy_graph(m, 15)
-        from msde.knn import build_knn_graph
-
         g = build_knn_graph(m, 15)
         for i in range(50):
             d = g.distances[i]
@@ -68,8 +124,6 @@ class TestFuzzyGraph:
         rng = np.random.default_rng(20)
         m = _matrix(rng.normal(size=(40, 3)))
         fg = build_fuzzy_graph(m, 10)
-        from msde.knn import build_knn_graph
-
         g = build_knn_graph(m, 10)
         directed = np.zeros((40, 40))
         for i in range(40):
@@ -95,9 +149,40 @@ class TestFuzzyGraph:
         rng = np.random.default_rng(1)
         d = np.sort(rng.uniform(1.0, 3.0, size=14))
         target = math.log2(15)
-        sigma = _solve_bandwidth(d, 0.5, target)
+        sigma = _solve_bandwidths(d[None, :], np.array([0.5]), target)[0]
         total = np.exp(-np.maximum(d - 0.5, 0.0) / sigma).sum()
         assert total == pytest.approx(target, rel=1e-9)
+
+    @pytest.mark.parametrize("n, k_umap, grid", [(2, 2, False), (3, 2, False),
+                                                 (150, 15, False), (150, 15, True)])
+    def test_equals_per_row_construction_bytewise(self, n, k_umap, grid):
+        rng = np.random.default_rng(n)
+        if grid:
+            points = rng.integers(0, 3, size=(n, 4)).astype(float)
+        else:
+            points = rng.normal(size=(n, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k_umap clamp at n = 2
+            fg = build_fuzzy_graph(points, k_umap)
+            memberships, rho, sigma = _per_row_fuzzy_graph(points, k_umap)
+        assert fg.rho.tobytes() == rho.tobytes()
+        assert fg.sigma.tobytes() == sigma.tobytes()
+        for part in ("data", "indices", "indptr"):
+            got = getattr(fg.memberships, part)
+            assert got.tobytes() == getattr(memberships, part).tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_bandwidth_rows())
+@example((np.zeros((3, 4)), np.zeros(3)))
+@example((np.empty((2, 0)), np.array([0.0, 1.5])))
+def test_bandwidths_equal_per_row_bisection_bytewise(rows):
+    dists, rho = rows
+    target = math.log2(dists.shape[1] + 1) if dists.shape[1] else 0.0
+    sigma = _solve_bandwidths(dists, rho, target)
+    reference = np.array([_solve_bandwidth_reference(d, r, target)
+                          for d, r in zip(dists, rho)])
+    assert sigma.tobytes() == reference.tobytes()
 
 
 class TestSearchRadius:
