@@ -1,9 +1,13 @@
 """Command-line entry point: run, synth, tune, eval.
 
-Every run and tune writes a resolved-config echo (all settings, tune's
-seed and trial count, input digests) sufficient to reproduce it byte for
-byte. Errors print one machine-parsable line ``MSDE-ERR <module>: detail``
-and map to exit codes 1 (usage), 2 (data), 3 (numeric).
+Each command's flags come from the dataclass fields it reads: ``run``
+takes every config key, ``tune`` the ones its ``SearchSpace`` does not
+sample, ``synth`` the ``SyntheticSpec`` fields. Flags must be spelled in
+full. Every run and tune writes a resolved-config echo (the settings it
+used, tune's seed and trial count, input digests) sufficient to reproduce
+it byte for byte. Errors print one machine-parsable line
+``MSDE-ERR <module>: detail`` and map to exit codes 1 (usage), 2 (data),
+3 (numeric).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 from .config import (
     CONFIG_FIELD_TYPES,
@@ -28,6 +33,7 @@ from .data import (
     DatasetSplit,
     SyntheticSpec,
     attach_labels,
+    default_row_ids,
     generate_synthetic,
     load_embeddings,
     load_labels,
@@ -45,10 +51,23 @@ logger = logging.getLogger(__name__)
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
 
+# The config keys (and their types) each command reads: tune samples the
+# SearchSpace fields in every trial, so it takes only the others.
+_SAMPLED_KEYS = {f.name for f in dataclasses.fields(SearchSpace)}
+_CONFIG_KEYS = {
+    "run": CONFIG_FIELD_TYPES,
+    "tune": {k: t for k, t in CONFIG_FIELD_TYPES.items() if k not in _SAMPLED_KEYS},
+}
+_SYNTH_TYPES = get_type_hints(SyntheticSpec)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    data errors and use 1 for usage."""
+    data errors and use 1 for usage. Abbreviated flags are refused, so a
+    prefix can never select a different setting."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -56,55 +75,52 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--no-shift", action="store_true",
-                   help="baseline mode: alias for --max-iters 0")
-    for key, typ in CONFIG_FIELD_TYPES.items():
+def _add_field_flags(p: argparse.ArgumentParser, types: dict[str, type]) -> None:
+    """One kebab-case flag per field, default None (unset); a bool field
+    gets a ``--name``/``--no-name`` pair."""
+    for key, typ in types.items():
         flag = external_key(key).replace("_", "-")
         if typ is bool:
             group = p.add_mutually_exclusive_group()
-            group.add_argument("--" + flag, dest=key, action="store_const", const=True,
-                               default=None)
-            group.add_argument("--no-" + flag, dest=key,
-                               action="store_const", const=False, default=None)
+            group.add_argument("--" + flag, dest=key, action="store_const", const=True)
+            group.add_argument("--no-" + flag, dest=key, action="store_const",
+                               const=False)
         else:
-            p.add_argument("--" + flag, dest=key, type=typ, default=None)
+            p.add_argument("--" + flag, dest=key, type=typ)
+
+
+def _add_pipeline_parser(sub, command: str, help: str) -> argparse.ArgumentParser:
+    """A command over a train/test pair: its inputs, ``--out``, ``--config``
+    and one flag per config key it reads."""
+    p = sub.add_parser(command, help=help)
+    p.add_argument("--train", required=True)
+    p.add_argument("--test", required=True)
+    p.add_argument("--labels", help="sidecar row_id,label CSV for the test set")
+    p.add_argument("--out", required=True)
+    p.add_argument("--config", help="flat key=value config file")
+    _add_field_flags(p, _CONFIG_KEYS[command])
+    return p
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="msde", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", parents=[], help="score a train/test pair")
-    run.add_argument("--train", required=True)
-    run.add_argument("--test", required=True)
-    run.add_argument("--labels", help="sidecar row_id,label CSV for the test set")
-    run.add_argument("--out", required=True)
+    run = _add_pipeline_parser(sub, "run", "score a train/test pair")
+    run.add_argument("--no-shift", dest="max_iters", action="store_const", const=0,
+                     help="baseline mode: alias for --max-iters 0")
     run.add_argument("--dump-weights", action="store_true",
                      help="also write the density weights of both shift runs")
-    _add_config_flags(run)
 
     synth = sub.add_parser("synth", help="write a synthetic blob dataset")
     synth.add_argument("--out", required=True)
-    synth.add_argument("--dim", type=int, default=SyntheticSpec.dim)
-    synth.add_argument("--n-train", type=int, default=SyntheticSpec.n_train)
-    synth.add_argument("--n-test-normal", type=int, default=SyntheticSpec.n_test_normal)
-    synth.add_argument("--n-test-anomalous", type=int,
-                       default=SyntheticSpec.n_test_anomalous)
-    synth.add_argument("--anomaly-offset", type=float,
-                       default=SyntheticSpec.anomaly_offset)
-    synth.add_argument("--noise-scale", type=float, default=SyntheticSpec.noise_scale)
+    _add_field_flags(synth, _SYNTH_TYPES)
     synth.add_argument("--seed", type=int, default=0)
 
-    tune = sub.add_parser("tune", help="random search under the zero-leakage protocol")
-    tune.add_argument("--train", required=True)
-    tune.add_argument("--test", required=True)
-    tune.add_argument("--labels")
-    tune.add_argument("--out", required=True)
+    tune = _add_pipeline_parser(sub, "tune",
+                                "random search under the zero-leakage protocol")
     tune.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     tune.add_argument("--seed", type=int, default=0)
-    _add_config_flags(tune)
 
     ev = sub.add_parser("eval", help="recompute metrics from a scores CSV")
     ev.add_argument("--scores", required=True)
@@ -112,38 +128,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    values = {key: v for key in CONFIG_FIELD_TYPES
-              if (v := getattr(args, key, None)) is not None}
-    if getattr(args, "no_shift", False):
-        values["max_iters"] = 0
-    return values
+def _given(args: argparse.Namespace, keys) -> dict:
+    """The flags among ``keys`` that were passed on the command line."""
+    return {key: v for key in keys if (v := getattr(args, key)) is not None}
 
 
-def _resolve_config(args: argparse.Namespace) -> MsdeConfig:
-    layers = []
-    if getattr(args, "config", None):
-        layers.append(parse_config_file(args.config))
-    layers.append(_flag_overrides(args))
-    return build_config(*layers)
-
-
-def _load_split(args: argparse.Namespace) -> DatasetSplit:
+def _prepare(args: argparse.Namespace) -> tuple[MsdeConfig, DatasetSplit, Path]:
+    """Resolve the command's config keys, load the split, create ``--out``."""
+    keys = _CONFIG_KEYS[args.command]
+    file_values = parse_config_file(args.config) if args.config else {}
+    unread = [external_key(k) for k in file_values if k not in keys]
+    if unread:
+        raise ConfigError(f"{args.config}: msde {args.command} does not take "
+                          f"{', '.join(unread)}")
+    config = build_config(file_values, _given(args, keys))
     # distinct id prefixes keep train/test ids unique when mixed (tuning
     # builds validation sets out of rows from both)
     train = load_embeddings(args.train, id_prefix="train")
     test = load_embeddings(args.test, id_prefix="test")
-    if train.dim != test.dim:
-        raise ConfigError(
-            f"train dim {train.dim} != test dim {test.dim}", module="data_io"
-        )
     if args.labels:
         test = attach_labels(test, load_labels(args.labels))
     if test.labels is None:
-        raise ConfigError(
-            "test labels are required; pass --labels", module="data_io"
-        )
-    return DatasetSplit(train=train, test=test)
+        raise ConfigError("test labels are required; pass --labels", module="data_io")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return config, DatasetSplit(train=train, test=test), out
+
+
+def _write_echo(args: argparse.Namespace, config: MsdeConfig, out: Path, **extra) -> None:
+    """The settings the command read, ``extra`` ones, and the input digests."""
+    flat = config.flat()
+    settings = {name: flat[name] for name in map(external_key, _CONFIG_KEYS[args.command])}
+    inputs = {"train": args.train, "test": args.test}
+    if args.labels:
+        inputs["labels"] = args.labels
+    (out / "config_echo.txt").write_text(config_echo({**settings, **extra}, inputs))
 
 
 def _write_trace(path: Path, report) -> None:
@@ -165,11 +184,7 @@ def _dump_weights(path: Path, row_ids, weights) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    split = _load_split(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    config, split, out = _prepare(args)
     report = score_pipeline(split, config)
     save_scores(report, out / "scores.csv")
     if args.dump_weights:
@@ -184,33 +199,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if report.metrics is None:
         raise MetricError("test labels contain a single class; no metrics")
     (out / "metrics.json").write_text(metrics_json(report.metrics) + "\n")
-    inputs = {"train": args.train, "test": args.test}
-    if args.labels:
-        inputs["labels"] = args.labels
-    (out / "config_echo.txt").write_text(config_echo(config.flat(), inputs))
+    _write_echo(args, config, out)
     _write_trace(out / "shift_trace.log", report)
     print(metrics_json(report.metrics))
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    if args.n_test_anomalous < 1:
-        raise ConfigError("n_test_anomalous must be >= 1 (evaluation needs positives)")
-    spec = SyntheticSpec(
-        dim=args.dim,
-        n_train=args.n_train,
-        n_test_normal=args.n_test_normal,
-        n_test_anomalous=args.n_test_anomalous,
-        anomaly_offset=args.anomaly_offset,
-        noise_scale=args.noise_scale,
-    )
+    spec = SyntheticSpec(**_given(args, _SYNTH_TYPES))
     split = generate_synthetic(spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(split.train, out / "train.npy")
     save_embeddings(split.test, out / "test.npy")
     # Sidecar ids must match what `run`/`tune` will assign on load.
-    reloaded_ids = [f"test_{i:06d}" for i in range(split.test.n_samples)]
+    reloaded_ids = default_row_ids(split.test.n_samples, "test")
     with open(out / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("row_id,label\n")
         for rid, lab in zip(reloaded_ids, split.test.labels):
@@ -220,11 +223,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    split = _load_split(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
+    config, split, out = _prepare(args)
     best, records, final_metrics = random_search(
         split, SearchSpace(), n_trials=args.trials, seed=args.seed,
         base_config=config,
@@ -255,11 +254,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         json.dumps(dataclasses.asdict(best.params), indent=2) + "\n"
     )
     (out / "final_metrics.json").write_text(metrics_json(final_metrics) + "\n")
-    inputs = {"train": args.train, "test": args.test}
-    if args.labels:
-        inputs["labels"] = args.labels
-    settings = {**config.flat(), "seed": args.seed, "trials": args.trials}
-    (out / "config_echo.txt").write_text(config_echo(settings, inputs))
+    _write_echo(args, config, out, seed=args.seed, trials=args.trials)
     print(metrics_json(final_metrics))
     return 0
 

@@ -28,10 +28,6 @@ class MetricResult:
     n_pos: int
     n_neg: int
 
-    def as_dict(self) -> dict:
-        return {"auc": self.auc, "ap": self.ap,
-                "n_pos": self.n_pos, "n_neg": self.n_neg}
-
 
 def _check_inputs(scores, labels, need_neg: bool):
     scores = np.asarray(scores, dtype=np.float64)

@@ -42,15 +42,17 @@ class SearchSpace:
     max_iters: tuple[int, int] = (3, 12)
     tol: tuple[float, float] = (1e-4, 0.05)
 
-    def sample(self, rng: np.random.Generator) -> ShiftParams:
-        """One draw; the draw order is fixed and part of the contract."""
+    def sample(self, rng: np.random.Generator,
+               base: ShiftParams = ShiftParams()) -> ShiftParams:
+        """One draw of the five fields onto ``base``, which supplies every
+        other setting; the draw order is fixed and part of the contract."""
         k = int(rng.integers(self.k[0], self.k[1] + 1))
         t_nbd = int(rng.integers(self.t_nbd[0], self.t_nbd[1] + 1))
         eta = float(rng.uniform(self.eta[0], self.eta[1]))
         max_iters = int(rng.integers(self.max_iters[0], self.max_iters[1] + 1))
         log_lo, log_hi = math.log(self.tol[0]), math.log(self.tol[1])
         tol = float(math.exp(rng.uniform(log_lo, log_hi)))
-        return ShiftParams(k=k, eta=eta, max_iters=max_iters, tol=tol, t_nbd=t_nbd)
+        return replace(base, k=k, t_nbd=t_nbd, eta=eta, max_iters=max_iters, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,8 @@ def random_search(
     Each trial's RNG is seeded with ``seed + trial_index``, so trial
     results do not depend on execution order. Trials that fail record a
     sentinel AUC of -1 and never win. Ties go to the lowest trial index.
+    Each trial draws the ``space`` fields onto ``base_config.shift``, so
+    ``k_umap`` and every other unsampled setting comes from the base config.
     ``trial_observer`` (if given) receives the row ids each trial sees,
     which is how the leakage audit is instrumented.
     """
@@ -144,7 +148,7 @@ def random_search(
     records: list[TrialRecord] = []
     for index in range(n_trials):
         trial_seed = seed + index
-        params = space.sample(np.random.default_rng(trial_seed))
+        params = space.sample(np.random.default_rng(trial_seed), base.shift)
         config = replace(base, shift=params)
         if trial_observer is not None:
             trial_observer(index, val_split.train.row_ids, val_split.test.row_ids)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,9 @@ import pytest
 from msde.cli import main
 from msde.config import CONFIG_FIELD_TYPES, build_config, parse_config_file
 from msde.exceptions import ConfigError
+from msde.tune import SearchSpace
+
+SAMPLED_KEYS = {f.name for f in fields(SearchSpace)}
 
 
 @pytest.fixture()
@@ -37,6 +41,15 @@ def _run_args(synth_dir, out, extra=()):
             "--out", str(out),
             "--k", "10", "--t-nbd", "10", "--k-umap", "10",
             "--max-iters", "3", "--pca-dim", "6", *extra]
+
+
+def _tune_args(synth_dir, out, extra=()):
+    return ["tune",
+            "--train", str(synth_dir / "train.npy"),
+            "--test", str(synth_dir / "test.npy"),
+            "--labels", str(synth_dir / "labels.csv"),
+            "--out", str(out),
+            "--trials", "2", "--seed", "1", "--pca-dim", "6", *extra]
 
 
 class TestSynth:
@@ -101,7 +114,7 @@ class TestRun:
                      "--test", str(other / "test.npy"),
                      "--labels", str(other / "labels.csv"),
                      "--out", str(tmp_path / "x")])
-        assert code != 0
+        assert code == 2
         err = capsys.readouterr().err
         assert "MSDE-ERR" in err and "6" in err and "4" in err
 
@@ -188,6 +201,7 @@ class TestTuneCommand:
         assert (a / "final_metrics.json").exists()
         echo = (a / "config_echo.txt").read_text().splitlines()
         assert "seed = 11" in echo and "trials = 5" in echo
+        assert not {line.split(" = ")[0] for line in echo} & SAMPLED_KEYS
         table = (a / "trials.csv").read_text().splitlines()
         assert table[0] == "trial_index,k,eta,max_iters,tol,t_nbd,val_auc,val_ap,seed"
         assert len(table) == 6
@@ -195,6 +209,32 @@ class TestTuneCommand:
             cells = line.split(",")
             assert int(cells[0]) == rec["trial_index"]
             assert float(cells[6]) == rec["val_auc"]
+
+    def test_unsampled_flag_reaches_every_trial(self, synth_dir, tmp_path):
+        a, b = tmp_path / "default", tmp_path / "k_umap5"
+        assert main(_tune_args(synth_dir, a)) == 0
+        assert main(_tune_args(synth_dir, b, ("--k-umap", "5"))) == 0
+        lines = (b / "trials.jsonl").read_text().splitlines()[:-1]
+        assert all(json.loads(line)["params"]["k_umap"] == 5 for line in lines)
+        assert (a / "trials.jsonl").read_bytes() != (b / "trials.jsonl").read_bytes()
+        assert "k_umap = 5" in (b / "config_echo.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("flag", ["--k 10", "--eta 0.1", "--max-iters 3",
+                                      "--tol 0.01", "--t-nbd 10", "--no-shift"])
+    def test_sampled_setting_flag_is_usage_error(self, flag, synth_dir, tmp_path,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_tune_args(synth_dir, tmp_path / "t", flag.split()))
+        assert exc.value.code == 1
+        assert "MSDE-ERR cli:" in capsys.readouterr().err
+
+    def test_sampled_key_in_config_file_exits_one(self, synth_dir, tmp_path,
+                                                  capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("k = 10\n")
+        code = main(_tune_args(synth_dir, tmp_path / "t", ("--config", str(cfg))))
+        assert code == 1
+        assert "MSDE-ERR cli:" in capsys.readouterr().err
 
     def test_validation_ids_cannot_collide_across_roles(self, tmp_path):
         # regression: train and test rows share positional indices on disk;
@@ -254,13 +294,31 @@ class TestConfigParsing:
         assert "MSDE-ERR cli:" in capsys.readouterr().err
 
     def test_one_flag_per_config_key(self):
+        # run takes every config key; tune takes the ones it does not sample
         from msde.cli import _build_parser
-        ns = _build_parser().parse_args(["run", "--train", "x", "--test", "y",
-                                         "--out", "z"])
-        other = {"command", "train", "test", "labels", "out", "dump_weights",
-                 "config", "no_shift"}
-        assert set(vars(ns)) - other == set(CONFIG_FIELD_TYPES)
+        common = {"command", "train", "test", "labels", "out", "config"}
+        for command, other, keys in (
+            ("run", {"dump_weights"}, set(CONFIG_FIELD_TYPES)),
+            ("tune", {"trials", "seed"}, set(CONFIG_FIELD_TYPES) - SAMPLED_KEYS),
+        ):
+            ns = _build_parser().parse_args([command, "--train", "x", "--test", "y",
+                                             "--out", "z"])
+            assert set(vars(ns)) - common - other == keys, command
         assert len(build_config().flat()) == len(CONFIG_FIELD_TYPES) == 10
+        assert len(set(CONFIG_FIELD_TYPES) - SAMPLED_KEYS) == 5
+
+    @pytest.mark.parametrize("argv", [
+        "run --train x --test y --out z --max 2",
+        "run --train x --test y --out z --pca 6",
+        "tune --train x --test y --out z --tri 5",
+        "synth --out z --n-test-anom 5",
+        "eval --sco x",
+    ])
+    def test_abbreviated_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 1
+        assert "MSDE-ERR cli:" in capsys.readouterr().err
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -154,6 +154,19 @@ class TestRandomSearch:
             assert rec.params == SearchSpace().sample(
                 np.random.default_rng(rec.seed))
 
+    def test_unsampled_settings_come_from_base_config(self):
+        base = MsdeConfig(shift=ShiftParams(k_umap=7), pca_dim=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, records, _ = random_search(
+                self._data(), SearchSpace(), n_trials=3, seed=40,
+                base_config=base,
+            )
+        assert [r.params.k_umap for r in records] == [7, 7, 7]
+        for rec in records:
+            assert rec.params == SearchSpace().sample(
+                np.random.default_rng(rec.seed), base.shift)
+
     def test_no_final_test_id_seen_during_trials(self):
         data = self._data()
         lk_preview = make_leakage_split(data, seed=77)
