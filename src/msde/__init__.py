@@ -49,7 +49,6 @@ from .weights import (
     RadiusSchedule,
     build_fuzzy_graph,
     compute_empirical_weights,
-    pairwise_distances,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "mahalanobis",
     "make_leakage_split",
     "normalize_scores",
-    "pairwise_distances",
     "parse_config_file",
     "project",
     "random_search",

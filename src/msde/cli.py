@@ -64,10 +64,20 @@ _SYNTH_TYPES = get_type_hints(SyntheticSpec)
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
     data errors and use 1 for usage. Abbreviated flags are refused, so a
-    prefix can never select a different setting."""
+    prefix can never select a different setting. Leftover arguments are
+    reported by the chosen command's parser (``commands``), so the usage
+    printed is that command's."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.commands: dict[str, argparse.ArgumentParser] = {}
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            command = self.commands.get(getattr(parsed, "command", None), self)
+            command.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -105,6 +115,7 @@ def _add_pipeline_parser(sub, command: str, help: str) -> argparse.ArgumentParse
 def _build_parser() -> _Parser:
     parser = _Parser(prog="msde", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     run = _add_pipeline_parser(sub, "run", "score a train/test pair")
     run.add_argument("--no-shift", dest="max_iters", action="store_const", const=0,

@@ -35,6 +35,9 @@ def distances_from(values: np.ndarray, i: int, indices=None) -> np.ndarray:
     """Euclidean distances from row ``i`` to ``indices`` (default: all rows).
 
     ``indices`` is an integer index array or a slice; a slice reads a view.
+    ``i`` may also be an index array as long as ``indices``: element m is
+    then the distance between rows ``i[m]`` and ``indices[m]``, reduced
+    exactly as with a scalar ``i``.
     This is the only place pairwise distances are evaluated, so every
     search route, oracle, and radius count shares one rounding behavior.
     """

@@ -320,6 +320,19 @@ class TestConfigParsing:
         assert exc.value.code == 1
         assert "MSDE-ERR cli:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "tune --train x --test y --out z --k 10",
+        "run --train x --test y --out z --max 2",
+    ])
+    def test_leftover_argument_prints_command_usage(self, argv, capsys):
+        command, *_, flag, value = argv.split()
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: msde {command} ")
+        assert f"MSDE-ERR cli: unrecognized arguments: {flag} {value}\n" in err
+
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("k = 1\nk = 2\n")

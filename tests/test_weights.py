@@ -15,16 +15,19 @@ from msde import (
     build_fuzzy_graph,
     build_knn_graph,
     compute_empirical_weights,
-    pairwise_distances,
 )
+from msde import weights as weights_module
 from msde.exceptions import GraphError
 from msde.knn import count_within_radius, distances_from
 from msde.weights import (
     PAIRWISE_BLOCK_ROWS,
     SIGMA_BISECTION_STEPS,
     _bisect_radius,
+    _clamped_t_nbd,
+    _kth_neighbor_distance,
     _solve_bandwidths,
     _weights_from_coords,
+    pairwise_distances,
 )
 
 RHO_SATURATION_TARGET = math.log2(15)
@@ -47,6 +50,23 @@ def _solve_bandwidth_reference(dists, rho, target):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _dense_weights(coords, t_nbd):
+    """The dense oracle: the full distance matrix's extremes and order
+    statistics fed to the radius bisection, then direct strict counts.
+    Returns (weights, epsilon, satisfied_fraction)."""
+    dist = pairwise_distances(coords)
+    n = len(dist)
+    d_max = float(dist.max())
+    np.fill_diagonal(dist, np.inf)
+    kth = {t: _kth_neighbor_distance(dist, t)
+           for t in (t_nbd, _clamped_t_nbd(n)) if t <= n - 1}
+    eps, _, fraction = _bisect_radius(n, kth, float(dist.min()), d_max, t_nbd)
+    counts = np.zeros(n)
+    for radius in RadiusSchedule(eps).radii:
+        counts += np.count_nonzero(dist < radius, axis=1)
+    return counts / 4.0, eps, fraction
 
 
 def _per_row_fuzzy_graph(points, k_umap):
@@ -183,6 +203,64 @@ def test_bandwidths_equal_per_row_bisection_bytewise(rows):
     reference = np.array([_solve_bandwidth_reference(d, r, target)
                           for d, r in zip(dists, rho)])
     assert sigma.tobytes() == reference.tobytes()
+
+
+@st.composite
+def _weight_inputs(draw):
+    """Points for the fuzzy graph: Gaussian rows, an integer grid (ties), a
+    few distinct rows repeated (duplicates) or Gaussian rows far from the
+    origin, where the Gram screen loses most digits to cancellation; t_nbd
+    goes up to n + 4 so the clamp and the unsatisfiable radius are reached."""
+    n = draw(st.integers(2, 260))
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "grid", "duplicates", "offset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("random", "offset"):
+        points = rng.normal(size=(n, dim)) + (1e7 if kind == "offset" else 0.0)
+    elif kind == "grid":
+        points = rng.integers(0, 3, size=(n, dim)).astype(float)
+    else:
+        distinct = rng.normal(size=(draw(st.integers(1, max(1, n // 2))), dim))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    return points, draw(st.integers(1, 20)), draw(st.integers(1, n + 4))
+
+
+def _recorded(fn, *args):
+    """``fn(*args)`` and the messages of the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(_weight_inputs())
+@example((np.array([[0.0], [4.0]]), 2, 6))
+@example((np.zeros((9, 2)), 3, 4))
+@example((np.array([[1.0], [2], [0], [1], [2], [0], [0], [2], [1]]), 2, 13))
+@example((np.random.default_rng(0).normal(size=(260, 3)), 15, 70))
+def test_screened_weights_equal_dense_oracle_bytewise(inputs):
+    # The fuzzy graph's CSR rows at every thread count and block height,
+    # and the points themselves (dense coordinates) once.
+    points, k_umap, t_nbd = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k_umap clamp
+        memberships = build_fuzzy_graph(points, k_umap).memberships
+    n = len(points)
+    for coords, dense, runs in (
+        (memberships, memberships.toarray(),
+         [(t, h) for t in (1, 2) for h in (1, 7, n + 1)]),
+        (points, points, [(1, weights_module.SCREEN_BLOCK_ROWS)]),
+    ):
+        (weights, eps, fraction), expected = _recorded(_dense_weights, dense, t_nbd)
+        for threads, height in runs:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(weights_module, "SCREEN_BLOCK_ROWS", height)
+                dw, caught = _recorded(_weights_from_coords, coords, t_nbd, threads)
+            assert dw.weights.tobytes() == weights.tobytes()
+            assert dw.schedule.epsilon == eps
+            assert dw.satisfied_fraction == fraction
+            assert caught == expected
 
 
 class TestSearchRadius:
@@ -334,6 +412,13 @@ class TestEmpiricalWeights:
         np.testing.assert_array_equal(a.weights, c.weights)
         assert a.schedule.epsilon == b.schedule.epsilon == c.schedule.epsilon
 
+    def test_peak_memory_below_one_n_by_n(self, peak_bytes):
+        # G stays sparse and the screen works a block of rows at a time:
+        # neither a dense G nor a distance matrix is ever formed.
+        n = 1200
+        points = np.random.default_rng(14).normal(size=(n, 8))
+        assert peak_bytes(compute_empirical_weights, points, 70, 15) < n * n * 8
+
     def test_satisfied_fraction_reported(self):
         rng = np.random.default_rng(77)
         m = _matrix(rng.normal(size=(50, 2)))
@@ -367,11 +452,11 @@ class TestPairwiseDistances:
 
 class TestBisectRadiusInternals:
     def test_two_points_clamp_and_bracket_extension(self):
-        # With a single pairwise distance, strict counting fails everywhere
-        # in [d_min, d_max]; the degenerate bracket extends past d_max so
-        # the search lands just above it.
-        D = pairwise_distances(np.array([[0.0], [4.0]]))
+        # With a single pairwise distance (4), strict counting fails
+        # everywhere in [d_min, d_max]; the degenerate bracket extends past
+        # d_max so the search lands just above it.
         with pytest.warns(UserWarning, match="clamped"):
-            eps, t_used, _ = _bisect_radius(D, t_nbd=70)
+            eps, t_used, _ = _bisect_radius(2, {1: np.array([4.0, 4.0])}, 4.0, 4.0,
+                                            t_nbd=70)
         assert 4.0 < eps <= 4.0 * (1.0 + 2e-6)
         assert t_used == 1
