@@ -1,11 +1,18 @@
 """Exact k-nearest-neighbor search and strict radius counts.
 
-There is one fast route, ``build_knn_graph`` (a blocked Gram-matrix screen
-followed by an exact re-rank), and one oracle, ``brute_force_knn`` (the
-naive O(n^2 d) scan). Both report distances through the single metric
-kernel ``distances_from`` so their outputs are comparable bit for bit;
-they differ in how candidates are found. Ties in distance are always
-broken toward the lower row index.
+There is one fast route, ``build_knn_graph``, and one oracle,
+``brute_force_knn`` (the naive O(n^2 d) scan). Both report distances
+through the single metric kernel ``distances_from`` so their outputs are
+comparable bit for bit; they differ in how candidates are found. Ties in
+distance are always broken toward the lower row index.
+
+The fast route screens squared distances through the Gram expansion
+|x|^2 + |y|^2 - 2<x, y>, one block of rows against all n at a time, and
+keeps every column within a rounding slack of its row's k-th screened
+value. The re-rank is block-wide: the kernel evaluates all of a block's
+candidate pairs in chunks of a fixed float budget, and one stable sort by
+(row, distance) puts each row's candidates in canonical order, with no
+Python loop over rows.
 """
 
 from __future__ import annotations
@@ -20,14 +27,20 @@ from .exceptions import GraphError
 
 logger = logging.getLogger(__name__)
 
-# Rows per Gram block in the scan; bounds its scratch to this many rows x n.
+# Rows per Gram block in the scan. Its two scratch buffers (the screen and
+# a copy to partition) are this many rows x n each, allocated once per call.
 SCAN_BLOCK_ROWS = 256
+# Floats per gathered operand when the re-rank evaluates candidate pairs:
+# each ``distances_from`` call takes max(1, budget // d) pairs.
+RERANK_CHUNK_FLOATS = 2**14
 
 
 def _as_values(points) -> np.ndarray:
     values = np.asarray(points, dtype=np.float64)
     if values.ndim != 2:
         raise GraphError(f"points must be a 2-D matrix, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise GraphError("points must be finite (found NaN or inf)")
     return values
 
 
@@ -88,7 +101,7 @@ def brute_force_knn(points, k: int) -> NeighborGraph:
 
 
 def _knn_blocked_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    n = values.shape[0]
+    n, dim = values.shape
     neighbors = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=np.float64)
     sq_norms = np.einsum("ij,ij->i", values, values)
@@ -96,25 +109,46 @@ def _knn_blocked_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     # eps * (|x|^2 + |y|^2); the screen slack must cover it so the true
     # k-set is always inside the candidate set.
     slack = 32.0 * np.finfo(np.float64).eps * (sq_norms + sq_norms.max())
+    height = min(SCAN_BLOCK_ROWS, n)
+    screen = np.empty((height, n))
+    ranked = np.empty((height, n))
+    chunk = max(1, RERANK_CHUNK_FLOATS // max(dim, 1))
 
     # Squared-distance screen via the Gram expansion, then exact canonical
-    # re-ranking of everything at or near the k-th boundary.
+    # re-ranking of everything at or near each row's k-th boundary.
     for lo in range(0, n, SCAN_BLOCK_ROWS):
         hi = min(lo + SCAN_BLOCK_ROWS, n)
-        d2 = sq_norms[lo:hi, None] + sq_norms[None, :] - 2.0 * values[lo:hi] @ values.T
+        m = hi - lo
+        d2, part = screen[:m], ranked[:m]
+        np.matmul(values[lo:hi], values.T, out=d2)
+        d2 *= -2.0
+        d2 += sq_norms[lo:hi, None]
+        d2 += sq_norms
         np.maximum(d2, 0.0, out=d2)
-        for row, i in enumerate(range(lo, hi)):
-            d2[row, i] = np.inf
-            kth = np.partition(d2[row], k - 1)[k - 1]
-            cand = np.flatnonzero(d2[row] <= kth * (1.0 + 1e-9) + slack[i])
-            d = distances_from(values, i, cand)
-            order = np.lexsort((cand, d))[:k]
-            neighbors[i], distances[i] = cand[order], d[order]
+        d2[np.arange(m), np.arange(lo, hi)] = np.inf  # exclude self
+        np.copyto(part, d2)
+        part.partition(k - 1, axis=1)
+        bound = part[:, k - 1] * (1.0 + 1e-9) + slack[lo:hi]
+        if not np.isfinite(bound).all():  # inf admits self, NaN no column
+            raise GraphError("squared distances overflow float64")
+        # Row-major, so each row's candidates come out in index order.
+        rows, cand = np.nonzero(d2 <= bound[:, None])
+        d = np.empty(len(cand))
+        for a in range(0, len(cand), chunk):
+            d[a:a + chunk] = distances_from(values, rows[a:a + chunk] + lo,
+                                            cand[a:a + chunk])
+        # Stable: within a row, equal distances keep the lower index first.
+        order = np.lexsort((d, rows))
+        top = order[np.searchsorted(rows, np.arange(m))[:, None] + np.arange(k)]
+        neighbors[lo:hi], distances[lo:hi] = cand[top], d[top]
     return neighbors, distances
 
 
 def build_knn_graph(points, k: int) -> NeighborGraph:
-    """Exact k-NN graph; ties by lower index; k clamped to n-1 with warning."""
+    """Exact k-NN graph; ties by lower index; k clamped to n-1 with warning.
+
+    Raises ``GraphError`` for non-finite points or squared distances that
+    overflow float64."""
     values = _as_values(points)
     n = values.shape[0]
     k = _effective_k(k, n)

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _inputs import point_sets, recorded
 from msde import build_knn_graph
+from msde import knn as knn_module
 from msde.exceptions import GraphError
 from msde.knn import SCAN_BLOCK_ROWS, brute_force_knn, count_within_radius
 
@@ -34,6 +38,27 @@ class TestBuildKnnGraph:
     def test_single_point_rejected(self):
         with pytest.raises(GraphError):
             build_knn_graph(_matrix([[0.0]]), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("search", [build_knn_graph, brute_force_knn])
+    def test_non_finite_points_rejected(self, search, bad):
+        m = np.random.default_rng(0).normal(size=(20, 3))
+        m[3, 1] = bad
+        with pytest.raises(GraphError, match="finite"):
+            search(m, 4)
+
+    def test_overflowing_squares_rejected(self):
+        # |x|^2 = inf would let every column, self included, pass the screen.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GraphError, match="overflow"):
+                build_knn_graph(_matrix([[0.0], [1.0], [1e200]]), 1)
+
+    def test_peak_memory_two_blocks(self, peak_bytes):
+        # The scan's scratch is two SCAN_BLOCK_ROWS x n buffers, allocated
+        # once per call; at n=1200 that is 0.43 of one n x n float64.
+        n = 1200
+        points = np.random.default_rng(0).normal(size=(n, 32))
+        assert peak_bytes(build_knn_graph, points, 15) < 0.55 * n * n * 8
 
     def test_no_self_loops_and_sorted_rows(self):
         rng = np.random.default_rng(0)
@@ -84,6 +109,37 @@ class TestOracleEquivalence:
         np.testing.assert_array_equal(fast.distances, slow.distances)
 
 
+@st.composite
+def _knn_inputs(draw):
+    """Points and k: n goes past SCAN_BLOCK_ROWS so rows span several
+    blocks, and k up to n + 2 so the clamp is reached."""
+    points = draw(point_sets(600))
+    return points, draw(st.integers(1, len(points) + 2))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(_knn_inputs())
+@example((np.array([[0.0], [4.0]]), 3))
+@example((np.zeros((9, 2)), 4))
+@example((np.random.default_rng(0).integers(0, 3, size=(600, 2)).astype(float), 12))
+def test_blocked_scan_equals_brute_force_bytewise(inputs):
+    # Every block height, from one row per block to one block for all rows,
+    # and one kernel pair per chunk.
+    points, k = inputs
+    n = len(points)
+    oracle, expected = recorded(brute_force_knn, points, k)
+    for height, budget in ((1, knn_module.RERANK_CHUNK_FLOATS), (7, 1),
+                           (n + 1, knn_module.RERANK_CHUNK_FLOATS)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(knn_module, "SCAN_BLOCK_ROWS", height)
+            mp.setattr(knn_module, "RERANK_CHUNK_FLOATS", budget)
+            graph, caught = recorded(build_knn_graph, points, k)
+        assert graph.k == oracle.k
+        assert graph.neighbors.tobytes() == oracle.neighbors.tobytes()
+        assert graph.distances.tobytes() == oracle.distances.tobytes()
+        assert caught == expected
+
+
 class TestBruteForce:
     def test_coincident_pair(self):
         g = brute_force_knn(_matrix([[1.0, 1.0], [1.0, 1.0]]), 1)
@@ -117,6 +173,12 @@ class TestCountWithinRadius:
     def test_index_out_of_range(self):
         with pytest.raises(GraphError):
             count_within_radius(_matrix([[0.0], [1.0]]), 5, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        m = _matrix([[0.0], [1.0], [bad]])
+        with pytest.raises(GraphError, match="finite"):
+            count_within_radius(m, 0, 1.0)
 
     def test_negative_radius(self):
         with pytest.raises(GraphError):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _inputs import point_sets, recorded
 from msde import (
     RadiusSchedule,
     build_fuzzy_graph,
@@ -207,30 +208,10 @@ def test_bandwidths_equal_per_row_bisection_bytewise(rows):
 
 @st.composite
 def _weight_inputs(draw):
-    """Points for the fuzzy graph: Gaussian rows, an integer grid (ties), a
-    few distinct rows repeated (duplicates) or Gaussian rows far from the
-    origin, where the Gram screen loses most digits to cancellation; t_nbd
-    goes up to n + 4 so the clamp and the unsatisfiable radius are reached."""
-    n = draw(st.integers(2, 260))
-    dim = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["random", "grid", "duplicates", "offset"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind in ("random", "offset"):
-        points = rng.normal(size=(n, dim)) + (1e7 if kind == "offset" else 0.0)
-    elif kind == "grid":
-        points = rng.integers(0, 3, size=(n, dim)).astype(float)
-    else:
-        distinct = rng.normal(size=(draw(st.integers(1, max(1, n // 2))), dim))
-        points = distinct[rng.integers(0, len(distinct), size=n)]
-    return points, draw(st.integers(1, 20)), draw(st.integers(1, n + 4))
-
-
-def _recorded(fn, *args):
-    """``fn(*args)`` and the messages of the warnings it emitted."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    return result, [str(w.message) for w in caught]
+    """Points for the fuzzy graph; t_nbd goes up to n + 4 so the clamp and
+    the unsatisfiable radius are reached."""
+    points = draw(point_sets(260))
+    return points, draw(st.integers(1, 20)), draw(st.integers(1, len(points) + 4))
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
@@ -252,11 +233,11 @@ def test_screened_weights_equal_dense_oracle_bytewise(inputs):
          [(t, h) for t in (1, 2) for h in (1, 7, n + 1)]),
         (points, points, [(1, weights_module.SCREEN_BLOCK_ROWS)]),
     ):
-        (weights, eps, fraction), expected = _recorded(_dense_weights, dense, t_nbd)
+        (weights, eps, fraction), expected = recorded(_dense_weights, dense, t_nbd)
         for threads, height in runs:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(weights_module, "SCREEN_BLOCK_ROWS", height)
-                dw, caught = _recorded(_weights_from_coords, coords, t_nbd, threads)
+                dw, caught = recorded(_weights_from_coords, coords, t_nbd, threads)
             assert dw.weights.tobytes() == weights.tobytes()
             assert dw.schedule.epsilon == eps
             assert dw.satisfied_fraction == fraction
