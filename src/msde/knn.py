@@ -6,13 +6,13 @@ through the single metric kernel ``distances_from`` so their outputs are
 comparable bit for bit; they differ in how candidates are found. Ties in
 distance are always broken toward the lower row index.
 
-The fast route screens squared distances through the Gram expansion
-|x|^2 + |y|^2 - 2<x, y>, one block of rows against all n at a time, and
-keeps every column within a rounding slack of its row's k-th screened
-value. The re-rank is block-wide: the kernel evaluates all of a block's
-candidate pairs in chunks of a fixed float budget, and one stable sort by
-(row, distance) puts each row's candidates in canonical order, with no
-Python loop over rows.
+``_GramScreen`` is the one screen behind exact neighborhoods: squared
+distances |x|^2 + |y|^2 - 2<x, y>, a block of rows against all n at a
+time, within a derived slack of the kernel's, and the kernel for the pairs
+it cannot decide. The k-NN scan re-ranks every column within the slack of
+its row's k-th screened value, block-wide with one stable sort by (row,
+distance); the density weights (``msde.weights``) take their order
+statistics and radius counts from it on the fuzzy graph's CSR rows.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import GraphError
 
@@ -30,9 +31,12 @@ logger = logging.getLogger(__name__)
 # Rows per Gram block in the scan. Its two scratch buffers (the screen and
 # a copy to partition) are this many rows x n each, allocated once per call.
 SCAN_BLOCK_ROWS = 256
-# Floats per gathered operand when the re-rank evaluates candidate pairs:
-# each ``distances_from`` call takes max(1, budget // d) pairs.
+# Floats per gathered operand when the screen's kernel evaluates pairs of
+# dense rows: each ``distances_from`` call takes max(1, budget // d) pairs.
 RERANK_CHUNK_FLOATS = 2**14
+# Pairs per kernel call on CSR rows; a call densifies at most twice this
+# many rows, each n wide.
+CSR_CHUNK_PAIRS = 32
 
 
 def _as_values(points) -> np.ndarray:
@@ -100,47 +104,113 @@ def brute_force_knn(points, k: int) -> NeighborGraph:
     return NeighborGraph(k, neighbors, distances)
 
 
+class _GramScreen:
+    """Blocked screen of squared distances between the rows of ``coords``
+    (a dense array or a CSR matrix), with kernel distances for the pairs
+    it cannot decide.
+
+    ``slack[i]`` is twice a bound on |screened d^2 - the kernel's sum of
+    squares| over every j, in units of eps (|x_i|^2 + |x_j|^2) with |x_j|^2
+    at its maximum. The screen errs by at most 2 terms + 4: the norms and
+    the inner product each sum at most ``terms`` products (the width, or a
+    CSR row's most nonzeros) in any order (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 3.1), and
+    |<x_i, x_j>| <= (|x_i|^2 + |x_j|^2) / 2. The kernel's pairwise sum over
+    ``width`` columns is at most 26 + log2(width) levels deep, plus 3
+    roundings per term, on a true d^2 of at most 2 (|x_i|^2 + |x_j|^2).
+    Thresholds on distances widen by a relative 8 eps for the rounding of
+    the kernel's square root.
+    """
+
+    def __init__(self, coords):
+        self.coords = coords
+        self.sparse = sp.issparse(coords)
+        width = coords.shape[1]
+        if self.sparse:
+            self.coords_t = coords.T.tocsr()
+            self.sq_norms = np.asarray(coords.multiply(coords).sum(axis=1)).ravel()
+            terms = int(np.diff(coords.indptr).max())
+            self.chunk = CSR_CHUNK_PAIRS
+        else:
+            self.coords_t = coords.T
+            self.sq_norms = np.einsum("ij,ij->i", coords, coords)
+            terms = width
+            self.chunk = max(1, RERANK_CHUNK_FLOATS // max(width, 1))
+        units = 2 * terms + 4 + 2 * (29 + width.bit_length())
+        self.slack = (2.0 * units * np.finfo(np.float64).eps
+                      * (self.sq_norms + self.sq_norms.max()))
+
+    def block(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Screened squared distances from rows lo:hi to every row, with an
+        inf diagonal; written into ``out`` when it is given."""
+        if self.sparse:
+            d2 = (self.coords[lo:hi] @ self.coords_t).toarray(out=out)
+        else:
+            d2 = np.matmul(self.coords[lo:hi], self.coords_t, out=out)
+        d2 *= -2.0
+        d2 += self.sq_norms[lo:hi, None]
+        d2 += self.sq_norms
+        np.maximum(d2, 0.0, out=d2)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        return d2
+
+    def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Kernel distances between rows ``rows[m]`` and ``cols[m]``; CSR
+        rows are densified, byte-equal to those of ``coords.toarray()``."""
+        out = np.empty(len(rows))
+        for a in range(0, len(rows), self.chunk):
+            i, j = rows[a:a + self.chunk], cols[a:a + self.chunk]
+            values = self.coords
+            if self.sparse:
+                ids, local = np.unique(np.concatenate((i, j)), return_inverse=True)
+                values, i, j = values[ids].toarray(), local[:len(i)], local[len(i):]
+            out[a:a + len(i)] = distances_from(values, i, j)
+        return out
+
+    def settle(self, d2: np.ndarray, lo: int, centers: np.ndarray,
+               widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Re-evaluate with the kernel every pair whose screened value lies
+        within ``widths`` of one of its row's ``centers`` (both shaped rows
+        x m). Their screened values become NaN, so no comparison counts them
+        again. Returns the pairs' block rows, in order, and exact distances."""
+        near = np.zeros(d2.shape, dtype=bool)
+        for c, w in zip(centers.T, widths.T):
+            near |= (d2 >= (c - w)[:, None]) & (d2 <= (c + w)[:, None])
+        rows, cols = np.nonzero(near)
+        d2[rows, cols] = np.nan
+        return rows, self.distances(lo + rows, cols)
+
+
 def _knn_blocked_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    n, dim = values.shape
+    n = values.shape[0]
     neighbors = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=np.float64)
-    sq_norms = np.einsum("ij,ij->i", values, values)
-    # Cancellation in the Gram expansion is bounded by a small multiple of
-    # eps * (|x|^2 + |y|^2); the screen slack must cover it so the true
-    # k-set is always inside the candidate set.
-    slack = 32.0 * np.finfo(np.float64).eps * (sq_norms + sq_norms.max())
+    screen = _GramScreen(values)
     height = min(SCAN_BLOCK_ROWS, n)
-    screen = np.empty((height, n))
-    ranked = np.empty((height, n))
-    chunk = max(1, RERANK_CHUNK_FLOATS // max(dim, 1))
+    screened, ranked = np.empty((height, n)), np.empty((height, n))
 
-    # Squared-distance screen via the Gram expansion, then exact canonical
-    # re-ranking of everything at or near each row's k-th boundary.
+    # Screen each block, then re-rank exactly everything at or near each
+    # row's k-th boundary: a column whose distance is no more than the k-th
+    # smallest screens at most (kth + slack) (1 + 8 eps) + slack.
     for lo in range(0, n, SCAN_BLOCK_ROWS):
         hi = min(lo + SCAN_BLOCK_ROWS, n)
         m = hi - lo
-        d2, part = screen[:m], ranked[:m]
-        np.matmul(values[lo:hi], values.T, out=d2)
-        d2 *= -2.0
-        d2 += sq_norms[lo:hi, None]
-        d2 += sq_norms
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(m), np.arange(lo, hi)] = np.inf  # exclude self
+        d2, part = screen.block(lo, hi, out=screened[:m]), ranked[:m]
         np.copyto(part, d2)
         part.partition(k - 1, axis=1)
-        bound = part[:, k - 1] * (1.0 + 1e-9) + slack[lo:hi]
+        slack = screen.slack[lo:hi]
+        bound = (part[:, k - 1] + slack) * (1.0 + 8.0 * np.finfo(np.float64).eps) + slack
         if not np.isfinite(bound).all():  # inf admits self, NaN no column
             raise GraphError("squared distances overflow float64")
         # Row-major, so each row's candidates come out in index order.
         rows, cand = np.nonzero(d2 <= bound[:, None])
-        d = np.empty(len(cand))
-        for a in range(0, len(cand), chunk):
-            d[a:a + chunk] = distances_from(values, rows[a:a + chunk] + lo,
-                                            cand[a:a + chunk])
+        rows += lo
+        d = screen.distances(rows, cand)
         # Stable: within a row, equal distances keep the lower index first.
         order = np.lexsort((d, rows))
-        top = order[np.searchsorted(rows, np.arange(m))[:, None] + np.arange(k)]
+        top = order[np.searchsorted(rows, np.arange(lo, hi))[:, None] + np.arange(k)]
         neighbors[lo:hi], distances[lo:hi] = cand[top], d[top]
+        del d  # not held through the next block's kernel pass
     return neighbors, distances
 
 

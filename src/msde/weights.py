@@ -7,20 +7,18 @@ fuzzy k-NN membership matrix. The base radius is found by binary search
 so that at least 30% of samples have at least ``t_nbd`` strict neighbors.
 The fuzzy graph's per-row bandwidths are solved for all rows at once.
 
-No n x n array is formed. The membership matrix G stays sparse, and a
-screen of squared distances |g_i|^2 + |g_j|^2 - 2<g_i, g_j> is computed one
-block of rows at a time from the sparse product G[block] G^T. A screened
-value lies within a derived rounding slack of the kernel's, so it decides
-every comparison it is farther than that from. Each pair within the slack
-of a quantity being decided (a row's t-th smallest distance, the smallest
-and largest distance, one of the four radii) is re-evaluated by
-``knn.distances_from`` on densified rows, byte-equal to those of
-``G.toarray()``. The weights therefore equal, bit for bit, those of the
-dense oracle that the tests keep: ``pairwise_distances`` on ``G.toarray()``
-fed to the same radius bisection, then direct strict counts. Pass 1 finds
-the order statistics and pass 2 the counts; pass 2 recomputes the screen
-rather than store it, so the working set is O(``SCREEN_BLOCK_ROWS`` x n).
-The row blocks fan out over ``threads``; the result never depends on them.
+No n x n array is formed. The membership matrix G stays sparse, and
+``knn._GramScreen`` screens squared distances between its rows one block
+at a time, within a derived slack of the kernel's; it re-evaluates with
+``knn.distances_from`` every pair within that slack of a quantity being
+decided (a row's t-th smallest distance, the smallest and largest
+distance, one of the four radii). The weights therefore equal, bit for
+bit, those of the dense oracle that the tests keep: ``pairwise_distances``
+on ``G.toarray()`` fed to the same radius bisection, then direct strict
+counts. Pass 1 finds the order statistics and pass 2 the counts; pass 2
+recomputes the screen rather than store it, so the working set is
+O(``SCREEN_BLOCK_ROWS`` x n). The row blocks fan out over ``threads``; the
+result never depends on them.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ConfigError, GraphError
-from .knn import build_knn_graph, distances_from
+from .knn import _GramScreen, build_knn_graph, distances_from
 from .parallel import map_row_blocks
 
 logger = logging.getLogger(__name__)
@@ -58,9 +56,6 @@ PAIRWISE_BLOCK_ROWS = 64
 # few arrays this many rows x n. Every decision is exact, so the height
 # never changes the result.
 SCREEN_BLOCK_ROWS = 64
-# Pairs per kernel call when the screen's undecided pairs are re-evaluated;
-# a call densifies at most twice this many rows.
-EXACT_CHUNK_PAIRS = 32
 
 
 @dataclass(frozen=True)
@@ -158,20 +153,16 @@ def build_fuzzy_graph(points, k_umap: int) -> FuzzyGraph:
     return FuzzyGraph(memberships=combined, rho=rho, sigma=sigma)
 
 
-def pairwise_distances(points, threads: int = 1) -> np.ndarray:
+def pairwise_distances(points) -> np.ndarray:
     """Dense n x n Euclidean distance matrix via the canonical kernel; the
     oracle the screened weights are tested against."""
     values = np.ascontiguousarray(points, dtype=np.float64)
     n = values.shape[0]
     out = np.empty((n, n))
-
-    def worker(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            for lo in range(0, n, PAIRWISE_BLOCK_ROWS):
-                cols = slice(lo, lo + PAIRWISE_BLOCK_ROWS)
-                out[i, cols] = distances_from(values, i, cols)
-
-    map_row_blocks(worker, n, threads)
+    for i in range(n):
+        for lo in range(0, n, PAIRWISE_BLOCK_ROWS):
+            cols = slice(lo, lo + PAIRWISE_BLOCK_ROWS)
+            out[i, cols] = distances_from(values, i, cols)
     return out
 
 
@@ -184,104 +175,38 @@ def _kth_neighbor_distance(dist_matrix: np.ndarray, t_nbd: int) -> np.ndarray:
     return dist_matrix[:, t_nbd - 1].copy()
 
 
-class _Screen:
-    """Blocked screen of squared distances between the rows of ``coords``
-    (a dense array or a CSR matrix), with exact kernel distances
-    for the pairs the screen cannot decide."""
+def _order_statistics(screen, ranks: list[int], lo: int, hi: int) -> np.ndarray:
+    """Per row of lo:hi, the exact ``ranks``-th smallest distances to
+    other rows. The screened t-th smallest is within the slack of the
+    true one, so pairs screened more than twice the slack below it are
+    surely below; the t-th smallest is found among the re-evaluated."""
+    d2 = screen.block(lo, hi)
+    pick = np.asarray(ranks) - 1
+    centers = np.partition(d2, pick, axis=1)[:, pick]
+    widths = np.broadcast_to(2.0 * screen.slack[lo:hi, None], centers.shape)
+    rows, exact = screen.settle(d2, lo, centers, widths)
+    below = np.stack([np.count_nonzero(d2 < (c - w)[:, None], axis=1)
+                      for c, w in zip(centers.T, widths.T)], axis=1)
+    at = pick - below
+    if np.any((at < 0) | (at >= np.bincount(rows, minlength=hi - lo)[:, None])):
+        raise GraphError("distance screen lost an order statistic; "
+                         "are the coordinates finite?")
+    ascending = exact[np.lexsort((exact, rows))]
+    return ascending[np.searchsorted(rows, np.arange(hi - lo))[:, None] + at]
 
-    def __init__(self, coords):
-        self.coords = coords
-        self.sparse = sp.issparse(coords)
-        width = coords.shape[1]
-        if self.sparse:
-            self.coords_t = coords.T.tocsr()
-            self.sq_norms = np.asarray(coords.multiply(coords).sum(axis=1)).ravel()
-            terms = int(np.diff(coords.indptr).max())
-        else:
-            self.coords_t = coords.T
-            self.sq_norms = np.einsum("ij,ij->i", coords, coords)
-            terms = width
-        # Per row i, twice a bound on |screened d^2 - the kernel's sum of
-        # squares| over every j, in units of eps (|g_i|^2 + |g_j|^2), with
-        # |g_j|^2 taken at its maximum. The screen errs by at most
-        # 2 terms + 4: the norms and the inner product each sum at most
-        # ``terms`` products, and |<g_i, g_j>| <= (|g_i|^2 + |g_j|^2) / 2.
-        # The kernel's pairwise sum over ``width`` columns is at most
-        # 26 + log2(width) levels deep, plus 3 roundings per term, on a true
-        # d^2 of at most 2 (|g_i|^2 + |g_j|^2).
-        units = 2 * terms + 4 + 2 * (29 + width.bit_length())
-        self.slack = (2.0 * units * np.finfo(np.float64).eps
-                      * (self.sq_norms + self.sq_norms.max()))
 
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """Screened squared distances from rows lo:hi to every row, with an
-        inf diagonal."""
-        gram = self.coords[lo:hi] @ self.coords_t
-        d2 = gram.toarray() if self.sparse else gram
-        d2 *= -2.0
-        d2 += self.sq_norms[lo:hi, None]
-        d2 += self.sq_norms
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        return d2
-
-    def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Kernel distances between rows ``rows[m]`` and ``cols[m]``, on
-        densified rows that are byte-equal to those of ``coords.toarray()``."""
-        out = np.empty(len(rows))
-        for a in range(0, len(rows), EXACT_CHUNK_PAIRS):
-            i, j = rows[a:a + EXACT_CHUNK_PAIRS], cols[a:a + EXACT_CHUNK_PAIRS]
-            values = self.coords
-            if self.sparse:
-                ids, local = np.unique(np.concatenate((i, j)), return_inverse=True)
-                values, i, j = values[ids].toarray(), local[:len(i)], local[len(i):]
-            out[a:a + len(i)] = distances_from(values, i, j)
-        return out
-
-    def _settle(self, d2: np.ndarray, lo: int, centers: np.ndarray,
-                widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Re-evaluate with the kernel every pair whose screened value lies
-        within ``widths`` of one of its row's ``centers`` (both shaped rows
-        x m). Their screened values become NaN, so no comparison counts them
-        again. Returns the pairs' block rows, in order, and exact distances."""
-        near = np.zeros(d2.shape, dtype=bool)
-        for c, w in zip(centers.T, widths.T):
-            near |= (d2 >= (c - w)[:, None]) & (d2 <= (c + w)[:, None])
-        rows, cols = np.nonzero(near)
-        d2[rows, cols] = np.nan
-        return rows, self.distances(lo + rows, cols)
-
-    def order_statistics(self, ranks: list[int], lo: int, hi: int) -> np.ndarray:
-        """Per row of lo:hi, the exact ``ranks``-th smallest distances to
-        other rows. The screened t-th smallest is within the slack of the
-        true one, so pairs screened more than twice the slack below it are
-        surely below; the t-th smallest is found among the re-evaluated."""
-        d2 = self.block(lo, hi)
-        pick = np.asarray(ranks) - 1
-        centers = np.partition(d2, pick, axis=1)[:, pick]
-        widths = np.broadcast_to(2.0 * self.slack[lo:hi, None], centers.shape)
-        rows, exact = self._settle(d2, lo, centers, widths)
-        below = np.stack([np.count_nonzero(d2 < (c - w)[:, None], axis=1)
-                          for c, w in zip(centers.T, widths.T)], axis=1)
-        at = pick - below
-        if np.any((at < 0) | (at >= np.bincount(rows, minlength=hi - lo)[:, None])):
-            raise GraphError("distance screen lost an order statistic; "
-                             "are the coordinates finite?")
-        ascending = exact[np.lexsort((exact, rows))]
-        return ascending[np.searchsorted(rows, np.arange(hi - lo))[:, None] + at]
-
-    def strict_counts(self, radii: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Per row of lo:hi, the other rows strictly inside each radius,
-        summed over the radii. A screened value beyond the slack, widened by
-        the rounding of r^2 and of the kernel's square root, decides it."""
-        d2 = self.block(lo, hi)
-        r2 = np.square(radii)
-        widths = self.slack[lo:hi, None] + 8.0 * np.finfo(np.float64).eps * r2
-        rows, exact = self._settle(d2, lo, np.broadcast_to(r2, widths.shape), widths)
-        counts = sum(np.count_nonzero(d2 < (r - w)[:, None], axis=1)
-                     for r, w in zip(r2, widths.T))
-        inside = np.count_nonzero(exact[:, None] < radii, axis=1)
-        return counts + np.bincount(np.repeat(rows, inside), minlength=hi - lo)
+def _strict_counts(screen, radii: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per row of lo:hi, the other rows strictly inside each radius,
+    summed over the radii. A screened value beyond the slack, widened by
+    the rounding of r^2 and of the kernel's square root, decides it."""
+    d2 = screen.block(lo, hi)
+    r2 = np.square(radii)
+    widths = screen.slack[lo:hi, None] + 8.0 * np.finfo(np.float64).eps * r2
+    rows, exact = screen.settle(d2, lo, np.broadcast_to(r2, widths.shape), widths)
+    counts = sum(np.count_nonzero(d2 < (r - w)[:, None], axis=1)
+                 for r, w in zip(r2, widths.T))
+    inside = np.count_nonzero(exact[:, None] < radii, axis=1)
+    return counts + np.bincount(np.repeat(rows, inside), minlength=hi - lo)
 
 
 def _scan_blocks(fn, out: np.ndarray, threads: int) -> np.ndarray:
@@ -356,17 +281,17 @@ def _weights_from_coords(coords, t_nbd: int, threads: int) -> DensityWeights:
     ``coords`` (a dense array or a CSR matrix), in two screened
     passes: order statistics, then counts."""
     n = coords.shape[0]
-    screen = _Screen(coords)
+    screen = _GramScreen(coords)
     ranks = sorted({1, n - 1, _clamped_t_nbd(n)}
                    | ({t_nbd} if t_nbd <= n - 1 else set()))
-    stats = _scan_blocks(partial(screen.order_statistics, ranks),
+    stats = _scan_blocks(partial(_order_statistics, screen, ranks),
                          np.empty((n, len(ranks))), threads)
     kth = dict(zip(ranks, stats.T))
     eps, t_used, fraction = _bisect_radius(
         n, kth, float(kth[1].min()), float(kth[n - 1].max()), t_nbd)
     schedule = RadiusSchedule(epsilon=eps)
 
-    counts = _scan_blocks(partial(screen.strict_counts, np.array(schedule.radii)),
+    counts = _scan_blocks(partial(_strict_counts, screen, np.array(schedule.radii)),
                           np.empty(n, dtype=np.int64), threads)
     weights = counts / 4.0
     logger.debug(

@@ -117,11 +117,21 @@ def _knn_inputs(draw):
     return points, draw(st.integers(1, len(points) + 2))
 
 
+def _far_duplicates():
+    """32 distinct 512-d rows 30 sigma from the origin, repeated to 400 rows
+    (7 to 27 copies each). At k=12 many rows' k-th screened value is 0,
+    where no relative widening of it helps."""
+    rng = np.random.default_rng(0)
+    distinct = rng.normal(size=(32, 512)) + 30.0
+    return distinct[rng.integers(0, 32, size=400)]
+
+
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(_knn_inputs())
 @example((np.array([[0.0], [4.0]]), 3))
 @example((np.zeros((9, 2)), 4))
 @example((np.random.default_rng(0).integers(0, 3, size=(600, 2)).astype(float), 12))
+@example((_far_duplicates(), 12))
 def test_blocked_scan_equals_brute_force_bytewise(inputs):
     # Every block height, from one row per block to one block for all rows,
     # and one kernel pair per chunk.

@@ -408,9 +408,8 @@ class TestEmpiricalWeights:
 
 
 class TestPairwiseDistances:
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["random", "integer_ties"])
-    def test_equals_whole_row_kernel_bytewise(self, kind, threads):
+    def test_equals_whole_row_kernel_bytewise(self, kind):
         # 150 rows: column slices of 64, 64 and 22.
         assert 2 * PAIRWISE_BLOCK_ROWS < 150 < 3 * PAIRWISE_BLOCK_ROWS
         rng = np.random.default_rng(12)
@@ -418,7 +417,7 @@ class TestPairwiseDistances:
             values = rng.normal(size=(150, 20))
         else:
             values = rng.integers(0, 3, size=(150, 20)).astype(float)
-        D = pairwise_distances(values, threads=threads)
+        D = pairwise_distances(values)
         oracle = np.array([distances_from(values, i) for i in range(150)])
         assert D.tobytes() == oracle.tobytes()
 
