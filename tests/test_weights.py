@@ -20,6 +20,7 @@ from msde import (
 from msde import weights as weights_module
 from msde.exceptions import GraphError
 from msde.knn import count_within_radius, distances_from
+from msde.parallel import map_row_blocks
 from msde.weights import (
     PAIRWISE_BLOCK_ROWS,
     SIGMA_BISECTION_STEPS,
@@ -408,8 +409,9 @@ class TestEmpiricalWeights:
 
 
 class TestPairwiseDistances:
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("kind", ["random", "integer_ties"])
-    def test_equals_whole_row_kernel_bytewise(self, kind):
+    def test_equals_whole_row_kernel_bytewise(self, kind, threads):
         # 150 rows: column slices of 64, 64 and 22.
         assert 2 * PAIRWISE_BLOCK_ROWS < 150 < 3 * PAIRWISE_BLOCK_ROWS
         rng = np.random.default_rng(12)
@@ -418,7 +420,14 @@ class TestPairwiseDistances:
         else:
             values = rng.integers(0, 3, size=(150, 20)).astype(float)
         D = pairwise_distances(values)
-        oracle = np.array([distances_from(values, i) for i in range(150)])
+        # Whole rows of the kernel, fanned out over ``threads`` row blocks.
+        oracle = np.empty((150, 150))
+
+        def worker(start, stop):
+            for i in range(start, stop):
+                oracle[i] = distances_from(values, i)
+
+        map_row_blocks(worker, 150, threads)
         assert D.tobytes() == oracle.tobytes()
 
     def test_peak_memory_has_no_n_by_n_temporaries(self, peak_bytes):
