@@ -15,7 +15,7 @@ from .data import (
     load_embeddings,
     save_scores,
 )
-from .knn import NeighborGraph, build_knn_graph
+from .knn import NeighborGraph, build_knn_graph, knn_neighbors
 from .metrics import MetricResult, auc_roc, average_precision, evaluate
 from .scoring import (
     GaussianScorer,
@@ -86,6 +86,7 @@ __all__ = [
     "fit_standardizer",
     "generate_synthetic",
     "joint_shift",
+    "knn_neighbors",
     "load_embeddings",
     "mahalanobis",
     "make_leakage_split",

@@ -1,18 +1,21 @@
 """Exact k-nearest-neighbor search and strict radius counts.
 
-There is one fast route, ``build_knn_graph``, and one oracle,
-``brute_force_knn`` (the naive O(n^2 d) scan). Both report distances
-through the single metric kernel ``distances_from`` so their outputs are
-comparable bit for bit; they differ in how candidates are found. Ties in
-distance are always broken toward the lower row index.
+There is one fast route, ``knn_neighbors``, and one oracle,
+``brute_force_knn`` (the naive O(n^2 d) scan). ``build_knn_graph`` is
+``knn_neighbors`` plus the kernel distances of the n k pairs it returns.
+Distances come only from the single metric kernel ``distances_from``, so
+the route's and the oracle's are comparable bit for bit; they differ in how
+candidates are found. Ties in distance are always broken toward the lower
+row index.
 
 ``_GramScreen`` is the one screen behind exact neighborhoods: squared
 distances |x|^2 + |y|^2 - 2<x, y>, a block of rows against all n at a
 time, within a derived slack of the kernel's, and the kernel for the pairs
-it cannot decide. The k-NN scan re-ranks every column within the slack of
-its row's k-th screened value, block-wide with one stable sort by (row,
-distance); the density weights (``msde.weights``) take their order
-statistics and radius counts from it on the fuzzy graph's CSR rows.
+it cannot decide. The k-NN scan keeps every column within the slack of its
+row's k-th screened value and orders them by screened value; only runs of
+candidates too close for the screen to order go through the kernel. The
+density weights (``msde.weights``) take their order statistics and radius
+counts from it on the fuzzy graph's CSR rows.
 """
 
 from __future__ import annotations
@@ -120,6 +123,14 @@ class _GramScreen:
     roundings per term, on a true d^2 of at most 2 (|x_i|^2 + |x_j|^2).
     Thresholds on distances widen by a relative 8 eps for the rounding of
     the kernel's square root.
+
+    So the screen orders a row's columns wherever they screen far apart:
+    if row i screens columns a and b at s_a <= s_b with
+    s_b > (s_a + slack[i]) (1 + 8 eps), their kernel sums of squares obey
+    q_b >= s_b - slack[i] / 2 > (q_a + slack[i] / 2) (1 + 8 eps) - slack[i] / 2
+    >= q_a (1 + 8 eps). The correctly rounded square root moves each by at
+    most a relative eps / 2, so the kernel distances of a and b are in the
+    same strict order; only closer values need the kernel to be ordered.
     """
 
     def __init__(self, coords):
@@ -181,17 +192,17 @@ class _GramScreen:
         return rows, self.distances(lo + rows, cols)
 
 
-def _knn_blocked_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _knn_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, _GramScreen]:
     n = values.shape[0]
     neighbors = np.empty((n, k), dtype=np.int64)
-    distances = np.empty((n, k), dtype=np.float64)
     screen = _GramScreen(values)
     height = min(SCAN_BLOCK_ROWS, n)
     screened, ranked = np.empty((height, n)), np.empty((height, n))
+    widen = 1.0 + 8.0 * np.finfo(np.float64).eps
 
-    # Screen each block, then re-rank exactly everything at or near each
-    # row's k-th boundary: a column whose distance is no more than the k-th
-    # smallest screens at most (kth + slack) (1 + 8 eps) + slack.
+    # Screen each block and keep every column at or near each row's k-th
+    # boundary: a column whose distance is no more than the k-th smallest
+    # screens at most (kth + slack) (1 + 8 eps) + slack.
     for lo in range(0, n, SCAN_BLOCK_ROWS):
         hi = min(lo + SCAN_BLOCK_ROWS, n)
         m = hi - lo
@@ -199,31 +210,53 @@ def _knn_blocked_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
         np.copyto(part, d2)
         part.partition(k - 1, axis=1)
         slack = screen.slack[lo:hi]
-        bound = (part[:, k - 1] + slack) * (1.0 + 8.0 * np.finfo(np.float64).eps) + slack
+        bound = (part[:, k - 1] + slack) * widen + slack
         if not np.isfinite(bound).all():  # inf admits self, NaN no column
             raise GraphError("squared distances overflow float64")
-        # Row-major, so each row's candidates come out in index order.
         rows, cand = np.nonzero(d2 <= bound[:, None])
-        rows += lo
-        d = screen.distances(rows, cand)
-        # Stable: within a row, equal distances keep the lower index first.
-        order = np.lexsort((d, rows))
-        top = order[np.searchsorted(rows, np.arange(lo, hi))[:, None] + np.arange(k)]
-        neighbors[lo:hi], distances[lo:hi] = cand[top], d[top]
-        del d  # not held through the next block's kernel pass
-    return neighbors, distances
+        s = d2[rows, cand]
+        # Row-major, so sorting stably by row keeps rows where they are and
+        # puts each row's candidates in screened order.
+        order = np.argsort(s)
+        order = order[np.argsort(rows[order].astype(np.min_scalar_type(m - 1)),
+                                 kind="stable")]
+        cand, s = cand[order], s[order]
+        # A run starts at each row's first candidate and after every gap the
+        # screen orders (see _GramScreen); the order between runs is exact.
+        starts = np.ones(len(rows), dtype=bool)
+        starts[1:] = ((rows[1:] != rows[:-1])
+                      | (s[1:] > (s[:-1] + slack[rows[:-1]]) * widen))
+        run = np.cumsum(starts)
+        run_first = np.flatnonzero(starts)[run - 1]
+        row_first = np.searchsorted(rows, np.arange(m))
+        # The kernel orders the runs of two or more that reach the first k;
+        # within a run, equal distances go to the lower column index.
+        alone = starts & np.append(starts[1:], True)
+        tied = np.flatnonzero(~alone & (run_first - row_first[rows] < k))
+        d = screen.distances(lo + rows[tied], cand[tied])
+        cand[tied] = cand[tied][np.lexsort((cand[tied], d, run[tied]))]
+        neighbors[lo:hi] = cand[row_first[:, None] + np.arange(k)]
+    return neighbors, screen
 
 
-def build_knn_graph(points, k: int) -> NeighborGraph:
-    """Exact k-NN graph; ties by lower index; k clamped to n-1 with warning.
+def knn_neighbors(points, k: int) -> np.ndarray:
+    """Exact k-NN lists, (n, k) int64: nearest first, ties by lower index,
+    no self-loops; k clamped to n-1 with a warning.
 
     Raises ``GraphError`` for non-finite points or squared distances that
     overflow float64."""
     values = _as_values(points)
+    return _knn_scan(values, _effective_k(k, values.shape[0]))[0]
+
+
+def build_knn_graph(points, k: int) -> NeighborGraph:
+    """``knn_neighbors`` with the kernel distance of every listed pair."""
+    values = _as_values(points)
     n = values.shape[0]
     k = _effective_k(k, n)
-    neighbors, distances = _knn_blocked_scan(values, k)
-    return NeighborGraph(k, neighbors, distances)
+    neighbors, screen = _knn_scan(values, k)
+    distances = screen.distances(np.repeat(np.arange(n), k), neighbors.ravel())
+    return NeighborGraph(k, neighbors, distances.reshape(n, k))
 
 
 def count_within_radius(points, center_index: int, radius: float) -> int:

@@ -227,7 +227,7 @@ def test_criterion_06_shift_mechanics():
     pts = rng.normal(size=(50, 3))
     graph = build_knn_graph(pts, 7)
     w = rng.uniform(0.1, 4.0, size=50)
-    stepped, _ = shift_step(pts, graph, w, eta=1.0)
+    stepped, _ = shift_step(pts, graph.neighbors, w, eta=1.0)
     for i in range(50):
         nb = pts[graph.neighbors[i]]
         wr = w[graph.neighbors[i]]
@@ -236,7 +236,7 @@ def test_criterion_06_shift_mechanics():
 
     # per-point displacement bound for random etas and weights
     for eta in (0.25, 0.6, 1.0):
-        stepped, _ = shift_step(pts, graph, w, eta=eta)
+        stepped, _ = shift_step(pts, graph.neighbors, w, eta=eta)
         moved = np.linalg.norm(stepped - pts, axis=1)
         assert np.all(moved <= eta * graph.distances.max(axis=1) + 1e-12)
 

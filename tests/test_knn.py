@@ -9,7 +9,7 @@ from _inputs import point_sets, recorded
 from msde import build_knn_graph
 from msde import knn as knn_module
 from msde.exceptions import GraphError
-from msde.knn import SCAN_BLOCK_ROWS, brute_force_knn, count_within_radius
+from msde.knn import SCAN_BLOCK_ROWS, brute_force_knn, count_within_radius, knn_neighbors
 
 
 def _matrix(values):
@@ -144,10 +144,31 @@ def test_blocked_scan_equals_brute_force_bytewise(inputs):
             mp.setattr(knn_module, "SCAN_BLOCK_ROWS", height)
             mp.setattr(knn_module, "RERANK_CHUNK_FLOATS", budget)
             graph, caught = recorded(build_knn_graph, points, k)
+            neighbors, _ = recorded(knn_neighbors, points, k)
         assert graph.k == oracle.k
+        assert neighbors.tobytes() == oracle.neighbors.tobytes()
         assert graph.neighbors.tobytes() == oracle.neighbors.tobytes()
         assert graph.distances.tobytes() == oracle.distances.tobytes()
         assert caught == expected
+
+
+@pytest.mark.parametrize("offset", [1e7, 1e8])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_offset_grid_ties_break_by_column_index(dim, offset):
+    # Integer grids far from the origin, full of exact kernel ties. At 1e7
+    # every Gram product is an integer below 2**53, so the screen is exact;
+    # at 1e8 it rounds, and tied columns screen at values that differ by
+    # rounding alone. Only the column index may order them, never the
+    # screened order.
+    rng = np.random.default_rng(dim)
+    for _ in range(12):
+        points = rng.integers(0, 5, size=(int(rng.integers(8, 60)), dim)) + offset
+        k = int(rng.integers(1, 7))
+        oracle = brute_force_knn(points, k)
+        graph = build_knn_graph(points, k)
+        assert knn_neighbors(points, k).tobytes() == oracle.neighbors.tobytes()
+        assert graph.neighbors.tobytes() == oracle.neighbors.tobytes()
+        assert graph.distances.tobytes() == oracle.distances.tobytes()
 
 
 class TestBruteForce:

@@ -14,7 +14,7 @@ from msde import (
 )
 import msde.shift as shift_module
 from msde.exceptions import ConfigError
-from msde.knn import NeighborGraph
+from msde.knn import NeighborGraph, brute_force_knn
 
 
 def _matrix(values):
@@ -42,7 +42,7 @@ class TestShiftStep:
         m = _matrix(pts)
         graph = _chain_graph([[1, 2], [0, 2], [0, 1]], pts)
         weights = _manual_weights([1.0, 3.0, 1.0])
-        shifted, delta = shift_step(m, graph, weights, eta=0.33)
+        shifted, delta = shift_step(m, graph.neighbors, weights, eta=0.33)
         np.testing.assert_allclose(shifted[0], [0.495, 0.0], atol=1e-15)
         assert delta > 0
 
@@ -50,7 +50,7 @@ class TestShiftStep:
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         m = _matrix(pts)
         graph = _chain_graph([[1, 2], [0, 2], [0, 1]], pts)
-        shifted, delta = shift_step(m, graph, _manual_weights([2.0, 5.0, 1.0]),
+        shifted, delta = shift_step(m, graph.neighbors, _manual_weights([2.0, 5.0, 1.0]),
                                     eta=0.7)
         np.testing.assert_array_equal(shifted, pts)
         assert delta == 0.0
@@ -60,7 +60,7 @@ class TestShiftStep:
         pts = rng.normal(size=(6, 3))
         m = _matrix(pts)
         graph = build_knn_graph(m, 3)
-        shifted, _ = shift_step(m, graph, _manual_weights(np.ones(6)), eta=1.0)
+        shifted, _ = shift_step(m, graph.neighbors, _manual_weights(np.ones(6)), eta=1.0)
         for i in range(6):
             centroid = pts[graph.neighbors[i]].mean(axis=0)
             np.testing.assert_allclose(shifted[i], centroid, atol=1e-12)
@@ -69,7 +69,8 @@ class TestShiftStep:
         pts = np.array([[0.0], [1.0], [3.0]])
         m = _matrix(pts)
         graph = _chain_graph([[1, 2], [0, 2], [0, 1]], pts)
-        shifted, _ = shift_step(m, graph, _manual_weights([0.0, 0.0, 0.0]), eta=1.0)
+        shifted, _ = shift_step(m, graph.neighbors, _manual_weights([0.0, 0.0, 0.0]),
+                                eta=1.0)
         np.testing.assert_allclose(shifted[0], [(1.0 + 3.0) / 2.0])
 
     def test_eta_one_lands_on_weighted_mean(self):
@@ -77,7 +78,7 @@ class TestShiftStep:
         m = _matrix(pts)
         graph = _chain_graph([[1, 2], [0, 2], [0, 1]], pts)
         w = _manual_weights([1.0, 3.0, 1.0])
-        shifted, _ = shift_step(m, graph, w, eta=1.0)
+        shifted, _ = shift_step(m, graph.neighbors, w, eta=1.0)
         np.testing.assert_allclose(shifted[0], [1.5, 1.0], atol=1e-15)
 
     def test_displacement_bounded_by_eta_times_radius(self):
@@ -87,7 +88,7 @@ class TestShiftStep:
         graph = build_knn_graph(m, 7)
         w = _manual_weights(rng.uniform(0.0, 5.0, size=40))
         for eta in (0.1, 0.5, 1.0):
-            shifted, _ = shift_step(m, graph, w, eta=eta)
+            shifted, _ = shift_step(m, graph.neighbors, w, eta=eta)
             moved = np.linalg.norm(shifted - pts, axis=1)
             radius = graph.distances.max(axis=1)
             assert np.all(moved <= eta * radius + 1e-12)
@@ -107,7 +108,7 @@ class TestShiftStep:
         results = []
         for rows in (1, 7, n + 1):
             monkeypatch.setattr(shift_module, "STEP_BLOCK_ROWS", rows)
-            results.append(shift_step(pts, graph, w, eta))
+            results.append(shift_step(pts, graph.neighbors, w, eta))
         for new, delta in results[1:]:
             assert new.tobytes() == results[0][0].tobytes()
             assert delta == results[0][1]
@@ -116,7 +117,8 @@ class TestShiftStep:
         pts = np.array([[0.0], [1.0]])
         graph = _chain_graph([[1], [0]], pts)
         with pytest.raises(ConfigError):
-            shift_step(_matrix(pts), graph, _manual_weights([1.0, 1.0]), eta=0.0)
+            shift_step(_matrix(pts), graph.neighbors, _manual_weights([1.0, 1.0]),
+                       eta=0.0)
 
 
 def _quiet_params(**kw):
@@ -181,6 +183,25 @@ class TestRunShift:
         m = _matrix(rng.normal(size=(20, 3)))
         out = run_shift(m, _quiet_params(max_iters=2))
         assert out.values.shape == m.shape
+
+    @pytest.mark.parametrize("kind", ["grid", "random"])
+    def test_neighbor_order_equals_oracle_order(self, monkeypatch, kind):
+        # The step sums each neighborhood in list order, so the loop's
+        # neighbor lists must match the oracle's order, ties included, for
+        # the shifted points to keep every bit. The grid sits 1e8 from the
+        # origin, where tied columns screen at different values.
+        rng = np.random.default_rng(8)
+        if kind == "grid":
+            points = rng.integers(0, 5, size=(200, 3)) + 1e8
+        else:
+            points = rng.normal(size=(200, 64))
+        params = _quiet_params(k=8, t_nbd=10, k_umap=8, max_iters=4, tol=1e-9)
+        out = run_shift(points, params)
+        monkeypatch.setattr(shift_module, "knn_neighbors",
+                            lambda values, k: brute_force_knn(values, k).neighbors)
+        oracle = run_shift(points, params)
+        assert out.values.tobytes() == oracle.values.tobytes()
+        assert out.trace == oracle.trace
 
     def test_permutation_equivariance_synchronous_update(self):
         rng = np.random.default_rng(7)
