@@ -24,11 +24,13 @@ from .weights import DensityWeights, compute_empirical_weights
 
 logger = logging.getLogger(__name__)
 
-# Rows per gather block in the shift step. The gathered neighborhoods take
-# rows * k * d floats, so 16 rows keep that temporary cache-sized
-# (16 * k * d). Each row is reduced on its own, so the height never
-# changes the result.
-STEP_BLOCK_ROWS = 16
+# Floats per row block of the shift step. Each step scales every row by its
+# weight once; a block then sums its rows' scaled neighbors one neighbor
+# column at a time, into an accumulator and a gather buffer of
+# max(1, STEP_BLOCK_FLOATS // d) rows each, so both stay cache-sized (64
+# rows at d = 512). Every row sums in its own neighbor order, so the
+# height never changes the result.
+STEP_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -81,39 +83,56 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray,
                weights: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
     """One synchronous update from the snapshot; returns (new, mean shift).
 
-    ``neighbors`` is the (n, k) array of each row's neighbor lists, as
-    ``knn_neighbors`` returns it; the order of a list sets the order of its
-    sums. ``weights`` holds one density weight per row. Neighborhoods whose
-    weights sum to zero fall back to the unweighted neighborhood mean so
-    the target stays defined.
+    ``neighbors`` is the (n, k) integer array of each row's neighbor lists,
+    as ``knn_neighbors`` returns it, and ``weights`` holds one density
+    weight per row. A row's weighted sum adds the products w_j * x_j,
+    taken from the once-scaled rows, one at a time in the order of its
+    list. Neighborhoods whose weights sum to zero fall back to the
+    unweighted neighborhood mean so the target stays defined.
     """
     if not 0.0 < eta <= 1.0:
         raise ConfigError(f"eta must be in (0, 1], got {eta}")
-    n = values.shape[0]
-    if neighbors.shape[0] != n:
-        raise GraphError(f"neighbor lists for {neighbors.shape[0]} points, got {n}")
-    w = weights[neighbors]
-    wsum = w.sum(axis=1)
+    n, d = values.shape
+    if (neighbors.ndim != 2 or neighbors.dtype.kind not in "iu"
+            or neighbors.shape[0] != n or neighbors.shape[1] < 1):
+        raise GraphError(f"neighbor lists must be an integer ({n}, k >= 1) "
+                         f"array, got {neighbors.dtype} {neighbors.shape}")
+    if n and (neighbors.min() < 0 or neighbors.max() >= n):
+        raise GraphError(f"neighbor indices must lie in [0, {n}), got "
+                         f"[{neighbors.min()}, {neighbors.max()}]")
+    if weights.shape != (n,):
+        raise GraphError(f"weights must have shape ({n},), got {weights.shape}")
+    wsum = weights[neighbors].sum(axis=1)
+    scaled = weights[:, None] * values
     new = np.empty_like(values)
-    for start in range(0, n, STEP_BLOCK_ROWS):
-        stop = min(start + STEP_BLOCK_ROWS, n)
-        nb = values[neighbors[start:stop]]
-        weighted = (w[start:stop, :, None] * nb).sum(axis=1)
+    rows = max(1, STEP_BLOCK_FLOATS // max(d, 1))
+    acc = np.empty((min(rows, n), d))
+    term = np.empty_like(acc)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        nbr = neighbors[start:stop]
+        block_acc, block_term = acc[:stop - start], term[:stop - start]
+        # indices were checked above; "wrap" lets take write out= unbuffered
+        np.take(scaled, nbr[:, 0], axis=0, out=block_acc, mode="wrap")
+        for j in range(1, nbr.shape[1]):
+            np.take(scaled, nbr[:, j], axis=0, out=block_term, mode="wrap")
+            block_acc += block_term
         block_sum = wsum[start:stop]
         zero = block_sum == 0.0
         safe = np.where(zero, 1.0, block_sum)
-        targets = weighted / safe[:, None]
+        targets = new[start:stop]
+        np.divide(block_acc, safe[:, None], out=targets)
         if zero.any():
-            targets[zero] = nb[zero].mean(axis=1)
-        if eta == 1.0:
-            # algebraically x + 1*(t - x) = t; take it exactly
-            new[start:stop] = targets
-        else:
-            new[start:stop] = values[start:stop] + eta * (targets - values[start:stop])
+            targets[zero] = values[nbr[zero]].mean(axis=1)
+        if eta != 1.0:
+            # x + eta * (t - x); eta == 1 keeps the target exactly
+            targets -= values[start:stop]
+            targets *= eta
+            targets += values[start:stop]
     if not np.all(np.isfinite(new)):
         bad = int(np.argwhere(~np.isfinite(new))[0][0])
         raise NumericError(f"non-finite coordinates after shift step at row {bad}")
-    moved = new - values
+    moved = np.subtract(new, values, out=scaled)
     delta = float(np.sqrt(np.einsum("ij,ij->i", moved, moved)).mean())
     return new, delta
 

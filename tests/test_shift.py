@@ -13,7 +13,7 @@ from msde import (
     shift_step,
 )
 import msde.shift as shift_module
-from msde.exceptions import ConfigError
+from msde.exceptions import ConfigError, GraphError
 from msde.knn import NeighborGraph, brute_force_knn
 
 
@@ -95,23 +95,48 @@ class TestShiftStep:
 
     @pytest.mark.parametrize("eta", [0.33, 1.0])
     def test_block_size_does_not_change_step(self, monkeypatch, eta):
-        # Each row's sum is reduced on its own, so the gather block height
-        # must not change a single bit; zero weights (and one all-zero
+        # Each row sums in its own neighbor order, so the block height must
+        # not change a single bit; zero weights (and one all-zero
         # neighborhood) exercise the fallback inside and across blocks.
         rng = np.random.default_rng(11)
-        n = 53
-        pts = rng.normal(size=(n, 6))
+        n, d = 53, 6
+        pts = rng.normal(size=(n, d))
         graph = build_knn_graph(_matrix(pts), 5)
         w = rng.uniform(0.0, 5.0, size=n)
         w[rng.random(n) < 0.3] = 0.0
         w[graph.neighbors[20]] = 0.0
         results = []
         for rows in (1, 7, n + 1):
-            monkeypatch.setattr(shift_module, "STEP_BLOCK_ROWS", rows)
+            monkeypatch.setattr(shift_module, "STEP_BLOCK_FLOATS", rows * d)
             results.append(shift_step(pts, graph.neighbors, w, eta))
         for new, delta in results[1:]:
             assert new.tobytes() == results[0][0].tobytes()
             assert delta == results[0][1]
+
+    @pytest.mark.parametrize("eta", [0.33, 1.0])
+    @pytest.mark.parametrize("d, k", [(1, 60), (2, 60), (3, 17), (32, 60), (512, 50)])
+    def test_step_sums_each_row_in_neighbor_order(self, d, k, eta):
+        # Byte for byte against a per-row sequential sum. At d = 512 the
+        # 130 rows span three row blocks. Rows 0-4 are -0.0 vectors and row
+        # 7's list holds only them, so the sign of a zero sum is pinned
+        # too; row 20's neighborhood weighs zero and falls back.
+        rng = np.random.default_rng(d * 100 + k)
+        n = 130
+        pts = rng.normal(size=(n, d))
+        pts[rng.random((n, d)) < 0.1] = -0.0
+        pts[:5] = -0.0
+        neighbors = rng.integers(5, n, size=(n, k))
+        neighbors[7] = np.resize(np.arange(5), k)
+        w = rng.uniform(0.0, 5.0, size=n)
+        w[5:][rng.random(n - 5) < 0.3] = 0.0
+        w[:5] = rng.uniform(1.0, 2.0, size=5)
+        w[neighbors[20]] = 0.0
+        new, delta = shift_step(pts, neighbors, w, eta)
+        expected, expected_delta = _sequential_step(pts, neighbors, w, eta)
+        assert new.tobytes() == expected.tobytes()
+        assert delta == expected_delta
+        if eta == 1.0:
+            assert np.signbit(new[7]).all()
 
     def test_invalid_eta(self):
         pts = np.array([[0.0], [1.0]])
@@ -119,6 +144,42 @@ class TestShiftStep:
         with pytest.raises(ConfigError):
             shift_step(_matrix(pts), graph.neighbors, _manual_weights([1.0, 1.0]),
                        eta=0.0)
+
+    @pytest.mark.parametrize("neighbors", [
+        np.zeros((4, 2)),
+        np.zeros(4, dtype=np.int64),
+        np.zeros((3, 2), dtype=np.int64),
+        np.zeros((4, 0), dtype=np.int64),
+    ], ids=["float", "1-D", "wrong-n", "k=0"])
+    def test_malformed_neighbor_lists_raise(self, neighbors):
+        with pytest.raises(GraphError):
+            shift_step(np.zeros((4, 2)), neighbors, np.ones(4), eta=0.5)
+
+    @pytest.mark.parametrize("index", [4, -1])
+    def test_neighbor_index_out_of_range_raises(self, index):
+        neighbors = np.array([[1, 2], [0, 2], [0, 1], [0, index]])
+        with pytest.raises(GraphError):
+            shift_step(np.zeros((4, 2)), neighbors, np.ones(4), eta=0.5)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])
+    def test_weights_of_wrong_shape_raise(self, shape):
+        neighbors = np.array([[1, 2], [0, 2], [0, 1], [0, 1]])
+        with pytest.raises(GraphError):
+            shift_step(np.zeros((4, 2)), neighbors, np.ones(shape), eta=0.5)
+
+
+def _sequential_step(values, neighbors, weights, eta):
+    """Oracle step: each row adds w_j * x_j in the order of its list."""
+    new = np.empty_like(values)
+    for i, row in enumerate(neighbors):
+        acc = weights[row[0]] * values[row[0]]
+        for j in row[1:]:
+            acc = acc + weights[j] * values[j]
+        wsum = weights[row].sum()
+        target = values[row].mean(axis=0) if wsum == 0.0 else acc / wsum
+        new[i] = target if eta == 1.0 else values[i] + eta * (target - values[i])
+    moved = new - values
+    return new, float(np.sqrt(np.einsum("ij,ij->i", moved, moved)).mean())
 
 
 def _quiet_params(**kw):
