@@ -33,6 +33,7 @@ from .shift import (
     ShiftTrace,
     ShiftedEmbeddings,
     joint_shift,
+    prepare_joint,
     run_shift,
     shift_step,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "make_leakage_split",
     "normalize_scores",
     "parse_config_file",
+    "prepare_joint",
     "project",
     "random_search",
     "run_shift",

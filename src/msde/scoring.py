@@ -6,13 +6,19 @@ with Tikhonov-regularized covariance whose inverse is applied through a
 Cholesky factorization. Raw test scores are Mahalanobis distances;
 normalized scores squash their z-scores through a logistic map. The
 fitting and scoring functions take float64 ``(n, d)`` arrays; only
-``score_pipeline`` reads row ids and labels, from its ``DatasetSplit``.
+``score_shifted`` reads row ids and labels, from its ``DatasetSplit``.
+
+``score_pipeline`` is ``prepare_split`` (standardize, then
+``shift.prepare_joint``) for its own shift params, ``shift.joint_shift``,
+then ``score_shifted``. ``msde tune`` prepares its validation split once
+for every trial's params.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +29,8 @@ from .config import MsdeConfig
 from .data import DatasetSplit, apply_standardizer, fit_standardizer
 from .exceptions import FitError, NumericError, ShapeError
 from .metrics import MetricResult, evaluate
-from .shift import ShiftTrace, joint_shift
+from .shift import (JointInput, ShiftedEmbeddings, ShiftParams, ShiftTrace,
+                    joint_shift, prepare_joint)
 from .weights import DensityWeights
 
 logger = logging.getLogger(__name__)
@@ -166,20 +173,26 @@ def normalize_scores(raw) -> np.ndarray:
     return expit((raw - raw.mean()) / std)
 
 
-def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
-    """End-to-end scoring: standardize, shift, fit, project, score.
-
-    PCA and the Gaussian are fitted on the solo-shifted train set; test
-    rows are scored from the joint run.
-    """
+def prepare_split(split: DatasetSplit, config: MsdeConfig,
+                  shifts: Sequence[ShiftParams]) -> JointInput:
+    """The split's train and test rows, standardized when ``config`` says
+    so, prepared for the solo and joint shift runs of each of ``shifts``."""
     train, test = split.train, split.test
     if config.standardize:
         standardizer = fit_standardizer(train)
         train = apply_standardizer(standardizer, train)
         test = apply_standardizer(standardizer, test)
-    solo, joint, test_shifted = joint_shift(train.values, test.values,
-                                            config.shift, threads=config.threads)
+    return prepare_joint(train.values, test.values, shifts, threads=config.threads)
 
+
+def score_shifted(split: DatasetSplit, shifted: tuple[ShiftedEmbeddings,
+                  ShiftedEmbeddings, np.ndarray], config: MsdeConfig) -> ScoreReport:
+    """Fit, project and score from the ``joint_shift`` runs of ``split``.
+
+    PCA and the Gaussian are fitted on the solo-shifted train set; test
+    rows are scored from the joint run.
+    """
+    solo, joint, test_shifted = shifted
     basis = fit_pca(solo.values, config.pca_dim)
     scorer = fit_gaussian(project(basis, solo.values), config.lam)
     z_test = project(basis, test_shifted)
@@ -203,3 +216,11 @@ def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
         solo_weights=solo.weights_used,
         joint_weights=joint.weights_used,
     )
+
+
+def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
+    """End-to-end scoring: standardize, shift, fit, project, score. Nothing
+    else holds the prepared inputs, so they are freed before the fit."""
+    shifted = joint_shift(prepare_split(split, config, [config.shift]),
+                          config.shift, threads=config.threads)
+    return score_shifted(split, shifted, config)

@@ -7,11 +7,22 @@ and stops once the mean displacement drops below ``tol`` or after
 ``max_iters`` iterations. Density weights are computed once per run, on
 the points as given. Points are float64 ``(n, d)`` arrays; row ids and
 labels stay with the caller.
+
+What a run does before its first step depends on its points and
+``k_umap`` only, not on the other params: the fuzzy graph, pass 1 of the
+density weights and the iteration-1 neighbor lists. ``prepare_shift``
+builds that once for a set of params (every ``t_nbd`` among them, and the
+largest ``k``: exact lists with lower-index tie-breaks are prefix-closed,
+so each k takes the first k columns), and ``apply_shift`` runs one of
+them from it. ``run_shift`` is the two for one set of params;
+``prepare_joint`` and ``joint_shift`` do the same for the solo and the
+joint run.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +30,9 @@ import numpy as np
 from .exceptions import ConfigError, GraphError, NumericError
 # build_knn_graph stays bound here: perfbench's tracer wraps every binding
 # of it, and its tests read this one.
-from .knn import build_knn_graph, knn_neighbors  # noqa: F401
-from .weights import DensityWeights, compute_empirical_weights
+from .knn import _effective_k, build_knn_graph, knn_neighbors  # noqa: F401
+from .weights import (DensityWeights, PreparedWeights, apply_weights,
+                      build_fuzzy_graph, prepare_weights)
 
 logger = logging.getLogger(__name__)
 
@@ -137,22 +149,59 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray,
     return new, delta
 
 
-def run_shift(points: np.ndarray, params: ShiftParams,
-              threads: int = 1) -> ShiftedEmbeddings:
-    """Full refinement loop: weights once, then iterate k-NN + step."""
+@dataclass(frozen=True)
+class ShiftInput:
+    """The work every shift run over one set of points shares.
+
+    ``weights`` is pass 1 of the density weights on the points' fuzzy
+    graph, built with ``k_umap``, and ``neighbors`` their exact k-NN lists
+    at the largest prepared k (clamped to n-1).
+    """
+
+    k_umap: int
+    weights: PreparedWeights
+    neighbors: np.ndarray
+
+
+def prepare_shift(points: np.ndarray, params: Sequence[ShiftParams],
+                  threads: int = 1) -> ShiftInput | None:
+    """What every run of ``params`` over ``points`` shares, built once;
+    None when none of them shifts (``max_iters == 0`` needs nothing). The
+    graph takes the first shifting params' ``k_umap``, and ``apply_shift``
+    refuses params with another."""
+    shifting = [p for p in params if p.max_iters > 0]
+    if not shifting:
+        return None
+    n = points.shape[0]
+    if n < 2:
+        raise GraphError(f"shift needs at least 2 points, got {n}")
+    k_umap = shifting[0].k_umap
+    fuzzy = build_fuzzy_graph(points, k_umap)
+    weights = prepare_weights(fuzzy.memberships, [p.t_nbd for p in shifting], threads)
+    neighbors = knn_neighbors(points, min(max(p.k for p in shifting), n - 1))
+    return ShiftInput(k_umap, weights, neighbors)
+
+
+def apply_shift(points: np.ndarray, prepared: ShiftInput | None,
+                params: ShiftParams, threads: int = 1) -> ShiftedEmbeddings:
+    """Full refinement loop over ``points`` from ``prepare_shift(points,
+    ...)``: the weights' radius search and counts, then k-NN + step per
+    iteration, where iteration 1 takes its lists from the prepared ones."""
     if params.max_iters == 0:
         return ShiftedEmbeddings(points, ShiftTrace(0, (), False), None)
-    if points.shape[0] < 2:
-        raise GraphError(f"shift needs at least 2 points, got {points.shape[0]}")
-
-    weights = compute_empirical_weights(
-        points, params.t_nbd, params.k_umap, threads=threads
-    )
+    n = points.shape[0]
+    if (prepared is None or params.k_umap != prepared.k_umap
+            or len(prepared.neighbors) != n
+            or min(params.k, n - 1) > prepared.neighbors.shape[1]):
+        raise ConfigError(f"shift input was not prepared for {params}")
+    weights = apply_weights(prepared.weights, params.t_nbd, threads)
+    neighbors = prepared.neighbors[:, :_effective_k(params.k, n)]
     values = points
     deltas: list[float] = []
     converged = False
     for iteration in range(1, params.max_iters + 1):
-        neighbors = knn_neighbors(values, params.k)
+        if iteration > 1:
+            neighbors = knn_neighbors(values, params.k)
         values, delta = shift_step(values, neighbors, weights.weights, params.eta)
         deltas.append(delta)
         logger.info("shift iteration %d: mean displacement %.6g", iteration, delta)
@@ -163,20 +212,50 @@ def run_shift(points: np.ndarray, params: ShiftParams,
     return ShiftedEmbeddings(values, trace, weights)
 
 
-def joint_shift(train: np.ndarray, test: np.ndarray, params: ShiftParams,
-                threads: int = 1
+def run_shift(points: np.ndarray, params: ShiftParams,
+              threads: int = 1) -> ShiftedEmbeddings:
+    """Full refinement loop: weights once, then iterate k-NN + step."""
+    return apply_shift(points, prepare_shift(points, [params], threads),
+                       params, threads)
+
+
+@dataclass(frozen=True)
+class JointInput:
+    """Train and test rows with the prepared inputs of the solo run (train
+    rows) and of the joint run (train then test rows). The stacked rows
+    are not kept: the joint run stacks them again when it starts."""
+
+    train: np.ndarray
+    test: np.ndarray
+    solo: ShiftInput | None
+    joint: ShiftInput | None
+
+
+def prepare_joint(train: np.ndarray, test: np.ndarray,
+                  params: Sequence[ShiftParams], threads: int = 1) -> JointInput:
+    """``prepare_shift`` for the solo and the joint run of ``params``."""
+    solo = prepare_shift(train, params, threads)
+    joint = None
+    if solo is not None:
+        joint = prepare_shift(np.vstack([train, test]), params, threads)
+    return JointInput(train, test, solo, joint)
+
+
+def joint_shift(prepared: JointInput, params: ShiftParams, threads: int = 1
                 ) -> tuple[ShiftedEmbeddings, ShiftedEmbeddings, np.ndarray]:
     """Refine train alone (for model fitting) and train+test jointly.
 
     Returns ``(solo, joint, test_values)``: the solo train run, the run
     over the stacked train and test rows, and that run's test rows. The
-    joint run recomputes weights and radii from scratch, so test samples
-    are scored from geometry consistent with the train set. With
-    ``max_iters == 0`` nothing moves, so the joint run is skipped:
-    ``joint`` is ``solo`` and ``test`` is returned as given.
+    joint run has its own weights and radii, so test samples are scored
+    from geometry consistent with the train set. With ``max_iters == 0``
+    nothing moves, so the joint run is skipped: ``joint`` is ``solo`` and
+    the test rows are returned as given.
     """
-    solo = run_shift(train, params, threads=threads)
+    train = prepared.train
+    solo = apply_shift(train, prepared.solo, params, threads)
     if params.max_iters == 0:
-        return solo, solo, test
-    joint = run_shift(np.vstack([train, test]), params, threads=threads)
+        return solo, solo, prepared.test
+    joint = apply_shift(np.vstack([train, prepared.test]), prepared.joint,
+                        params, threads)
     return solo, joint, joint.values[train.shape[0]:]

@@ -5,6 +5,16 @@ training rows and 10% of the test anomalies. Trials fit only on the
 remaining training normals and are scored on that validation set; the
 held-back test rows are never touched until the single final evaluation
 of the winning parameters, which is retrained on all training normals.
+
+Every trial's parameters are drawn before any trial runs, each from its
+own ``default_rng(seed + trial_index)``. The validation split is then
+prepared once for all of them (``scoring.prepare_split``: the
+standardized rows, both fuzzy graphs, pass 1 of both runs' density
+weights for every drawn ``t_nbd``, and the iteration-1 neighbor lists at
+the largest drawn ``k``), and each trial runs only what its parameters
+change: the radius search and counts, the shift iterations and the
+scoring. A trial scores exactly what ``score_pipeline`` on the validation
+split would.
 """
 
 from __future__ import annotations
@@ -20,12 +30,15 @@ from .config import MsdeConfig
 from .data import DatasetSplit, EmbeddingMatrix, _readonly
 from .exceptions import MsdeError, SplitError
 from .metrics import MetricResult
-from .scoring import score_pipeline
-from .shift import ShiftParams
+from .scoring import prepare_split, score_pipeline, score_shifted
+from .shift import ShiftParams, joint_shift
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TRIALS = 80
+# Exceptions that fail one trial (recorded with the -1 sentinel) rather than
+# the search.
+_TRIAL_ERRORS = (MsdeError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,9 @@ def make_leakage_split(split: DatasetSplit, seed: int) -> LeakageSplit:
             f"leakage split needs >= 5 training normals and >= 10 test "
             f"anomalies, got {n_train} and {anom_idx.size}"
         )
+    if norm_idx.size == 0:
+        raise SplitError("leakage split needs normal test rows for the final "
+                         "evaluation, got none")
     # floor(0.2 n) and floor(0.1 m) in exact integer arithmetic
     n_val_norm = n_train // 5
     n_val_anom = anom_idx.size // 10
@@ -121,6 +137,41 @@ def make_leakage_split(split: DatasetSplit, seed: int) -> LeakageSplit:
     )
 
 
+def _score_trials(val_split: DatasetSplit, base: MsdeConfig,
+                  drawn: list[ShiftParams], seed: int,
+                  trial_observer: Callable[[int, tuple, tuple], None] | None
+                  ) -> list[TrialRecord]:
+    """One record per drawn params, all scored from one preparation of
+    ``val_split``, which is released on return."""
+    prepared, failure = None, None
+    try:
+        prepared = prepare_split(val_split, base, drawn)
+    except _TRIAL_ERRORS as exc:
+        failure = exc
+
+    records: list[TrialRecord] = []
+    for index, params in enumerate(drawn):
+        if trial_observer is not None:
+            trial_observer(index, val_split.train.row_ids, val_split.test.row_ids)
+        error = failure
+        if error is None:
+            try:
+                shifted = joint_shift(prepared, params, threads=base.threads)
+                metrics = score_shifted(val_split, shifted,
+                                        replace(base, shift=params)).metrics
+            except _TRIAL_ERRORS as exc:
+                error = exc
+        if error is None:
+            val_auc, val_ap = metrics.auc, metrics.ap
+        else:
+            logger.warning("trial %d failed: %s", index, error)
+            val_auc = val_ap = -1.0
+        records.append(TrialRecord(index, params, val_auc, val_ap, seed + index))
+        logger.info("trial %d: val_auc=%.4f val_ap=%.4f %s",
+                    index, val_auc, val_ap, params)
+    return records
+
+
 def random_search(
     split: DatasetSplit,
     space: SearchSpace,
@@ -133,7 +184,8 @@ def random_search(
 
     Each trial's RNG is seeded with ``seed + trial_index``, so trial
     results do not depend on execution order. Trials that fail record a
-    sentinel AUC of -1 and never win. Ties go to the lowest trial index.
+    sentinel AUC of -1 and never win; if preparing the validation split
+    fails, every trial does. Ties go to the lowest trial index.
     Each trial draws the ``space`` fields onto ``base_config.shift``, so
     ``k_umap`` and every other unsampled setting comes from the base config.
     ``trial_observer`` (if given) receives the row ids each trial sees,
@@ -143,26 +195,10 @@ def random_search(
         raise SplitError(f"n_trials must be >= 1, got {n_trials}")
     base = base_config if base_config is not None else MsdeConfig()
     leakage = make_leakage_split(split, seed)
-    val_split = leakage.validation_split()
-
-    records: list[TrialRecord] = []
-    for index in range(n_trials):
-        trial_seed = seed + index
-        params = space.sample(np.random.default_rng(trial_seed), base.shift)
-        config = replace(base, shift=params)
-        if trial_observer is not None:
-            trial_observer(index, val_split.train.row_ids, val_split.test.row_ids)
-        try:
-            report = score_pipeline(val_split, config)
-            val_auc = report.metrics.auc
-            val_ap = report.metrics.ap
-        except (MsdeError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            logger.warning("trial %d failed: %s", index, exc)
-            val_auc = -1.0
-            val_ap = -1.0
-        records.append(TrialRecord(index, params, val_auc, val_ap, trial_seed))
-        logger.info("trial %d: val_auc=%.4f val_ap=%.4f %s",
-                    index, val_auc, val_ap, params)
+    drawn = [space.sample(np.random.default_rng(seed + index), base.shift)
+             for index in range(n_trials)]
+    records = _score_trials(leakage.validation_split(), base, drawn, seed,
+                            trial_observer)
 
     best = max(records, key=lambda r: (r.val_auc, -r.trial_index))
     final_config = replace(base, shift=best.params)

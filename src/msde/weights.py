@@ -15,10 +15,19 @@ decided (a row's t-th smallest distance, the smallest and largest
 distance, one of the four radii). The weights therefore equal, bit for
 bit, those of the dense oracle that the tests keep: ``pairwise_distances``
 on ``G.toarray()`` fed to the same radius bisection, then direct strict
-counts. Pass 1 finds the order statistics and pass 2 the counts; pass 2
-recomputes the screen rather than store it, so the working set is
-O(``SCREEN_BLOCK_ROWS`` x n). The row blocks fan out over ``threads``; the
-result never depends on them.
+counts. The row blocks fan out over ``threads``; the result never depends
+on them.
+
+The work splits into a prepare step and an apply step.
+``prepare_weights`` screens the coordinates once and, in one pass over
+the row blocks (pass 1), finds every order statistic the radius search
+can need for any of a set of ``t_nbd`` values; each order statistic is
+exact, so the set never changes it. ``apply_weights`` then runs the
+radius bisection for one ``t_nbd`` and counts neighbors inside the four
+radii (pass 2, which recomputes the screen rather than store it, so the
+working set is O(``SCREEN_BLOCK_ROWS`` x n)). ``compute_empirical_weights``
+is the two for a single ``t_nbd``; ``msde tune`` prepares once per study
+for every ``t_nbd`` it has drawn and applies once per trial.
 """
 
 from __future__ import annotations
@@ -276,22 +285,40 @@ def _bisect_radius(n: int, kth, d_min: float, d_max: float, t_nbd: int):
     return eps, t_used, fraction
 
 
-def _weights_from_coords(coords, t_nbd: int, threads: int) -> DensityWeights:
-    """Radius search plus four-scale strict counting over the rows of
-    ``coords`` (a dense array or a CSR matrix), in two screened
-    passes: order statistics, then counts."""
+@dataclass(frozen=True)
+class PreparedWeights:
+    """Screened coordinates with their exact order statistics: ``kth[t]``
+    holds each row's t-th smallest distance to another row, for t in 1,
+    n-1, ``_clamped_t_nbd(n)`` and every prepared ``t_nbd`` <= n-1."""
+
+    screen: _GramScreen
+    kth: dict[int, np.ndarray]
+
+
+def prepare_weights(coords, t_nbds, threads: int = 1) -> PreparedWeights:
+    """Pass 1 over the rows of ``coords`` (a dense array or a CSR matrix):
+    the order statistics the radius search needs for any of ``t_nbds``."""
     n = coords.shape[0]
     screen = _GramScreen(coords)
-    ranks = sorted({1, n - 1, _clamped_t_nbd(n)}
-                   | ({t_nbd} if t_nbd <= n - 1 else set()))
+    ranks = sorted({1, n - 1, _clamped_t_nbd(n)} | {t for t in t_nbds if t <= n - 1})
     stats = _scan_blocks(partial(_order_statistics, screen, ranks),
                          np.empty((n, len(ranks))), threads)
-    kth = dict(zip(ranks, stats.T))
+    return PreparedWeights(screen, dict(zip(ranks, stats.T)))
+
+
+def apply_weights(prepared: PreparedWeights, t_nbd: int,
+                  threads: int = 1) -> DensityWeights:
+    """Radius search for ``t_nbd``, then pass 2: four-scale strict counts."""
+    kth = prepared.kth
+    n = len(kth[1])
+    if t_nbd <= n - 1 and t_nbd not in kth:
+        raise ConfigError(f"weights were not prepared for t_nbd={t_nbd}")
     eps, t_used, fraction = _bisect_radius(
         n, kth, float(kth[1].min()), float(kth[n - 1].max()), t_nbd)
     schedule = RadiusSchedule(epsilon=eps)
 
-    counts = _scan_blocks(partial(_strict_counts, screen, np.array(schedule.radii)),
+    counts = _scan_blocks(partial(_strict_counts, prepared.screen,
+                                  np.array(schedule.radii)),
                           np.empty(n, dtype=np.int64), threads)
     weights = counts / 4.0
     logger.debug(
@@ -300,6 +327,11 @@ def _weights_from_coords(coords, t_nbd: int, threads: int) -> DensityWeights:
     )
     return DensityWeights(weights=weights, schedule=schedule,
                           satisfied_fraction=fraction)
+
+
+def _weights_from_coords(coords, t_nbd: int, threads: int) -> DensityWeights:
+    """Density weights over the rows of ``coords`` for one ``t_nbd``."""
+    return apply_weights(prepare_weights(coords, [t_nbd], threads), t_nbd, threads)
 
 
 def compute_empirical_weights(points, t_nbd: int, k_umap: int,

@@ -41,7 +41,9 @@ def setup(doc: str, out_name: str) -> argparse.Namespace:
 
 
 def measure(fn, *args, repeats: int = 1):
-    """``fn(*args)``, the median seconds of ``repeats`` calls, and the
+    """``fn(*args)`` and its timing: ``seconds``, the median of ``repeats``
+    calls, ``repeat_seconds``, each call's seconds in order (their spread
+    shows how far the median can be trusted), and ``peak_mb``, the
     tracemalloc peak in MB of one more call."""
     seconds = []
     for _ in range(repeats):
@@ -54,7 +56,9 @@ def measure(fn, *args, repeats: int = 1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, round(statistics.median(seconds), 4), round(peak / 2**20, 2)
+    return result, {"seconds": round(statistics.median(seconds), 4),
+                    "repeat_seconds": [round(t, 4) for t in seconds],
+                    "peak_mb": round(peak / 2**20, 2)}
 
 
 def _machine() -> dict:

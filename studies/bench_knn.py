@@ -46,9 +46,8 @@ def main() -> None:
             continue
         points = np.random.default_rng(SEED).standard_normal((rows, dim))
         for call, fn, output_bytes in calls:
-            out, seconds, peak_mb = _bench.measure(fn, points, k, repeats=REPEATS)
-            results.append({"call": call, "rows": rows, "dim": dim, "k": k,
-                            "seconds": seconds, "peak_mb": peak_mb,
+            out, timing = _bench.measure(fn, points, k, repeats=REPEATS)
+            results.append({"call": call, "rows": rows, "dim": dim, "k": k, **timing,
                             "sha256": hashlib.sha256(output_bytes(out)).hexdigest()})
             print(json.dumps(results[-1]), flush=True)
     _bench.write_report(args, {"seed": SEED, "repeats": REPEATS}, results,

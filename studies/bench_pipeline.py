@@ -5,9 +5,9 @@ config at one thread): ``score_pipeline`` on 2000x512 train rows plus 500
 test rows, and an 8-trial ``random_search`` (seed 0) on 500x32 train rows
 plus 200 test rows, the shape of acceptance criterion 7. Each is timed as
 the median of three calls, then run once more under tracemalloc for its
-peak. The seconds, the peak and a SHA-256 (of the raw test scores, or of
-the trial records and final metrics as ``msde tune`` writes them) are
-stored in ``studies/BENCH_pipeline.json`` under a label, with the machine
+peak. The median, each call's seconds, the peak and a SHA-256 (of the raw
+test scores, or of the trial records and final metrics as ``msde tune``
+writes them) are stored in ``studies/BENCH_pipeline.json`` under a label, with the machine
 it ran on (see ``_bench.py``). To compare a change with its parent
 checkout:
 
@@ -59,17 +59,16 @@ def main() -> None:
             SyntheticSpec(dim=dim, n_train=rows, n_test_normal=normal,
                           n_test_anomalous=anomalous), SEED)
         if call == "score_pipeline":
-            report, seconds, peak_mb = _bench.measure(
+            report, timing = _bench.measure(
                 score_pipeline, split, config, repeats=REPEATS)
             digest = hashlib.sha256(report.raw.tobytes()).hexdigest()
         else:
-            result, seconds, peak_mb = _bench.measure(
+            result, timing = _bench.measure(
                 random_search, split, SearchSpace(), TRIALS, SEARCH_SEED, config,
                 repeats=REPEATS)
             digest = _search_digest(result)
         results.append({"call": call, "rows": rows, "test_rows": normal + anomalous,
-                        "dim": dim, "seconds": seconds, "peak_mb": peak_mb,
-                        "sha256": digest})
+                        "dim": dim, **timing, "sha256": digest})
         print(json.dumps(results[-1]), flush=True)
     _bench.write_report(args, {"seed": SEED, "search_seed": SEARCH_SEED,
                                "trials": TRIALS, "threads": config.threads,

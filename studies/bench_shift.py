@@ -42,11 +42,10 @@ def main() -> None:
         weights = rng.uniform(0.0, 5.0, size=rows)
         weights[rng.random(rows) < ZERO_FRACTION] = 0.0
         neighbors = knn_neighbors(points, k)
-        (new, delta), seconds, peak_mb = _bench.measure(
+        (new, delta), timing = _bench.measure(
             shift_step, points, neighbors, weights, ETA, repeats=REPEATS)
         digest = hashlib.sha256(new.tobytes() + np.float64(delta).tobytes())
-        results.append({"call": "shift_step", "rows": rows, "dim": dim, "k": k,
-                        "seconds": seconds, "peak_mb": peak_mb,
+        results.append({"call": "shift_step", "rows": rows, "dim": dim, "k": k, **timing,
                         "sha256": digest.hexdigest()})
         print(json.dumps(results[-1]), flush=True)
     _bench.write_report(args, {"seed": SEED, "repeats": REPEATS, "eta": ETA,

@@ -30,9 +30,8 @@ T_NBD, K_UMAP, SEED = 70, 15, 42
 
 def _run(np, weights_fn, rows: int, dim: int, threads: int) -> dict:
     points = np.random.default_rng(SEED).standard_normal((rows, dim))
-    dw, seconds, peak_mb = _bench.measure(weights_fn, points, T_NBD, K_UMAP, threads)
-    return {"rows": rows, "dim": dim, "threads": threads,
-            "seconds": seconds, "peak_mb": peak_mb,
+    dw, timing = _bench.measure(weights_fn, points, T_NBD, K_UMAP, threads)
+    return {"rows": rows, "dim": dim, "threads": threads, **timing,
             "epsilon": dw.schedule.epsilon,
             "sha256": hashlib.sha256(dw.weights.tobytes()).hexdigest()}
 

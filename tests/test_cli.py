@@ -250,6 +250,21 @@ class TestTuneCommand:
                      "--trials", "2", "--seed", "2", "--pca-dim", "8"])
         assert code == 0
 
+    def test_no_normal_test_rows_exits_two_before_any_trial(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        np.save(tmp_path / "train.npy", rng.normal(size=(60, 4)))
+        np.save(tmp_path / "test.npy", rng.normal(size=(20, 4)) + 4.0)
+        (tmp_path / "labels.csv").write_text(
+            "row_id,label\n" + "".join(f"test_{i:06d},1\n" for i in range(20)))
+        out = tmp_path / "study"
+        code = main(["tune", "--train", str(tmp_path / "train.npy"),
+                     "--test", str(tmp_path / "test.npy"),
+                     "--labels", str(tmp_path / "labels.csv"),
+                     "--out", str(out), "--trials", "2", "--pca-dim", "4"])
+        assert code == 2
+        assert "MSDE-ERR tune:" in capsys.readouterr().err
+        assert not (out / "trials.jsonl").exists()
+
     def test_default_trials_is_eighty(self):
         from msde.tune import DEFAULT_TRIALS
         assert DEFAULT_TRIALS == 80

@@ -171,6 +171,21 @@ def test_offset_grid_ties_break_by_column_index(dim, offset):
         assert graph.distances.tobytes() == oracle.distances.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["grid", "random"])
+def test_neighbor_lists_are_prefix_closed(kind):
+    # Exact lists with lower-index tie-breaks: the first k columns of a
+    # larger build are the k-list, ties at every boundary included (on the
+    # 8^3 grid, 6 neighbors at distance 1, 12 at sqrt 2, 8 at sqrt 3).
+    if kind == "grid":
+        axes = np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij")
+        points = np.stack(axes, axis=-1).reshape(-1, 3)
+    else:
+        points = np.random.default_rng(14).normal(size=(300, 16))
+    full = knn_neighbors(points, 40)
+    for k in (1, 5, 6, 7, 18, 20, 26, 27, 39, 40):
+        assert full[:, :k].tobytes() == knn_neighbors(points, k).tobytes()
+
+
 class TestBruteForce:
     def test_coincident_pair(self):
         g = brute_force_knn(_matrix([[1.0, 1.0], [1.0, 1.0]]), 1)

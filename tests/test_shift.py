@@ -9,6 +9,7 @@ from msde import (
     ShiftParams,
     build_knn_graph,
     joint_shift,
+    prepare_joint,
     run_shift,
     shift_step,
 )
@@ -275,22 +276,38 @@ class TestRunShift:
                                    atol=1e-12)
 
 
+def _joint_shift(train, test, params):
+    return joint_shift(prepare_joint(train, test, [params]), params)
+
+
 class TestJointShift:
     def test_empty_test_equals_solo(self):
         rng = np.random.default_rng(10)
         train = _matrix(rng.normal(size=(20, 2)))
-        solo, joint, shifted_test = joint_shift(train, np.empty((0, 2)),
+        solo, joint, shifted_test = _joint_shift(train, np.empty((0, 2)),
                                                 _quiet_params(max_iters=2))
         assert shifted_test.shape == (0, 2)
         reference = run_shift(train, _quiet_params(max_iters=2))
         np.testing.assert_array_equal(solo.values, reference.values)
         np.testing.assert_array_equal(joint.values, reference.values)
 
+    def test_params_not_prepared_for_are_refused(self):
+        rng = np.random.default_rng(12)
+        train, test = rng.normal(size=(20, 2)), rng.normal(size=(5, 2))
+        prepared = prepare_joint(train, test, [_quiet_params(k=5, t_nbd=5)])
+        for params in (_quiet_params(k=6), _quiet_params(t_nbd=6),
+                       _quiet_params(k_umap=6)):
+            with pytest.raises(ConfigError, match="not prepared"):
+                joint_shift(prepared, params)
+        unshifted = prepare_joint(train, test, [_quiet_params(max_iters=0)])
+        with pytest.raises(ConfigError, match="not prepared"):
+            joint_shift(unshifted, _quiet_params())
+
     def test_no_shift_passes_rows_through(self):
         rng = np.random.default_rng(13)
         train = _matrix(rng.normal(size=(20, 2)))
         test = rng.normal(size=(5, 2))
-        solo, joint, test_joint = joint_shift(train, test, _quiet_params(max_iters=0))
+        solo, joint, test_joint = _joint_shift(train, test, _quiet_params(max_iters=0))
         assert test_joint is test
         assert solo.values is train and joint is solo
         assert joint.trace.iterations_run == 0
@@ -299,7 +316,7 @@ class TestJointShift:
         rng = np.random.default_rng(11)
         train = _matrix(rng.normal(size=(25, 3)))
         test = rng.normal(size=(6, 3))
-        _, _, shifted_test = joint_shift(train, test, _quiet_params(max_iters=3))
+        _, _, shifted_test = _joint_shift(train, test, _quiet_params(max_iters=3))
         union = np.vstack([train, test])
         reference = run_shift(union, _quiet_params(max_iters=3))
         np.testing.assert_array_equal(shifted_test,
@@ -317,5 +334,5 @@ class TestJointShift:
                              t_nbd=5, k_umap=15)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # k clamps to n-1
-            _, joint, test_joint = joint_shift(train, test, params)
+            _, joint, test_joint = _joint_shift(train, test, params)
         np.testing.assert_array_equal(joint.values[:4], test_joint)

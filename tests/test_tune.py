@@ -1,10 +1,13 @@
 """Zero-leakage splitting and the random-search harness."""
 
+import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from _inputs import recorded
 from msde import (
     DatasetSplit,
     EmbeddingMatrix,
@@ -15,8 +18,12 @@ from msde import (
     generate_synthetic,
     make_leakage_split,
     random_search,
+    score_pipeline,
 )
-from msde.exceptions import SplitError
+from msde import shift as shift_module
+from msde import scoring as scoring_module
+from msde import tune as tune_module
+from msde.exceptions import GraphError, NumericError, SplitError
 
 
 def _split(n_train=10, n_test_normal=20, n_test_anomalous=20, seed=0, dim=3):
@@ -71,6 +78,13 @@ class TestMakeLeakageSplit:
             make_leakage_split(_split(n_train=4), seed=0)
         with pytest.raises(SplitError):
             make_leakage_split(_split(n_test_anomalous=9), seed=0)
+
+    def test_no_normal_test_rows_refused(self):
+        # the final evaluation needs both classes; refuse before any trial
+        split = _split(n_test_anomalous=20)
+        anomalies = split.test.take(np.flatnonzero(split.test.labels == 1))
+        with pytest.raises(SplitError, match="normal test rows"):
+            make_leakage_split(DatasetSplit(train=split.train, test=anomalies), seed=0)
 
     def test_final_test_train_is_full_train(self):
         split = _split()
@@ -182,6 +196,89 @@ class TestRandomSearch:
             random_search(data, SearchSpace(), n_trials=3, seed=77,
                           base_config=_search_config(), trial_observer=observer)
         assert not seen & final_ids
+
+    @pytest.mark.parametrize("n_train", [10, 40])
+    def test_each_record_equals_its_trial_scored_alone(self, monkeypatch, n_train):
+        # Trials share one preparation of the validation split; each must
+        # score what score_pipeline on that split gives for its params
+        # alone, bit for bit. With 10 train rows the solo run has 8 rows
+        # and the joint 12, so k and t_nbd clamp in most trials.
+        data = _split(n_train=n_train, n_test_normal=25, n_test_anomalous=25,
+                      seed=9, dim=6)
+        base = _search_config()
+        raws = []
+        score_shifted = tune_module.score_shifted
+
+        def keep_raw(*args):
+            report = score_shifted(*args)
+            raws.append(report.raw.tobytes())
+            return report
+
+        monkeypatch.setattr(tune_module, "score_shifted", keep_raw)
+        (_, records, _), study_warnings = recorded(
+            random_search, data, SearchSpace(), 4, 31, base)
+        val_split = make_leakage_split(data, seed=31).validation_split()
+        for rec, raw in zip(records, raws, strict=True):
+            alone, alone_warnings = recorded(
+                score_pipeline, val_split, replace(base, shift=rec.params))
+            assert raw == alone.raw.tobytes()
+            assert (rec.val_auc, rec.val_ap) == (alone.metrics.auc, alone.metrics.ap)
+            assert set(alone_warnings) <= set(study_warnings)
+        if n_train == 10:
+            assert any(r.params.k > 11 and r.params.t_nbd > 11 for r in records)
+            assert any("clamped to n-1=7" in w for w in study_warnings)
+
+    def test_failed_trial_records_sentinel_and_never_wins(self, monkeypatch,
+                                                          caplog):
+        # Every trial fits one Gaussian, in index order; trial 0's raises.
+        # Identical params elsewhere tie, and the tie goes to trial 1.
+        fits = []
+        fit_gaussian = scoring_module.fit_gaussian
+
+        def failing_fit(z, lam):
+            fits.append(len(fits))
+            if len(fits) == 1:
+                raise NumericError("injected fit failure")
+            return fit_gaussian(z, lam)
+
+        monkeypatch.setattr(scoring_module, "fit_gaussian", failing_fit)
+        space = SearchSpace(k=(8, 8), t_nbd=(10, 10), eta=(0.3, 0.3),
+                            max_iters=(3, 3), tol=(0.01, 0.01))
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, "msde.tune"):
+            warnings.simplefilter("ignore")
+            best, records, final = random_search(
+                self._data(), space, n_trials=3, seed=5,
+                base_config=_search_config())
+        assert (records[0].val_auc, records[0].val_ap) == (-1.0, -1.0)
+        assert records[1].val_auc == records[2].val_auc > -1.0
+        assert best.trial_index == 1
+        assert 0.0 <= final.auc <= 1.0
+        assert "trial 0 failed: injected fit failure" in caplog.text
+        assert "trial 1 failed" not in caplog.text
+
+    def test_failed_preparation_fails_every_trial(self, monkeypatch, caplog):
+        # The first fuzzy graph is the validation split's; the final
+        # evaluation builds its own and succeeds.
+        graphs = []
+        build_fuzzy_graph = shift_module.build_fuzzy_graph
+
+        def failing_graph(points, k_umap):
+            graphs.append(len(points))
+            if len(graphs) == 1:
+                raise GraphError("injected graph failure")
+            return build_fuzzy_graph(points, k_umap)
+
+        monkeypatch.setattr(shift_module, "build_fuzzy_graph", failing_graph)
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING, "msde.tune"):
+            warnings.simplefilter("ignore")
+            best, records, final = random_search(
+                self._data(), SearchSpace(), n_trials=3, seed=5,
+                base_config=_search_config())
+        assert [(r.val_auc, r.val_ap) for r in records] == [(-1.0, -1.0)] * 3
+        assert best.trial_index == 0
+        assert 0.0 <= final.auc <= 1.0
+        for index in range(3):
+            assert f"trial {index} failed: injected graph failure" in caplog.text
 
     def test_invalid_trial_count(self):
         with pytest.raises(SplitError):

@@ -30,6 +30,7 @@ from msde.weights import (
     _solve_bandwidths,
     _weights_from_coords,
     pairwise_distances,
+    prepare_weights,
 )
 
 RHO_SATURATION_TARGET = math.log2(15)
@@ -243,6 +244,26 @@ def test_screened_weights_equal_dense_oracle_bytewise(inputs):
             assert dw.schedule.epsilon == eps
             assert dw.satisfied_fraction == fraction
             assert caught == expected
+
+
+@pytest.mark.parametrize("kind", ["random", "grid"])
+def test_pass_one_order_statistics_do_not_depend_on_the_rank_set(kind):
+    # One pass 1 serves every t_nbd of a tuning study: each rank's column
+    # over the study's rank set is byte-equal to a pass over that rank alone.
+    rng = np.random.default_rng(21)
+    if kind == "random":
+        points = rng.normal(size=(150, 5))
+    else:
+        points = rng.integers(0, 3, size=(150, 3)).astype(float)
+    memberships = build_fuzzy_graph(points, 15).memberships
+    n = memberships.shape[0]
+    t_nbds = [3, 10, 25, 26, 70, 149, 200]
+    together = prepare_weights(memberships, t_nbds, threads=2).kth
+    assert set(together) == {1, n - 1, _clamped_t_nbd(n)} | {
+        t for t in t_nbds if t <= n - 1}
+    for t, column in together.items():
+        alone = prepare_weights(memberships, [t], threads=1).kth[t]
+        assert column.tobytes() == alone.tobytes()
 
 
 class TestSearchRadius:
