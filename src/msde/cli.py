@@ -4,10 +4,10 @@ Each command's flags come from the dataclass fields it reads: ``run``
 takes every config key, ``tune`` the ones its ``SearchSpace`` does not
 sample, ``synth`` the ``SyntheticSpec`` fields. Flags must be spelled in
 full. Every run and tune writes a resolved-config echo (the settings it
-used, tune's seed and trial count, input digests) sufficient to reproduce
-it byte for byte. Errors print one machine-parsable line
-``MSDE-ERR <module>: detail`` and map to exit codes 1 (usage), 2 (data),
-3 (numeric).
+used, tune's seed and trial count, the msde, numpy and scipy versions,
+input digests) sufficient to reproduce it byte for byte. Errors print one
+machine-parsable line ``MSDE-ERR <module>: detail`` and map to exit codes
+1 (usage), 2 (data), 3 (numeric).
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ import sys
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .config import (
     CONFIG_FIELD_TYPES,
     MsdeConfig,
@@ -167,13 +171,15 @@ def _prepare(args: argparse.Namespace) -> tuple[MsdeConfig, DatasetSplit, Path]:
 
 
 def _write_echo(args: argparse.Namespace, config: MsdeConfig, out: Path, **extra) -> None:
-    """The settings the command read, ``extra`` ones, and the input digests."""
+    """The settings the command read, ``extra`` ones, versions, input digests."""
     flat = config.flat()
     settings = {name: flat[name] for name in map(external_key, _CONFIG_KEYS[args.command])}
     inputs = {"train": args.train, "test": args.test}
     if args.labels:
         inputs["labels"] = args.labels
-    (out / "config_echo.txt").write_text(config_echo({**settings, **extra}, inputs))
+    versions = {"msde": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    (out / "config_echo.txt").write_text(
+        config_echo({**settings, **extra}, inputs, versions))
 
 
 def _write_trace(path: Path, report) -> None:

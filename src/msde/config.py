@@ -139,9 +139,11 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def config_echo(settings: dict, inputs: dict[str, str | Path]) -> str:
-    """Flat resolved settings plus input digests; enough to rerun exactly."""
+def config_echo(settings: dict, inputs: dict[str, str | Path],
+                versions: dict[str, str]) -> str:
+    """Flat resolved settings, versions and input digests; enough to rerun exactly."""
     lines = [f"{key} = {_format_value(v)}" for key, v in sorted(settings.items())]
+    lines += [f"version.{name} = \"{v}\"" for name, v in sorted(versions.items())]
     for name, path in sorted(inputs.items()):
         lines.append(f"input.{name} = \"{path}\"")
         lines.append(f"input.{name}.sha256 = \"{file_digest(path)}\"")

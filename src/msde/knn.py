@@ -110,7 +110,8 @@ def brute_force_knn(points, k: int) -> NeighborGraph:
 class _GramScreen:
     """Blocked screen of squared distances between the rows of ``coords``
     (a dense array or a CSR matrix), with kernel distances for the pairs
-    it cannot decide.
+    it cannot decide. A CSR ``coords`` must be exactly symmetric, as a
+    fuzzy graph's memberships are: it is its own transpose.
 
     ``slack[i]`` is twice a bound on |screened d^2 - the kernel's sum of
     squares| over every j, in units of eps (|x_i|^2 + |x_j|^2) with |x_j|^2
@@ -138,7 +139,7 @@ class _GramScreen:
         self.sparse = sp.issparse(coords)
         width = coords.shape[1]
         if self.sparse:
-            self.coords_t = coords.T.tocsr()
+            self.coords_t = coords
             self.sq_norms = np.asarray(coords.multiply(coords).sum(axis=1)).ravel()
             terms = int(np.diff(coords.indptr).max())
             self.chunk = CSR_CHUNK_PAIRS

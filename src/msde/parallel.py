@@ -1,9 +1,9 @@
-"""Row-block thread helper.
+"""Thread fan-out over row blocks, capped at the number of CPUs.
 
-Workers receive disjoint ``(start, stop)`` row ranges and write into
-preallocated output slices. Each row's result is a pure function of the
-immutable inputs, so results are identical for any thread count. The
-thread count is capped at the number of CPUs.
+Its one caller is shift's solo || joint fan-out (two one-row blocks).
+Each block's result is a pure function of immutable inputs, so results
+are identical for any thread count. Results are read in block order (the
+first block's exception wins) and the pool is joined before returning.
 """
 
 from __future__ import annotations

@@ -17,6 +17,10 @@ so each k takes the first k columns), and ``apply_shift`` runs one of
 them from it. ``run_shift`` is the two for one set of params;
 ``prepare_joint`` and ``joint_shift`` do the same for the solo and the
 joint run.
+
+At ``threads >= 2`` these two run the solo and the joint run on a thread
+each (msde's only fan-out); each run is single-threaded, so results never
+depend on ``threads``. With ``MSDE_LOG=info`` their lines may interleave.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .exceptions import ConfigError, GraphError, NumericError
 # build_knn_graph stays bound here: perfbench's tracer wraps every binding
 # of it, and its tests read this one.
 from .knn import _effective_k, build_knn_graph, knn_neighbors  # noqa: F401
+from .parallel import map_row_blocks
 from .weights import (DensityWeights, PreparedWeights, apply_weights,
                       build_fuzzy_graph, prepare_weights)
 
@@ -163,8 +168,8 @@ class ShiftInput:
     neighbors: np.ndarray
 
 
-def prepare_shift(points: np.ndarray, params: Sequence[ShiftParams],
-                  threads: int = 1) -> ShiftInput | None:
+def prepare_shift(points: np.ndarray,
+                  params: Sequence[ShiftParams]) -> ShiftInput | None:
     """What every run of ``params`` over ``points`` shares, built once;
     None when none of them shifts (``max_iters == 0`` needs nothing). The
     graph takes the first shifting params' ``k_umap``, and ``apply_shift``
@@ -177,13 +182,13 @@ def prepare_shift(points: np.ndarray, params: Sequence[ShiftParams],
         raise GraphError(f"shift needs at least 2 points, got {n}")
     k_umap = shifting[0].k_umap
     fuzzy = build_fuzzy_graph(points, k_umap)
-    weights = prepare_weights(fuzzy.memberships, [p.t_nbd for p in shifting], threads)
+    weights = prepare_weights(fuzzy.memberships, [p.t_nbd for p in shifting])
     neighbors = knn_neighbors(points, min(max(p.k for p in shifting), n - 1))
     return ShiftInput(k_umap, weights, neighbors)
 
 
 def apply_shift(points: np.ndarray, prepared: ShiftInput | None,
-                params: ShiftParams, threads: int = 1) -> ShiftedEmbeddings:
+                params: ShiftParams) -> ShiftedEmbeddings:
     """Full refinement loop over ``points`` from ``prepare_shift(points,
     ...)``: the weights' radius search and counts, then k-NN + step per
     iteration, where iteration 1 takes its lists from the prepared ones."""
@@ -194,7 +199,7 @@ def apply_shift(points: np.ndarray, prepared: ShiftInput | None,
             or len(prepared.neighbors) != n
             or min(params.k, n - 1) > prepared.neighbors.shape[1]):
         raise ConfigError(f"shift input was not prepared for {params}")
-    weights = apply_weights(prepared.weights, params.t_nbd, threads)
+    weights = apply_weights(prepared.weights, params.t_nbd)
     neighbors = prepared.neighbors[:, :_effective_k(params.k, n)]
     values = points
     deltas: list[float] = []
@@ -212,11 +217,9 @@ def apply_shift(points: np.ndarray, prepared: ShiftInput | None,
     return ShiftedEmbeddings(values, trace, weights)
 
 
-def run_shift(points: np.ndarray, params: ShiftParams,
-              threads: int = 1) -> ShiftedEmbeddings:
+def run_shift(points: np.ndarray, params: ShiftParams) -> ShiftedEmbeddings:
     """Full refinement loop: weights once, then iterate k-NN + step."""
-    return apply_shift(points, prepare_shift(points, [params], threads),
-                       params, threads)
+    return apply_shift(points, prepare_shift(points, [params]), params)
 
 
 @dataclass(frozen=True)
@@ -231,13 +234,27 @@ class JointInput:
     joint: ShiftInput | None
 
 
+def _solo_and_joint(solo, joint, threads: int) -> list:
+    """``[solo(), joint()]``, on a thread each at ``threads >= 2``; when
+    both fail, the solo half's exception is raised, as in order."""
+    halves, out = (solo, joint), [None, None]
+
+    def worker(start: int, stop: int) -> None:
+        for i in range(start, stop):
+            out[i] = halves[i]()
+
+    map_row_blocks(worker, 2, threads)
+    return out
+
+
 def prepare_joint(train: np.ndarray, test: np.ndarray,
                   params: Sequence[ShiftParams], threads: int = 1) -> JointInput:
     """``prepare_shift`` for the solo and the joint run of ``params``."""
-    solo = prepare_shift(train, params, threads)
-    joint = None
-    if solo is not None:
-        joint = prepare_shift(np.vstack([train, test]), params, threads)
+    if all(p.max_iters == 0 for p in params):
+        return JointInput(train, test, None, None)
+    solo, joint = _solo_and_joint(
+        lambda: prepare_shift(train, params),
+        lambda: prepare_shift(np.vstack([train, test]), params), threads)
     return JointInput(train, test, solo, joint)
 
 
@@ -252,10 +269,12 @@ def joint_shift(prepared: JointInput, params: ShiftParams, threads: int = 1
     nothing moves, so the joint run is skipped: ``joint`` is ``solo`` and
     the test rows are returned as given.
     """
-    train = prepared.train
-    solo = apply_shift(train, prepared.solo, params, threads)
+    train, test = prepared.train, prepared.test
     if params.max_iters == 0:
-        return solo, solo, prepared.test
-    joint = apply_shift(np.vstack([train, prepared.test]), prepared.joint,
-                        params, threads)
+        solo = apply_shift(train, prepared.solo, params)
+        return solo, solo, test
+    solo, joint = _solo_and_joint(
+        lambda: apply_shift(train, prepared.solo, params),
+        lambda: apply_shift(np.vstack([train, test]), prepared.joint, params),
+        threads)
     return solo, joint, joint.values[train.shape[0]:]

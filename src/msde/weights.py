@@ -15,8 +15,7 @@ decided (a row's t-th smallest distance, the smallest and largest
 distance, one of the four radii). The weights therefore equal, bit for
 bit, those of the dense oracle that the tests keep: ``pairwise_distances``
 on ``G.toarray()`` fed to the same radius bisection, then direct strict
-counts. The row blocks fan out over ``threads``; the result never depends
-on them.
+counts.
 
 The work splits into a prepare step and an apply step.
 ``prepare_weights`` screens the coordinates once and, in one pass over
@@ -43,7 +42,6 @@ import scipy.sparse as sp
 
 from .exceptions import ConfigError, GraphError
 from .knn import _GramScreen, build_knn_graph, distances_from
-from .parallel import map_row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -218,16 +216,12 @@ def _strict_counts(screen, radii: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return counts + np.bincount(np.repeat(rows, inside), minlength=hi - lo)
 
 
-def _scan_blocks(fn, out: np.ndarray, threads: int) -> np.ndarray:
-    """``out[lo:hi] = fn(lo, hi)`` over blocks of ``SCREEN_BLOCK_ROWS`` rows,
-    fanned out by ``map_row_blocks``. Every row's result is exact, so the
-    blocks and threads never change it."""
-    def worker(start: int, stop: int) -> None:
-        for lo in range(start, stop, SCREEN_BLOCK_ROWS):
-            hi = min(lo + SCREEN_BLOCK_ROWS, stop)
-            out[lo:hi] = fn(lo, hi)
-
-    map_row_blocks(worker, len(out), threads)
+def _scan_blocks(fn, out: np.ndarray) -> np.ndarray:
+    """``out[lo:hi] = fn(lo, hi)`` over blocks of ``SCREEN_BLOCK_ROWS`` rows.
+    Every row's result is exact, so the block height never changes it."""
+    for lo in range(0, len(out), SCREEN_BLOCK_ROWS):
+        hi = min(lo + SCREEN_BLOCK_ROWS, len(out))
+        out[lo:hi] = fn(lo, hi)
     return out
 
 
@@ -295,19 +289,18 @@ class PreparedWeights:
     kth: dict[int, np.ndarray]
 
 
-def prepare_weights(coords, t_nbds, threads: int = 1) -> PreparedWeights:
-    """Pass 1 over the rows of ``coords`` (a dense array or a CSR matrix):
-    the order statistics the radius search needs for any of ``t_nbds``."""
+def prepare_weights(coords, t_nbds) -> PreparedWeights:
+    """Pass 1 over the rows of ``coords`` (a dense array or a symmetric CSR
+    matrix): the order statistics the radius search needs for any of ``t_nbds``."""
     n = coords.shape[0]
     screen = _GramScreen(coords)
     ranks = sorted({1, n - 1, _clamped_t_nbd(n)} | {t for t in t_nbds if t <= n - 1})
     stats = _scan_blocks(partial(_order_statistics, screen, ranks),
-                         np.empty((n, len(ranks))), threads)
+                         np.empty((n, len(ranks))))
     return PreparedWeights(screen, dict(zip(ranks, stats.T)))
 
 
-def apply_weights(prepared: PreparedWeights, t_nbd: int,
-                  threads: int = 1) -> DensityWeights:
+def apply_weights(prepared: PreparedWeights, t_nbd: int) -> DensityWeights:
     """Radius search for ``t_nbd``, then pass 2: four-scale strict counts."""
     kth = prepared.kth
     n = len(kth[1])
@@ -319,7 +312,7 @@ def apply_weights(prepared: PreparedWeights, t_nbd: int,
 
     counts = _scan_blocks(partial(_strict_counts, prepared.screen,
                                   np.array(schedule.radii)),
-                          np.empty(n, dtype=np.int64), threads)
+                          np.empty(n, dtype=np.int64))
     weights = counts / 4.0
     logger.debug(
         "weights: eps=%.6g t_nbd=%d satisfied=%.3f mean=%.3f",
@@ -329,13 +322,12 @@ def apply_weights(prepared: PreparedWeights, t_nbd: int,
                           satisfied_fraction=fraction)
 
 
-def _weights_from_coords(coords, t_nbd: int, threads: int) -> DensityWeights:
+def _weights_from_coords(coords, t_nbd: int) -> DensityWeights:
     """Density weights over the rows of ``coords`` for one ``t_nbd``."""
-    return apply_weights(prepare_weights(coords, [t_nbd], threads), t_nbd, threads)
+    return apply_weights(prepare_weights(coords, [t_nbd]), t_nbd)
 
 
-def compute_empirical_weights(points, t_nbd: int, k_umap: int,
-                              threads: int = 1) -> DensityWeights:
+def compute_empirical_weights(points, t_nbd: int, k_umap: int) -> DensityWeights:
     """Multi-scale strict-radius neighbor counts in graph space.
 
     Builds the fuzzy membership graph, treats its rows as coordinates,
@@ -349,4 +341,4 @@ def compute_empirical_weights(points, t_nbd: int, k_umap: int,
         raise ConfigError(f"t_nbd must be >= 1, got {t_nbd}")
 
     fuzzy = build_fuzzy_graph(points, k_umap)
-    return _weights_from_coords(fuzzy.memberships, t_nbd, threads)
+    return _weights_from_coords(fuzzy.memberships, t_nbd)

@@ -72,11 +72,11 @@ def _machine() -> dict:
 def _hashes_match(runs: dict, key: tuple) -> dict:
     out = {}
     for a, b in itertools.combinations(sorted(runs), 2):
-        left = {tuple(r[f] for f in key): r["sha256"] for r in runs[a]["results"]}
-        both = [r for r in runs[b]["results"] if tuple(r[f] for f in key) in left]
+        left = {tuple(r.get(f) for f in key): r["sha256"] for r in runs[a]["results"]}
+        both = [r for r in runs[b]["results"] if tuple(r.get(f) for f in key) in left]
         out[f"{a} vs {b}"] = {
             "compared": len(both),
-            "equal": all(left[tuple(r[f] for f in key)] == r["sha256"] for r in both),
+            "equal": all(left[tuple(r.get(f) for f in key)] == r["sha256"] for r in both),
         }
     return out
 

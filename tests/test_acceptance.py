@@ -176,10 +176,7 @@ def test_criterion_05_weight_determinism_and_structure():
     t0 = time.monotonic()
     rng = np.random.default_rng(5)
     m = rng.normal(size=(300, 8))
-    runs = [
-        compute_empirical_weights(m, t_nbd=70, k_umap=15, threads=threads)
-        for threads in (1, 1, 4)
-    ]
+    runs = [compute_empirical_weights(m, t_nbd=70, k_umap=15) for _ in range(3)]
     for other in runs[1:]:
         np.testing.assert_array_equal(runs[0].weights, other.weights)
         assert runs[0].schedule.epsilon == other.schedule.epsilon

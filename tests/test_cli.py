@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+from msde import __version__
 from msde.cli import main
 from msde.config import CONFIG_FIELD_TYPES, build_config, parse_config_file
 from msde.exceptions import ConfigError
@@ -85,6 +87,10 @@ class TestRun:
         assert metrics["auc"] > 0.9
         echo = (out / "config_echo.txt").read_text()
         assert "seed = " not in echo and "sha256" in echo
+        for line in (f'version.msde = "{__version__}"',
+                     f'version.numpy = "{np.__version__}"',
+                     f'version.scipy = "{scipy.__version__}"'):
+            assert line in echo.splitlines()
         printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert printed == metrics
 

@@ -1,5 +1,6 @@
 """Mean-shift mechanics: single steps, full runs, joint train+test runs."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -7,14 +8,16 @@ import pytest
 
 from msde import (
     ShiftParams,
+    SyntheticSpec,
     build_knn_graph,
+    generate_synthetic,
     joint_shift,
     prepare_joint,
     run_shift,
     shift_step,
 )
 import msde.shift as shift_module
-from msde.exceptions import ConfigError, GraphError
+from msde.exceptions import ConfigError, GraphError, NumericError
 from msde.knn import NeighborGraph, brute_force_knn
 
 
@@ -336,3 +339,79 @@ class TestJointShift:
             warnings.simplefilter("ignore")  # k clamps to n-1
             _, joint, test_joint = _joint_shift(train, test, params)
         np.testing.assert_array_equal(joint.values[:4], test_joint)
+
+
+def _run_fingerprint(run):
+    weights = run.weights_used
+    return (run.values.tobytes(), weights.weights.tobytes(),
+            weights.schedule, weights.satisfied_fraction, run.trace)
+
+
+class TestSoloJointFanOut:
+    @pytest.fixture(autouse=True)
+    def _four_cpus(self, monkeypatch):
+        # The thread cap must not turn the fan-out off on a small machine.
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+
+    @pytest.mark.parametrize("instance", ["criterion_07", "clamped"])
+    def test_outputs_do_not_depend_on_threads(self, instance, monkeypatch):
+        if instance == "criterion_07":
+            spec = SyntheticSpec(dim=32, n_train=500, n_test_normal=100,
+                                 n_test_anomalous=100, anomaly_offset=2.5,
+                                 noise_scale=1.0)
+            split = generate_synthetic(spec, 42)
+            train, test = split.train.values, split.test.values
+            params = ShiftParams()
+        else:
+            # 7 solo and 10 joint rows: k, t_nbd and k_umap all clamp.
+            rng = np.random.default_rng(31)
+            train, test = rng.normal(size=(7, 3)), rng.normal(size=(3, 3))
+            params = ShiftParams(max_iters=3)
+        idents = []
+        apply_shift = shift_module.apply_shift
+
+        def recording(*args):
+            idents.append(threading.get_ident())
+            return apply_shift(*args)
+
+        monkeypatch.setattr(shift_module, "apply_shift", recording)
+        runs = {}
+        for threads in (1, 2, 4):
+            idents.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # clamps
+                prepared = prepare_joint(train, test, [params], threads)
+                solo, joint, test_values = joint_shift(prepared, params, threads)
+            runs[threads] = (_run_fingerprint(solo), _run_fingerprint(joint),
+                             test_values.tobytes())
+            main_thread = threading.get_ident()
+            assert len(idents) == 2
+            assert (main_thread in idents) == (threads == 1)
+        assert runs[1] == runs[2] == runs[4]
+
+    @pytest.mark.parametrize("failing", [("solo",), ("solo", "joint")],
+                             ids=["solo", "both"])
+    def test_failure_raises_as_in_order_and_joins_the_pool(self, failing,
+                                                           monkeypatch):
+        rng = np.random.default_rng(32)
+        train, test = rng.normal(size=(30, 3)), rng.normal(size=(10, 3))
+        params = _quiet_params()
+        prepared = prepare_joint(train, test, [params])
+        apply_shift = shift_module.apply_shift
+
+        def failing_run(points, prepared_input, p):
+            half = "solo" if len(points) == len(train) else "joint"
+            if half in failing:
+                error = NumericError if half == "solo" else GraphError
+                raise error(f"injected {half} failure")
+            return apply_shift(points, prepared_input, p)
+
+        monkeypatch.setattr(shift_module, "apply_shift", failing_run)
+        baseline = threading.active_count()
+        raised = []
+        for threads in (1, 2):
+            with pytest.raises(Exception) as info:
+                joint_shift(prepared, params, threads)
+            raised.append((type(info.value), str(info.value)))
+            assert threading.active_count() == baseline
+        assert raised == [(NumericError, "injected solo failure")] * 2

@@ -1,6 +1,7 @@
 """Zero-leakage splitting and the random-search harness."""
 
 import logging
+import threading
 import warnings
 from dataclasses import replace
 
@@ -255,6 +256,39 @@ class TestRandomSearch:
         assert 0.0 <= final.auc <= 1.0
         assert "trial 0 failed: injected fit failure" in caplog.text
         assert "trial 1 failed" not in caplog.text
+
+    def test_solo_failure_on_two_threads_fails_only_its_trial(self, monkeypatch):
+        # Trial 0's solo run raises while its joint run goes on in the other
+        # thread; the records equal those of the same failure in order.
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        data = self._data()
+        solo_rows = make_leakage_split(data, seed=5).fit_train.n_samples
+        solo_runs = []
+        apply_shift = shift_module.apply_shift
+
+        def failing_run(points, prepared, params):
+            if len(points) == solo_rows:
+                solo_runs.append(len(solo_runs))
+                if len(solo_runs) == 1:
+                    raise NumericError("injected solo failure")
+            return apply_shift(points, prepared, params)
+
+        monkeypatch.setattr(shift_module, "apply_shift", failing_run)
+        baseline = threading.active_count()
+        studies = []
+        for threads in (1, 2):
+            solo_runs.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, records, final = random_search(
+                    data, SearchSpace(), n_trials=3, seed=5,
+                    base_config=replace(_search_config(), threads=threads))
+            studies.append((records, final))
+            assert threading.active_count() == baseline
+        assert studies[0] == studies[1]
+        records = studies[1][0]
+        assert (records[0].val_auc, records[0].val_ap) == (-1.0, -1.0)
+        assert all(r.val_auc > -1.0 for r in records[1:])
 
     def test_failed_preparation_fails_every_trial(self, monkeypatch, caplog):
         # The first fuzzy graph is the validation split's; the final
