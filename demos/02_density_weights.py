@@ -13,7 +13,7 @@ Run:  python demos/02_density_weights.py
 import numpy as np
 
 from msde import build_fuzzy_graph, compute_empirical_weights
-from msde.knn import count_within_radius
+from msde.knn import distances_from
 
 rng = np.random.default_rng(1)
 values = rng.normal(0.0, 1.0, size=(200, 2))
@@ -37,9 +37,10 @@ print(f"\nweights are multiples of 0.25: "
 print(f"weight range: {w.min()} .. {w.max()}, mean {w.mean():.2f}")
 
 # each weight is exactly the mean of the four strict-radius counts
-coords = G.toarray()
 i = int(np.argmax(w))
-counts = [count_within_radius(coords, i, r) for r in dw.schedule.radii]
+d = distances_from(G.toarray(), i)
+d[i] = np.inf  # a sample is not its own neighbor
+counts = [int(np.count_nonzero(d < r)) for r in dw.schedule.radii]
 print(f"\nsample {i}: strict counts per radius {counts} "
       f"-> weight {sum(counts) / 4.0} (recorded {w[i]})")
 

@@ -1,12 +1,12 @@
-"""Exact k-nearest-neighbor search and strict radius counts.
+"""Exact k-nearest-neighbor search and the one distance kernel.
 
-There is one fast route, ``knn_neighbors``, and one oracle,
-``brute_force_knn`` (the naive O(n^2 d) scan). ``build_knn_graph`` is
-``knn_neighbors`` plus the kernel distances of the n k pairs it returns.
-Distances come only from the single metric kernel ``distances_from``, so
-the route's and the oracle's are comparable bit for bit; they differ in how
-candidates are found. Ties in distance are always broken toward the lower
-row index.
+There is one route, ``knn_neighbors``; its oracle, ``brute_force_knn``
+(the naive O(n^2 d) scan), lives with the tests in ``tests/_oracles.py``.
+``build_knn_graph`` is ``knn_neighbors`` plus the kernel distances of the
+n k pairs it returns. Distances come only from the single metric kernel
+``distances_from``, so the route's and the oracle's are comparable bit for
+bit; they differ in how candidates are found. Ties in distance are always
+broken toward the lower row index.
 
 ``_GramScreen`` is the one screen behind exact neighborhoods: squared
 distances |x|^2 + |y|^2 - 2<x, y>, a block of rows against all n at a
@@ -88,23 +88,6 @@ def _effective_k(k: int, n: int) -> int:
         warnings.warn(f"k={k} clamped to n-1={n - 1}")
         return n - 1
     return k
-
-
-def brute_force_knn(points, k: int) -> NeighborGraph:
-    """Naive O(n^2 d) exhaustive scan; the ground-truth oracle."""
-    values = _as_values(points)
-    n = values.shape[0]
-    k = _effective_k(k, n)
-    neighbors = np.empty((n, k), dtype=np.int64)
-    distances = np.empty((n, k), dtype=np.float64)
-    all_idx = np.arange(n)
-    for i in range(n):
-        d = distances_from(values, i)
-        d[i] = np.inf  # exclude self
-        order = np.lexsort((all_idx, d))[:k]
-        neighbors[i] = order
-        distances[i] = d[order]
-    return NeighborGraph(k, neighbors, distances)
 
 
 class _GramScreen:
@@ -259,15 +242,3 @@ def build_knn_graph(points, k: int) -> NeighborGraph:
     distances = screen.distances(np.repeat(np.arange(n), k), neighbors.ravel())
     return NeighborGraph(k, neighbors, distances.reshape(n, k))
 
-
-def count_within_radius(points, center_index: int, radius: float) -> int:
-    """Number of other points strictly closer than ``radius``."""
-    values = _as_values(points)
-    n = values.shape[0]
-    if not 0 <= center_index < n:
-        raise GraphError(f"center index {center_index} out of range for {n} points")
-    if radius < 0:
-        raise GraphError(f"radius must be >= 0, got {radius}")
-    d = distances_from(values, center_index)
-    d[center_index] = np.inf
-    return int(np.count_nonzero(d < radius))

@@ -1,14 +1,15 @@
-"""Ranking metrics with exact tie handling, plus brute-force oracles.
+"""Ranking metrics with exact tie handling.
 
-Both fast paths sort the scores once and split them into blocks of tied
+Both metrics sort the scores once and split them into blocks of tied
 scores. AUC-ROC is the Mann-Whitney statistic: each positive wins over
 the negatives in lower blocks and gets half credit for the negatives in
-its own block, counted in integers without midranks; the oracle counts
-all positive-negative pairs. Average precision integrates the
-precision-recall step curve with each tie block as a single step, making
-the value independent of input order; the oracle walks the ranking
-explicitly. Fast paths and oracles reduce exact counts or identical
-per-term expressions, so equality checks carry zero tolerance.
+its own block, counted in integers without midranks. Average precision
+integrates the precision-recall step curve with each tie block as a
+single step, making the value independent of input order. Their
+brute-force oracles live with the tests in ``tests/_oracles.py``: one
+counts all positive-negative pairs, the other walks the ranking
+explicitly. Both sides reduce exact counts or identical per-term
+expressions, so equality checks carry zero tolerance.
 """
 
 from __future__ import annotations
@@ -64,15 +65,6 @@ def auc_roc(scores, labels) -> float:
     return wins / (n_pos * n_neg)
 
 
-def auc_roc_pairwise(scores, labels) -> float:
-    """O(n^2) oracle: explicit win/tie counting over all pos-neg pairs."""
-    scores, labels, n_pos, n_neg = _check_inputs(scores, labels, need_neg=True)
-    pos = scores[labels == 1][:, None]
-    neg = scores[labels == 0][None, :]
-    wins = np.count_nonzero(pos > neg) + 0.5 * np.count_nonzero(pos == neg)
-    return wins / (n_pos * n_neg)
-
-
 def _tie_blocks(scores: np.ndarray, labels: np.ndarray):
     """Cumulative positives and rows through each tie block, best first."""
     order = np.argsort(-scores, kind="stable")
@@ -89,27 +81,6 @@ def average_precision(scores, labels) -> float:
     cum_tp, cum_k = _tie_blocks(scores, labels)
     terms = (np.diff(cum_tp, prepend=0) / n_pos) * (cum_tp / cum_k)
     return math.fsum(terms.tolist())
-
-
-def average_precision_stepwise(scores, labels) -> float:
-    """Oracle: explicit precision/recall bookkeeping along the ranking."""
-    scores, labels, n_pos, _ = _check_inputs(scores, labels, need_neg=False)
-    items = sorted(zip(scores.tolist(), labels.tolist()), key=lambda p: -p[0])
-    terms = []
-    tp = 0
-    seen = 0
-    i = 0
-    while i < len(items):
-        j = i
-        block_tp = 0
-        while j < len(items) and items[j][0] == items[i][0]:
-            block_tp += items[j][1]
-            j += 1
-        tp += block_tp
-        seen = j
-        terms.append((block_tp / n_pos) * (tp / seen))
-        i = j
-    return math.fsum(terms)
 
 
 def evaluate(scores, labels) -> MetricResult:

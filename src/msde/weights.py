@@ -173,15 +173,6 @@ def pairwise_distances(points) -> np.ndarray:
     return out
 
 
-def _kth_neighbor_distance(dist_matrix: np.ndarray, t_nbd: int) -> np.ndarray:
-    """Per row, the t_nbd-th smallest distance to another point.
-
-    ``dist_matrix`` must carry an inf diagonal; each row is partitioned in place.
-    """
-    dist_matrix.partition(t_nbd - 1, axis=1)
-    return dist_matrix[:, t_nbd - 1].copy()
-
-
 def _order_statistics(screen, ranks: list[int], lo: int, hi: int) -> np.ndarray:
     """Per row of lo:hi, the exact ``ranks``-th smallest distances to
     other rows. The screened t-th smallest is within the slack of the

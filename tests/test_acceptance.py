@@ -20,6 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import (
+    _kth_neighbor_distance,
+    auc_roc_pairwise,
+    average_precision_stepwise,
+    brute_force_knn,
+)
 from msde import (
     MsdeConfig,
     SearchSpace,
@@ -40,9 +46,8 @@ from msde import (
     shift_step,
 )
 from msde.cli import main
-from msde.knn import brute_force_knn, distances_from
-from msde.metrics import auc_roc_pairwise, average_precision_stepwise
-from msde.weights import _kth_neighbor_distance, pairwise_distances
+from msde.knn import distances_from
+from msde.weights import pairwise_distances
 
 # Criterion 7 golden values, derived once on the frozen instance
 # (seed 42, Table-3 defaults vs no-shift) and anchored thereafter.

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _inputs import point_sets, recorded
+from _oracles import brute_force_knn, count_within_radius
 from msde import build_knn_graph
 from msde import knn as knn_module
 from msde.exceptions import GraphError
-from msde.knn import SCAN_BLOCK_ROWS, brute_force_knn, count_within_radius, knn_neighbors
+from msde.knn import SCAN_BLOCK_ROWS, knn_neighbors
 
 
 def _matrix(values):

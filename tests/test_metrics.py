@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from _oracles import auc_roc_pairwise, average_precision_stepwise
 from msde import auc_roc, average_precision, evaluate
 from msde.exceptions import MetricError
-from msde.metrics import (
-    auc_roc_pairwise,
-    average_precision_stepwise,
-    metrics_json,
-)
+from msde.metrics import metrics_json
 
 
 class TestAucRoc:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _oracles import brute_force_knn
 from msde import (
     ShiftParams,
     SyntheticSpec,
@@ -18,7 +19,7 @@ from msde import (
 )
 import msde.shift as shift_module
 from msde.exceptions import ConfigError, GraphError, NumericError
-from msde.knn import NeighborGraph, brute_force_knn
+from msde.knn import NeighborGraph
 
 
 def _matrix(values):

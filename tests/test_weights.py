@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _inputs import point_sets, recorded
+from _oracles import _kth_neighbor_distance, count_within_radius
 from msde import (
     RadiusSchedule,
     build_fuzzy_graph,
@@ -19,14 +20,13 @@ from msde import (
 )
 from msde import weights as weights_module
 from msde.exceptions import GraphError
-from msde.knn import count_within_radius, distances_from
+from msde.knn import distances_from
 from msde.parallel import map_row_blocks
 from msde.weights import (
     PAIRWISE_BLOCK_ROWS,
     SIGMA_BISECTION_STEPS,
     _bisect_radius,
     _clamped_t_nbd,
-    _kth_neighbor_distance,
     _solve_bandwidths,
     _weights_from_coords,
     pairwise_distances,
