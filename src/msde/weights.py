@@ -13,9 +13,9 @@ at a time, within a derived slack of the kernel's; it re-evaluates with
 ``knn.distances_from`` every pair within that slack of a quantity being
 decided (a row's t-th smallest distance, the smallest and largest
 distance, one of the four radii). The weights therefore equal, bit for
-bit, those of the dense oracle that the tests keep: ``pairwise_distances``
-on ``G.toarray()`` fed to the same radius bisection, then direct strict
-counts.
+bit, those of the dense oracle in ``tests/_oracles.py``: the whole n x n
+kernel distance matrix of ``G.toarray()`` fed to the same radius
+bisection, then direct strict counts.
 
 The work splits into a prepare step and an apply step.
 ``prepare_weights`` screens the coordinates once and, in one pass over
@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ConfigError, GraphError
-from .knn import _GramScreen, build_knn_graph, distances_from
+from .knn import _GramScreen, build_knn_graph
 
 logger = logging.getLogger(__name__)
 
@@ -54,11 +54,6 @@ SIGMA_BISECTION_STEPS = 64
 RADIUS_BISECTION_STEPS = 60
 RADIUS_REL_TOL = 1e-6
 DEGENERATE_MIN_DISTANCE = 1e-12  # lower bracket when coincident points make d_min = 0
-# Rows of ``values`` per distance-kernel call in ``pairwise_distances``; keeps
-# the kernel's temporaries this many rows high instead of n x n. Each output
-# element is the same reduction over one contiguous row, so the height never
-# changes the result.
-PAIRWISE_BLOCK_ROWS = 64
 # Rows per block of the weights' distance screen; each pass's scratch is a
 # few arrays this many rows x n. Every decision is exact, so the height
 # never changes the result.
@@ -158,19 +153,6 @@ def build_fuzzy_graph(points, k_umap: int) -> FuzzyGraph:
     np.clip(combined.data, 0.0, 1.0, out=combined.data)
     combined.eliminate_zeros()
     return FuzzyGraph(memberships=combined, rho=rho, sigma=sigma)
-
-
-def pairwise_distances(points) -> np.ndarray:
-    """Dense n x n Euclidean distance matrix via the canonical kernel; the
-    oracle the screened weights are tested against."""
-    values = np.ascontiguousarray(points, dtype=np.float64)
-    n = values.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        for lo in range(0, n, PAIRWISE_BLOCK_ROWS):
-            cols = slice(lo, lo + PAIRWISE_BLOCK_ROWS)
-            out[i, cols] = distances_from(values, i, cols)
-    return out
 
 
 def _order_statistics(screen, ranks: list[int], lo: int, hi: int) -> np.ndarray:

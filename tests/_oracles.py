@@ -45,6 +45,13 @@ def count_within_radius(points, center_index: int, radius: float) -> int:
     return int(np.count_nonzero(d < radius))
 
 
+def pairwise_distances(points) -> np.ndarray:
+    """Dense n x n Euclidean distance matrix, one whole row of the kernel
+    at a time; the oracle the screened weights are tested against."""
+    values = np.ascontiguousarray(points, dtype=np.float64)
+    return np.stack([distances_from(values, i) for i in range(len(values))])
+
+
 def _kth_neighbor_distance(dist_matrix: np.ndarray, t_nbd: int) -> np.ndarray:
     """Per row, the t_nbd-th smallest distance to another point.
 

@@ -25,6 +25,7 @@ from _oracles import (
     auc_roc_pairwise,
     average_precision_stepwise,
     brute_force_knn,
+    pairwise_distances,
 )
 from msde import (
     MsdeConfig,
@@ -46,8 +47,6 @@ from msde import (
     shift_step,
 )
 from msde.cli import main
-from msde.knn import distances_from
-from msde.weights import pairwise_distances
 
 # Criterion 7 golden values, derived once on the frozen instance
 # (seed 42, Table-3 defaults vs no-shift) and anchored thereafter.

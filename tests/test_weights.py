@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _inputs import point_sets, recorded
-from _oracles import _kth_neighbor_distance, count_within_radius
+from _oracles import _kth_neighbor_distance, count_within_radius, pairwise_distances
 from msde import (
     RadiusSchedule,
     build_fuzzy_graph,
@@ -20,16 +20,12 @@ from msde import (
 )
 from msde import weights as weights_module
 from msde.exceptions import GraphError
-from msde.knn import distances_from
-from msde.parallel import map_row_blocks
 from msde.weights import (
-    PAIRWISE_BLOCK_ROWS,
     SIGMA_BISECTION_STEPS,
     _bisect_radius,
     _clamped_t_nbd,
     _solve_bandwidths,
     _weights_from_coords,
-    pairwise_distances,
     prepare_weights,
 )
 
@@ -441,37 +437,6 @@ class TestEmpiricalWeights:
         m = _matrix(rng.normal(size=(50, 2)))
         dw = compute_empirical_weights(m, t_nbd=5, k_umap=10)
         assert dw.satisfied_fraction >= 0.3
-
-
-class TestPairwiseDistances:
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("kind", ["random", "integer_ties"])
-    def test_equals_whole_row_kernel_bytewise(self, kind, threads):
-        # 150 rows: column slices of 64, 64 and 22.
-        assert 2 * PAIRWISE_BLOCK_ROWS < 150 < 3 * PAIRWISE_BLOCK_ROWS
-        rng = np.random.default_rng(12)
-        if kind == "random":
-            values = rng.normal(size=(150, 20))
-        else:
-            values = rng.integers(0, 3, size=(150, 20)).astype(float)
-        D = pairwise_distances(values)
-        # Whole rows of the kernel, fanned out over ``threads`` row blocks.
-        oracle = np.empty((150, 150))
-
-        def worker(start, stop):
-            for i in range(start, stop):
-                oracle[i] = distances_from(values, i)
-
-        map_row_blocks(worker, 150, threads)
-        assert D.tobytes() == oracle.tobytes()
-
-    def test_peak_memory_has_no_n_by_n_temporaries(self, peak_bytes):
-        rng = np.random.default_rng(13)
-        coords = np.ascontiguousarray(
-            build_fuzzy_graph(rng.normal(size=(300, 8)), 15).memberships.toarray()
-        )
-        output_bytes = 300 * 300 * 8
-        assert peak_bytes(pairwise_distances, coords) < 2 * output_bytes
 
 
 class TestBisectRadiusInternals:
