@@ -213,11 +213,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         [f"test:{r}" for r in split.test.row_ids]
             _dump_weights(out / "weights_joint.csv", union_ids,
                           report.joint_weights)
+    _write_echo(args, config, out)
+    _write_trace(out / "shift_trace.log", report)
     if report.metrics is None:
         raise MetricError("test labels contain a single class; no metrics")
     (out / "metrics.json").write_text(metrics_json(report.metrics) + "\n")
-    _write_echo(args, config, out)
-    _write_trace(out / "shift_trace.log", report)
     print(metrics_json(report.metrics))
     return 0
 

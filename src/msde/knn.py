@@ -74,10 +74,6 @@ class NeighborGraph:
     neighbors: np.ndarray  # (n, k) int64
     distances: np.ndarray  # (n, k) float64
 
-    @property
-    def n_samples(self) -> int:
-        return self.neighbors.shape[0]
-
 
 def _effective_k(k: int, n: int) -> int:
     if k < 1:

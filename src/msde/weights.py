@@ -74,10 +74,6 @@ class FuzzyGraph:
     rho: np.ndarray
     sigma: np.ndarray
 
-    @property
-    def n_samples(self) -> int:
-        return self.memberships.shape[0]
-
 
 @dataclass(frozen=True)
 class RadiusSchedule:

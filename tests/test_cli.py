@@ -131,6 +131,22 @@ class TestRun:
         assert code == 2
         assert "MSDE-ERR" in capsys.readouterr().err
 
+    def test_single_class_labels_still_write_echo_and_trace(self, synth_dir,
+                                                             tmp_path, capsys):
+        labels = tmp_path / "all_anomalous.csv"
+        labels.write_text(
+            "row_id,label\n" + "".join(f"test_{i:06d},1\n" for i in range(40)))
+        out = tmp_path / "one_class"
+        args = _run_args(synth_dir, out)
+        args[args.index("--labels") + 1] = str(labels)
+        with pytest.warns(UserWarning, match="single class"):
+            code = main(args)
+        assert code == 2
+        assert "MSDE-ERR eval" in capsys.readouterr().err
+        for name in ("scores.csv", "config_echo.txt", "shift_trace.log"):
+            assert (out / name).exists(), name
+        assert not (out / "metrics.json").exists()
+
     def test_dump_weights_flag(self, synth_dir, tmp_path):
         out = tmp_path / "dw"
         assert main(_run_args(synth_dir, out, ("--dump-weights",))) == 0
