@@ -1,9 +1,9 @@
 """Exact k-nearest-neighbor search and the one distance kernel.
 
-There is one route, ``knn_neighbors``; its oracle, ``brute_force_knn``
-(the naive O(n^2 d) scan), lives with the tests in ``tests/_oracles.py``.
-``build_knn_graph`` is ``knn_neighbors`` plus the kernel distances of the
-n k pairs it returns. Distances come only from the single metric kernel
+There is one route, ``knn_neighbors``; its oracle, the naive O(n^2 d)
+scan, lives with the tests in ``tests/_oracles.py``. ``build_knn_graph``
+is ``knn_neighbors`` plus the kernel distances of the n k pairs it
+returns. Distances come only from the single metric kernel
 ``distances_from``, so the route's and the oracle's are comparable bit for
 bit; they differ in how candidates are found. Ties in distance are always
 broken toward the lower row index.
@@ -237,4 +237,3 @@ def build_knn_graph(points, k: int) -> NeighborGraph:
     neighbors, screen = _knn_scan(values, k)
     distances = screen.distances(np.repeat(np.arange(n), k), neighbors.ravel())
     return NeighborGraph(k, neighbors, distances.reshape(n, k))
-
