@@ -26,7 +26,6 @@ spec = SyntheticSpec(
     n_test_normal=80,
     n_test_anomalous=80,
     anomaly_offset=2.5,
-    noise_scale=1.0,
 )
 split = generate_synthetic(spec, seed=0)
 print(f"train: {split.train.n_samples} x {split.train.dim}")

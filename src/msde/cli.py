@@ -24,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, npyio
 from .config import (
     CONFIG_FIELD_TYPES,
     MsdeConfig,
@@ -39,11 +39,12 @@ from .data import (
     attach_labels,
     default_row_ids,
     generate_synthetic,
+    join_labels,
     load_embeddings,
     load_labels,
     load_scores,
-    save_embeddings,
     save_scores,
+    write_lines,
 )
 from .exceptions import ConfigError, MetricError, MsdeError
 from .metrics import evaluate, metrics_json
@@ -89,6 +90,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``, so a bad value is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
+
+
 def _add_field_flags(p: argparse.ArgumentParser, types: dict[str, type]) -> None:
     """One kebab-case flag per field, default None (unset); a bool field
     gets a ``--name``/``--no-name`` pair."""
@@ -130,16 +143,17 @@ def _build_parser() -> _Parser:
     synth = sub.add_parser("synth", help="write a synthetic blob dataset")
     synth.add_argument("--out", required=True)
     _add_field_flags(synth, _SYNTH_TYPES)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_int_at_least(0), default=0)
 
     tune = _add_pipeline_parser(sub, "tune",
                                 "random search under the zero-leakage protocol")
-    tune.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    tune.add_argument("--seed", type=int, default=0)
+    tune.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
+    tune.add_argument("--seed", type=_int_at_least(0), default=0)
 
     ev = sub.add_parser("eval", help="recompute metrics from a scores CSV")
     ev.add_argument("--scores", required=True)
-    ev.add_argument("--labels", help="optional sidecar overriding the CSV labels")
+    ev.add_argument("--labels", help="sidecar replacing the scores file's labels; "
+                    "its ids must be exactly the scores file's")
     return parser
 
 
@@ -178,26 +192,23 @@ def _write_echo(args: argparse.Namespace, config: MsdeConfig, out: Path, **extra
     if args.labels:
         inputs["labels"] = args.labels
     versions = {"msde": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-    (out / "config_echo.txt").write_text(
-        config_echo({**settings, **extra}, inputs, versions))
+    write_lines(out / "config_echo.txt",
+                config_echo({**settings, **extra}, inputs, versions))
 
 
-def _write_trace(path: Path, report) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, trace in (("solo", report.solo_trace), ("joint", report.joint_trace)):
-            if trace is None:
-                continue
-            for i, delta in enumerate(trace.deltas, start=1):
-                fh.write(f"{name} iteration {i} delta {delta:.17g}\n")
-            fh.write(f"{name} converged {str(trace.converged).lower()} "
-                     f"after {trace.iterations_run} iterations\n")
+def _trace_lines(report):
+    for name, trace in (("solo", report.solo_trace), ("joint", report.joint_trace)):
+        if trace is None:
+            continue
+        for i, delta in enumerate(trace.deltas, start=1):
+            yield f"{name} iteration {i} delta {delta:.17g}"
+        yield (f"{name} converged {str(trace.converged).lower()} "
+               f"after {trace.iterations_run} iterations")
 
 
 def _dump_weights(path: Path, row_ids, weights) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("row_id,weight\n")
-        for rid, w in zip(row_ids, weights.weights):
-            fh.write(f"{rid},{w:.17g}\n")
+    write_lines(path, ["row_id,weight",
+                       *(f"{rid},{w:.17g}" for rid, w in zip(row_ids, weights.weights))])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -214,10 +225,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             _dump_weights(out / "weights_joint.csv", union_ids,
                           report.joint_weights)
     _write_echo(args, config, out)
-    _write_trace(out / "shift_trace.log", report)
+    write_lines(out / "shift_trace.log", _trace_lines(report))
     if report.metrics is None:
         raise MetricError("test labels contain a single class; no metrics")
-    (out / "metrics.json").write_text(metrics_json(report.metrics) + "\n")
+    write_lines(out / "metrics.json", [metrics_json(report.metrics)])
     print(metrics_json(report.metrics))
     return 0
 
@@ -227,14 +238,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     split = generate_synthetic(spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_embeddings(split.train, out / "train.npy")
-    save_embeddings(split.test, out / "test.npy")
+    npyio.write_matrix(out / "train.npy", split.train.values)
+    npyio.write_matrix(out / "test.npy", split.test.values)
     # Sidecar ids must match what `run`/`tune` will assign on load.
     reloaded_ids = default_row_ids(split.test.n_samples, "test")
-    with open(out / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("row_id,label\n")
-        for rid, lab in zip(reloaded_ids, split.test.labels):
-            fh.write(f"{rid},{int(lab)}\n")
+    write_lines(out / "labels.csv", ["row_id,label", *(
+        f"{rid},{int(lab)}" for rid, lab in zip(reloaded_ids, split.test.labels))])
     print(f"wrote train.npy test.npy labels.csv to {out}")
     return 0
 
@@ -245,32 +254,30 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         split, SearchSpace(), n_trials=args.trials, seed=args.seed,
         base_config=config,
     )
-    with open(out / "trials.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps({
-                "trial_index": rec.trial_index,
-                "params": dataclasses.asdict(rec.params),
-                "val_auc": rec.val_auc,
-                "val_ap": rec.val_ap,
-                "seed": rec.seed,
-            }) + "\n")
-        fh.write(json.dumps({
+    write_lines(out / "trials.jsonl", [
+        *(json.dumps({
+            "trial_index": rec.trial_index,
+            "params": dataclasses.asdict(rec.params),
+            "val_auc": rec.val_auc,
+            "val_ap": rec.val_ap,
+            "seed": rec.seed,
+        }) for rec in records),
+        json.dumps({
             "summary": True,
             "best_trial": best.trial_index,
             "final_auc": final_metrics.auc,
             "final_ap": final_metrics.ap,
-        }) + "\n")
-    with open(out / "trials.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial_index,k,eta,max_iters,tol,t_nbd,val_auc,val_ap,seed\n")
-        for rec in records:
-            p = rec.params
-            fh.write(f"{rec.trial_index},{p.k},{p.eta:.17g},{p.max_iters},"
-                     f"{p.tol:.17g},{p.t_nbd},{rec.val_auc:.17g},"
-                     f"{rec.val_ap:.17g},{rec.seed}\n")
-    (out / "best_params.json").write_text(
-        json.dumps(dataclasses.asdict(best.params), indent=2) + "\n"
-    )
-    (out / "final_metrics.json").write_text(metrics_json(final_metrics) + "\n")
+        }),
+    ])
+    write_lines(out / "trials.csv", [
+        "trial_index,k,eta,max_iters,tol,t_nbd,val_auc,val_ap,seed",
+        *(f"{rec.trial_index},{rec.params.k},{rec.params.eta:.17g},"
+          f"{rec.params.max_iters},{rec.params.tol:.17g},{rec.params.t_nbd},"
+          f"{rec.val_auc:.17g},{rec.val_ap:.17g},{rec.seed}" for rec in records),
+    ])
+    write_lines(out / "best_params.json",
+                [json.dumps(dataclasses.asdict(best.params), indent=2)])
+    write_lines(out / "final_metrics.json", [metrics_json(final_metrics)])
     _write_echo(args, config, out, seed=args.seed, trials=args.trials)
     print(metrics_json(final_metrics))
     return 0
@@ -279,11 +286,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     row_ids, labels, raw, _ = load_scores(args.scores)
     if args.labels:
-        mapping = load_labels(args.labels)
-        missing = [r for r in row_ids if r not in mapping]
-        if missing:
-            raise MetricError(f"label file missing id {missing[0]!r}")
-        labels = [mapping[r] for r in row_ids]
+        labels = join_labels(row_ids, load_labels(args.labels))
     result = evaluate(raw, labels)
     print(metrics_json(result))
     return 0

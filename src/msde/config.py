@@ -1,13 +1,14 @@
 """Run configuration: defaults, flat key=value config files, echo text.
 
 Config files are a TOML-compatible subset: one ``key = value`` per line,
-``#`` comments, booleans ``true``/``false``, ints, floats, optionally
-quoted strings. CLI flags override file values which override defaults.
+``#`` comments; each value is read as its field's type (``true``/``false``,
+an int or a float). CLI flags override file values which override defaults.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -39,8 +40,8 @@ class MsdeConfig:
     def __post_init__(self):
         if self.pca_dim < 1:
             raise ConfigError(f"pca_dim must be >= 1, got {self.pca_dim}")
-        if not self.lam > 0.0:
-            raise ConfigError(f"lambda must be > 0, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and > 0, got {self.lam}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
@@ -59,22 +60,6 @@ CONFIG_FIELD_TYPES: dict[str, type] = {
     for name, typ in get_type_hints(cls).items()
     if name != "shift"
 }
-
-
-def _parse_scalar(text: str):
-    text = text.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -96,8 +81,20 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_scalar(value)
+        values[key] = _parse_value(key, value.strip(), f"{path}:{lineno}")
     return values
+
+
+def _parse_value(key: str, text: str, where: str):
+    """``text`` as field ``key``'s type: bool is ``true``/``false``."""
+    typ = CONFIG_FIELD_TYPES[key]
+    try:
+        if typ is bool:
+            return {"true": True, "false": False}[text.lower()]
+        return typ(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: {external_key(key)} must be "
+                          f"{typ.__name__}, got {text!r}") from None
 
 
 def build_config(*overrides: dict) -> MsdeConfig:
@@ -140,14 +137,15 @@ def file_digest(path: str | Path) -> str:
 
 
 def config_echo(settings: dict, inputs: dict[str, str | Path],
-                versions: dict[str, str]) -> str:
-    """Flat resolved settings, versions and input digests; enough to rerun exactly."""
+                versions: dict[str, str]) -> list[str]:
+    """Lines of flat resolved settings, versions and input digests; enough
+    to rerun exactly."""
     lines = [f"{key} = {_format_value(v)}" for key, v in sorted(settings.items())]
     lines += [f"version.{name} = \"{v}\"" for name, v in sorted(versions.items())]
     for name, path in sorted(inputs.items()):
         lines.append(f"input.{name} = \"{path}\"")
         lines.append(f"input.{name}.sha256 = \"{file_digest(path)}\"")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _format_value(v) -> str:

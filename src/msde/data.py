@@ -1,4 +1,5 @@
-"""Embedding datasets: loading, validation, standardization, synthesis.
+"""Embedding datasets: loading, validation, standardization, synthesis,
+and the one reader and one writer of msde's text files.
 
 All pipeline arithmetic is done in float64 regardless of the width of the
 input files; matrices are widened on load so downstream results do not
@@ -166,30 +167,27 @@ def apply_standardizer(s: Standardizer, x: EmbeddingMatrix) -> EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Isotropic Gaussian blobs: normals at the origin, anomalies displaced
-    by ``anomaly_offset`` along the first axis."""
+    """Isotropic unit Gaussian blobs: normals at the origin, anomalies
+    displaced by ``anomaly_offset`` along the first axis."""
 
     dim: int = 8
     n_train: int = 200
     n_test_normal: int = 50
     n_test_anomalous: int = 50
     anomaly_offset: float = 3.0
-    noise_scale: float = 1.0
 
     def __post_init__(self):
         for name in ("dim", "n_train", "n_test_normal", "n_test_anomalous"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"synthetic spec: {name} must be >= 1")
-        if not self.noise_scale > 0:
-            raise ConfigError("synthetic spec: noise_scale must be > 0")
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetSplit:
     """Deterministic blob dataset; a pure function of (spec, seed)."""
     rng = np.random.default_rng(seed)
-    train = rng.normal(0.0, spec.noise_scale, size=(spec.n_train, spec.dim))
-    test_normal = rng.normal(0.0, spec.noise_scale, size=(spec.n_test_normal, spec.dim))
-    anomalies = rng.normal(0.0, spec.noise_scale, size=(spec.n_test_anomalous, spec.dim))
+    train = rng.normal(0.0, 1.0, size=(spec.n_train, spec.dim))
+    test_normal = rng.normal(0.0, 1.0, size=(spec.n_test_normal, spec.dim))
+    anomalies = rng.normal(0.0, 1.0, size=(spec.n_test_anomalous, spec.dim))
     anomalies[:, 0] += spec.anomaly_offset
 
     test_values = np.vstack([test_normal, anomalies])
@@ -204,13 +202,28 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetSplit:
 
 
 # ---------------------------------------------------------------------------
-# File I/O
+# File I/O: every text file msde reads or writes goes through
+# read_csv_rows and write_lines.
 # ---------------------------------------------------------------------------
 
-def _parse_csv_matrix(path: Path) -> np.ndarray:
+def read_csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
+    """Non-blank rows of a UTF-8 CSV file (LF or CRLF line ends), each with
+    the file line it ends on, so errors can name the line a reader sees."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and not (len(r) == 1 and r[0].strip() == "")]
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader
+                if row and (len(row) > 1 or row[0].strip())]
+
+
+def write_lines(path: str | Path, lines) -> None:
+    """Write ``lines`` as UTF-8 text, each followed by LF on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _parse_csv_matrix(path: Path) -> np.ndarray:
+    rows = read_csv_rows(path)
     if not rows:
         raise LoadError(f"{path}: file is empty")
 
@@ -235,20 +248,20 @@ def _parse_csv_matrix(path: Path) -> np.ndarray:
     # Header auto-detection: first row is a header iff any cell fails to parse.
     start = 0
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in rows[0][1]]
     except ValueError:
         start = 1
     if start == 1 and len(rows) == 1:
         raise LoadError(f"{path}: header only, no data rows")
 
-    width = len(rows[start])
+    width = len(rows[start][1])
     data = []
-    for i, cells in enumerate(rows[start:], start=start + 1):
+    for line_no, cells in rows[start:]:
         if len(cells) != width:
             raise LoadError(
-                f"{path}: line {i} has {len(cells)} fields, expected {width}"
+                f"{path}: line {line_no} has {len(cells)} fields, expected {width}"
             )
-        data.append(parse_row(cells, i))
+        data.append(parse_row(cells, line_no))
     return np.array(data, dtype=np.float64)
 
 
@@ -273,32 +286,17 @@ def load_embeddings(path: str | Path, id_prefix: str = "row") -> EmbeddingMatrix
                            default_row_ids(values.shape[0], id_prefix))
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Persist values only (ids are positional); format chosen by suffix."""
-    path = Path(path)
-    if path.suffix.lower() == ".npy":
-        npyio.write_matrix(path, matrix.values)
-    elif path.suffix.lower() == ".csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in matrix.values:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    else:
-        raise LoadError(f"{path}: unknown output suffix")
-
-
 def load_labels(path: str | Path) -> dict[str, int]:
     """Sidecar label file: ``row_id,label`` rows, optional header."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+    rows = read_csv_rows(path)
     if not rows:
         raise LoadError(f"{path}: label file is empty")
-    if rows[0] and rows[0][0].strip().lower() == "row_id":
+    if rows[0][1][0].strip().lower() == "row_id":
         rows = rows[1:]
     labels: dict[str, int] = {}
-    for i, cells in enumerate(rows, start=1):
+    for line_no, cells in rows:
         if len(cells) < 2:
-            raise LoadError(f"{path}: label line {i} needs row_id,label")
+            raise LoadError(f"{path}: line {line_no} needs row_id,label")
         rid = cells[0].strip()
         try:
             lab = int(cells[1])
@@ -314,20 +312,25 @@ def load_labels(path: str | Path) -> dict[str, int]:
     return labels
 
 
-def attach_labels(matrix: EmbeddingMatrix, labels: dict[str, int]) -> EmbeddingMatrix:
-    """Join sidecar labels onto a matrix by row id; ids must match exactly."""
-    missing = [r for r in matrix.row_ids if r not in labels]
+def join_labels(row_ids, labels: dict[str, int]) -> np.ndarray:
+    """Sidecar labels in ``row_ids`` order; the ids must match exactly."""
+    missing = [r for r in row_ids if r not in labels]
     if missing:
         raise LoadError(
             f"label file is missing {len(missing)} row ids (first: {missing[0]!r})"
         )
-    extra = set(labels) - set(matrix.row_ids)
+    extra = set(labels) - set(row_ids)
     if extra:
         raise LoadError(
             f"label file has {len(extra)} unknown row ids (e.g. {sorted(extra)[0]!r})"
         )
-    ordered = np.array([labels[r] for r in matrix.row_ids], dtype=np.int64)
-    return EmbeddingMatrix(matrix.values, matrix.row_ids, ordered)
+    return np.array([labels[r] for r in row_ids], dtype=np.int64)
+
+
+def attach_labels(matrix: EmbeddingMatrix, labels: dict[str, int]) -> EmbeddingMatrix:
+    """Join sidecar labels onto a matrix by row id (``join_labels``)."""
+    return EmbeddingMatrix(matrix.values, matrix.row_ids,
+                           join_labels(matrix.row_ids, labels))
 
 
 def save_scores(report, path: str | Path) -> None:
@@ -341,33 +344,31 @@ def save_scores(report, path: str | Path) -> None:
         raise ShapeError("score report fields disagree in length")
     if n == 0:
         warnings.warn("score report is empty; writing header-only file")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("row_id,label,raw_score,normalized_score\n")
-        for rid, lab, raw, norm in zip(
-            report.row_ids, report.labels, report.raw, report.normalized
-        ):
-            fh.write(f"{rid},{int(lab)},{raw:.17g},{norm:.17g}\n")
+    write_lines(path, [
+        "row_id,label,raw_score,normalized_score",
+        *(f"{rid},{int(lab)},{raw:.17g},{norm:.17g}" for rid, lab, raw, norm
+          in zip(report.row_ids, report.labels, report.raw, report.normalized)),
+    ])
     logger.info("wrote %d scores to %s", n, path)
 
 
 def load_scores(path: str | Path):
     """Read back a scores CSV into (row_ids, labels, raw, normalized)."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows or rows[0] != ["row_id", "label", "raw_score", "normalized_score"]:
+    rows = read_csv_rows(path)
+    if not rows or rows[0][1] != ["row_id", "label", "raw_score", "normalized_score"]:
         raise LoadError(f"{path}: not a scores CSV (bad header)")
     row_ids, labels, raw, norm = [], [], [], []
-    for i, cells in enumerate(rows[1:], start=2):
+    for line_no, cells in rows[1:]:
         if len(cells) != 4:
-            raise LoadError(f"{path}: line {i} has {len(cells)} fields, expected 4")
+            raise LoadError(
+                f"{path}: line {line_no} has {len(cells)} fields, expected 4")
         row_ids.append(cells[0])
         try:
             labels.append(int(cells[1]))
             raw.append(float(cells[2]))
             norm.append(float(cells[3]))
         except ValueError as exc:
-            raise LoadError(f"{path}: line {i}: {exc}") from None
+            raise LoadError(f"{path}: line {line_no}: {exc}") from None
     return (
         tuple(row_ids),
         np.array(labels, dtype=np.int64),

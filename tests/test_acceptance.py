@@ -66,8 +66,7 @@ def _report(num: int, ok: bool, detail: str = "") -> None:
 def thesis_reports():
     """Criterion 7 instance, shifted and no-shift, reused by criterion 9."""
     spec = SyntheticSpec(dim=32, n_train=500, n_test_normal=100,
-                         n_test_anomalous=100, anomaly_offset=2.5,
-                         noise_scale=1.0)
+                         n_test_anomalous=100, anomaly_offset=2.5)
     split = generate_synthetic(spec, THESIS_SEED)
     t0 = time.monotonic()
     with warnings.catch_warnings():

@@ -69,6 +69,12 @@ class TestSynth:
         assert (a / "train.npy").read_bytes() == (c / "train.npy").read_bytes()
         assert (a / "train.npy").read_bytes() != (b / "train.npy").read_bytes()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "x"), "--seed", "-1"])
+        assert exc.value.code == 1
+        assert "MSDE-ERR cli: argument --seed" in capsys.readouterr().err
+
     def test_zero_anomalies_refused(self, tmp_path):
         code = main(["synth", "--out", str(tmp_path / "x"),
                      "--n-test-anomalous", "0"])
@@ -147,6 +153,17 @@ class TestRun:
             assert (out / name).exists(), name
         assert not (out / "metrics.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_lambda_is_usage_error(self, source, synth_dir, tmp_path,
+                                            capsys):
+        extra = ["--lambda", "inf"]
+        if source == "config":
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("lambda = inf\n")
+            extra = ["--config", str(cfg)]
+        assert main(_run_args(synth_dir, tmp_path / "r", extra)) == 1
+        assert "MSDE-ERR cli: lambda must be finite" in capsys.readouterr().err
+
     def test_dump_weights_flag(self, synth_dir, tmp_path):
         out = tmp_path / "dw"
         assert main(_run_args(synth_dir, out, ("--dump-weights",))) == 0
@@ -201,6 +218,19 @@ class TestEval:
         code = main(["eval", "--scores", str(p)])
         assert code == 2
         assert "MSDE-ERR eval" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("case", ["unknown", "missing"])
+    def test_sidecar_ids_must_match_scores(self, case, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("row_id,label,raw_score,normalized_score\n"
+                          "a,0,0.1,0.2\nb,1,0.9,0.9\n")
+        rows = {"unknown": "a,0\nb,1\nc,1\n", "missing": "a,0\n"}[case]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("row_id,label\n" + rows)
+        code = main(["eval", "--scores", str(scores), "--labels", str(labels)])
+        assert code == 2
+        assert "MSDE-ERR data_io: label file " in capsys.readouterr().err
 
 
 class TestTuneCommand:
@@ -286,6 +316,16 @@ class TestTuneCommand:
         assert code == 2
         assert "MSDE-ERR tune:" in capsys.readouterr().err
         assert not (out / "trials.jsonl").exists()
+
+    @pytest.mark.parametrize("flag", ["--seed -3", "--trials 0", "--trials x"])
+    def test_out_of_range_count_is_usage_error(self, flag, synth_dir, tmp_path,
+                                               capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_tune_args(synth_dir, tmp_path / "t", flag.split()))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"MSDE-ERR cli: argument {flag.split()[0]}: expected an integer" in err
+        assert not (tmp_path / "t").exists()
 
     def test_default_trials_is_eighty(self):
         from msde.tune import DEFAULT_TRIALS
@@ -400,6 +440,13 @@ class TestConfigParsing:
         p.write_text(line + "\n")
         with pytest.raises(ConfigError):
             build_config(parse_config_file(p))
+
+    def test_file_values_read_as_field_type(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("k = 12\neta = 1\nstandardize = True\n")
+        values = parse_config_file(p)
+        assert values == {"k": 12, "eta": 1.0, "standardize": True}
+        assert type(values["eta"]) is float
 
     def test_int_for_float_key_stored_as_float(self):
         cfg = build_config({"eta": 1, "lambda": 2})

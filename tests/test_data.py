@@ -14,7 +14,15 @@ from msde import (
     load_embeddings,
     save_scores,
 )
-from msde.data import attach_labels, load_labels, load_scores
+from msde import npyio
+from msde.data import (
+    attach_labels,
+    join_labels,
+    load_labels,
+    load_scores,
+    read_csv_rows,
+    write_lines,
+)
 from msde.exceptions import ConfigError, FitError, LoadError, ShapeError
 from msde.scoring import ScoreReport
 
@@ -105,6 +113,15 @@ class TestCsvLoading:
         with pytest.raises(LoadError, match="line 2, column 2"):
             load_embeddings(p)
 
+    def test_error_names_file_line_after_blank_lines(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("1,2\n\n\n3,x\n")
+        with pytest.raises(LoadError, match="line 4, column 2"):
+            load_embeddings(p)
+        p.write_bytes(b"f1,f2\r\n\r\n1,2\r\n  \r\n3\r\n")
+        with pytest.raises(LoadError, match="line 5 has 1 fields"):
+            load_embeddings(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("")
@@ -186,15 +203,12 @@ class TestSynthetic:
     def test_invalid_counts(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(n_train=0)
-        with pytest.raises(ConfigError):
-            SyntheticSpec(noise_scale=0.0)
 
     def test_extreme_offset_separates_distances(self):
         # offset 100 with unit noise: every anomaly farther from the train
         # centroid than every normal
         spec = SyntheticSpec(dim=2, n_train=100, n_test_normal=50,
-                             n_test_anomalous=50, anomaly_offset=100.0,
-                             noise_scale=1.0)
+                             n_test_anomalous=50, anomaly_offset=100.0)
         split = generate_synthetic(spec, 7)
         centroid = split.train.values.mean(axis=0)
         d = np.linalg.norm(split.test.values - centroid, axis=1)
@@ -206,6 +220,21 @@ class TestSynthetic:
         split = generate_synthetic(SyntheticSpec(), 0)
         assert split.train.labels is None
         assert split.test.labels.sum() == SyntheticSpec().n_test_anomalous
+
+
+class TestTextFiles:
+    def test_rows_carry_the_file_line_they_end_on(self, tmp_path):
+        p = tmp_path / "rows.csv"
+        p.write_bytes(b'a,b\r\n\r\n  \r\n"x\ny",z\r\n,\r\nw\n')
+        assert read_csv_rows(p) == [(1, ["a", "b"]), (5, ["x\ny", "z"]),
+                                    (6, ["", ""]), (7, ["w"])]
+
+    def test_write_lines_is_utf8_with_lf(self, tmp_path):
+        p = tmp_path / "out.txt"
+        write_lines(p, ["a,b", "\u00e9"])
+        assert p.read_bytes() == b"a,b\n\xc3\xa9\n"
+        write_lines(p, [])
+        assert p.read_bytes() == b""
 
 
 class TestScorePersistence:
@@ -244,6 +273,19 @@ class TestScorePersistence:
             save_scores(self._report([], [], []), p)
         assert p.read_text() == "row_id,label,raw_score,normalized_score\n"
 
+    def test_load_error_names_file_line(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("row_id,label,raw_score,normalized_score\n\nb,1,0.5\n")
+        with pytest.raises(LoadError, match="line 3 has 3 fields"):
+            load_scores(p)
+
+    def test_whitespace_only_rows_skipped(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text("row_id,label,raw_score,normalized_score\n  \n"
+                     "a,0,0.1,0.2\n\t\n")
+        ids, labels, _, _ = load_scores(p)
+        assert ids == ("a",) and labels.tolist() == [0]
+
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             save_scores(self._report([1.0], [0.5], [1]),
@@ -251,16 +293,25 @@ class TestScorePersistence:
 
 
 class TestEmbeddingRoundTrip:
+    @staticmethod
+    def _save(values, path):
+        # msde writes NPY only; a CSV input is written here by hand, with
+        # the 17 significant digits that round-trip a float64.
+        if path.suffix == ".npy":
+            npyio.write_matrix(path, values)
+        else:
+            path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                    for row in values))
+
     @pytest.mark.parametrize("suffix", [".npy", ".csv"])
     def test_load_save_load_value_identical(self, tmp_path, suffix):
-        from msde.data import save_embeddings
         rng = np.random.default_rng(29)
         values = rng.normal(size=(17, 5)) * np.logspace(-3, 3, 5)
         first = tmp_path / ("a" + suffix)
         second = tmp_path / ("b" + suffix)
-        save_embeddings(_matrix(values), first)
+        self._save(values, first)
         loaded = load_embeddings(first)
-        save_embeddings(loaded, second)
+        self._save(loaded.values, second)
         reloaded = load_embeddings(second)
         np.testing.assert_array_equal(loaded.values, reloaded.values)
         np.testing.assert_array_equal(loaded.values, values)
@@ -278,6 +329,25 @@ class TestLabelSidecar:
         p2.write_text("row_id,label\nr0,0\nrX,1\n")
         with pytest.raises(LoadError):
             attach_labels(m, load_labels(p2))
+
+    def test_join_refuses_missing_and_unknown_ids(self):
+        ids = ("r0", "r1")
+        assert join_labels(ids, {"r1": 1, "r0": 0}).tolist() == [0, 1]
+        with pytest.raises(LoadError, match="missing 1 row ids"):
+            join_labels(ids, {"r0": 0})
+        with pytest.raises(LoadError, match="1 unknown row ids"):
+            join_labels(ids, {"r0": 0, "r1": 1, "rX": 1})
+
+    def test_error_names_file_line_after_blank_lines(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("row_id,label\n\nr0,0\n\nr1\n")
+        with pytest.raises(LoadError, match="line 5 needs row_id,label"):
+            load_labels(p)
+
+    def test_whitespace_only_rows_skipped(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("row_id,label\n \nr0,0\n\t\nr1,1\n")
+        assert load_labels(p) == {"r0": 0, "r1": 1}
 
     def test_attach_shares_values(self):
         m = _matrix([[1.0], [2.0]])

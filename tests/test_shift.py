@@ -358,8 +358,7 @@ class TestSoloJointFanOut:
     def test_outputs_do_not_depend_on_threads(self, instance, monkeypatch):
         if instance == "criterion_07":
             spec = SyntheticSpec(dim=32, n_train=500, n_test_normal=100,
-                                 n_test_anomalous=100, anomaly_offset=2.5,
-                                 noise_scale=1.0)
+                                 n_test_anomalous=100, anomaly_offset=2.5)
             split = generate_synthetic(spec, 42)
             train, test = split.train.values, split.test.values
             params = ShiftParams()
