@@ -180,6 +180,8 @@ class SyntheticSpec:
         for name in ("dim", "n_train", "n_test_normal", "n_test_anomalous"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"synthetic spec: {name} must be >= 1")
+        if not math.isfinite(self.anomaly_offset):
+            raise ConfigError("synthetic spec: anomaly_offset must be finite")
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetSplit:

@@ -31,8 +31,8 @@ from .exceptions import GraphError
 
 logger = logging.getLogger(__name__)
 
-# Rows per Gram block in the scan. Its two scratch buffers (the screen and
-# a copy to partition) are this many rows x n each, allocated once per call.
+# Rows per Gram block in the scan. Its scratch buffers (the screen, a copy to
+# partition, the candidate mask) are this many rows x n, allocated once a call.
 SCAN_BLOCK_ROWS = 256
 # Floats per gathered operand when the screen's kernel evaluates pairs of
 # dense rows: each ``distances_from`` call takes max(1, budget // d) pairs.
@@ -89,8 +89,10 @@ def _effective_k(k: int, n: int) -> int:
 class _GramScreen:
     """Blocked screen of squared distances between the rows of ``coords``
     (a dense array or a CSR matrix), with kernel distances for the pairs
-    it cannot decide. A CSR ``coords`` must be exactly symmetric, as a
-    fuzzy graph's memberships are: it is its own transpose.
+    it cannot decide. A block's inner products are one product: its rows
+    times ``coords.T`` when dense, and ``coords`` times its rows densified
+    when CSR (symmetric or not), sparse times dense. Blocks are
+    C-contiguous: the scan reads them through ``d2.ravel()``.
 
     ``slack[i]`` is twice a bound on |screened d^2 - the kernel's sum of
     squares| over every j, in units of eps (|x_i|^2 + |x_j|^2) with |x_j|^2
@@ -118,12 +120,10 @@ class _GramScreen:
         self.sparse = sp.issparse(coords)
         width = coords.shape[1]
         if self.sparse:
-            self.coords_t = coords
             self.sq_norms = np.asarray(coords.multiply(coords).sum(axis=1)).ravel()
             terms = int(np.diff(coords.indptr).max())
             self.chunk = CSR_CHUNK_PAIRS
         else:
-            self.coords_t = coords.T
             self.sq_norms = np.einsum("ij,ij->i", coords, coords)
             terms = width
             self.chunk = max(1, RERANK_CHUNK_FLOATS // max(width, 1))
@@ -135,10 +135,11 @@ class _GramScreen:
         """Screened squared distances from rows lo:hi to every row, with an
         inf diagonal; written into ``out`` when it is given."""
         if self.sparse:
-            d2 = (self.coords[lo:hi] @ self.coords_t).toarray(out=out)
+            gram = self.coords @ self.coords[lo:hi].T.toarray()
+            d2 = np.multiply(gram.T, -2.0, out=out, order="C")
         else:
-            d2 = np.matmul(self.coords[lo:hi], self.coords_t, out=out)
-        d2 *= -2.0
+            d2 = np.matmul(self.coords[lo:hi], self.coords.T, out=out)
+            d2 *= -2.0
         d2 += self.sq_norms[lo:hi, None]
         d2 += self.sq_norms
         np.maximum(d2, 0.0, out=d2)
@@ -167,7 +168,7 @@ class _GramScreen:
         near = np.zeros(d2.shape, dtype=bool)
         for c, w in zip(centers.T, widths.T):
             near |= (d2 >= (c - w)[:, None]) & (d2 <= (c + w)[:, None])
-        rows, cols = np.nonzero(near)
+        rows, cols = np.divmod(np.flatnonzero(near), d2.shape[1])
         d2[rows, cols] = np.nan
         return rows, self.distances(lo + rows, cols)
 
@@ -177,7 +178,8 @@ def _knn_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, _GramScreen]:
     neighbors = np.empty((n, k), dtype=np.int64)
     screen = _GramScreen(values)
     height = min(SCAN_BLOCK_ROWS, n)
-    screened, ranked = np.empty((height, n)), np.empty((height, n))
+    screened, ranked, mask = (np.empty((height, n)), np.empty((height, n)),
+                              np.empty((height, n), dtype=bool))
     widen = 1.0 + 8.0 * np.finfo(np.float64).eps
 
     # Screen each block and keep every column at or near each row's k-th
@@ -193,13 +195,18 @@ def _knn_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, _GramScreen]:
         bound = (part[:, k - 1] + slack) * widen + slack
         if not np.isfinite(bound).all():  # inf admits self, NaN no column
             raise GraphError("squared distances overflow float64")
-        rows, cand = np.nonzero(d2 <= bound[:, None])
-        s = d2[rows, cand]
-        # Row-major, so sorting stably by row keeps rows where they are and
-        # puts each row's candidates in screened order.
-        order = np.argsort(s)
-        order = order[np.argsort(rows[order].astype(np.min_scalar_type(m - 1)),
-                                 kind="stable")]
+        flat = np.flatnonzero(np.less_equal(d2, bound[:, None], out=mask[:m]))
+        rows, cand = np.divmod(flat, n)
+        s = d2.ravel()[flat]
+        # Row-major, so each row's candidates are contiguous. Put them in
+        # screened order: as an (m, k) array when every row has exactly k,
+        # else (ties at the k-th boundary) by a stable sort by row.
+        if len(flat) == m * k:
+            order = (np.argsort(s.reshape(m, k)) + np.arange(0, m * k, k)[:, None]).ravel()
+        else:
+            order = np.argsort(s)
+            order = order[np.argsort(rows[order].astype(np.min_scalar_type(m - 1)),
+                                     kind="stable")]
         cand, s = cand[order], s[order]
         # A run starts at each row's first candidate and after every gap the
         # screen orders (see _GramScreen); the order between runs is exact.

@@ -4,9 +4,11 @@ Each iteration rebuilds the k-NN lists on the current coordinates, moves
 every point a fraction ``eta`` of the way toward the density-weighted
 mean of its neighborhood (all updates from the iteration-start snapshot),
 and stops once the mean displacement drops below ``tol`` or after
-``max_iters`` iterations. Density weights are computed once per run, on
-the points as given. Points are float64 ``(n, d)`` arrays; row ids and
-labels stay with the caller.
+``max_iters`` iterations. A step, x <- x + eta (D^-1 A W x - x) with A
+the neighbor lists, W the weights and D their sums per list, is one
+sparse product. Density weights are computed once per run, on the points
+as given. Points are float64 ``(n, d)`` arrays; row ids and labels stay
+with the caller.
 
 What a run does before its first step depends on its points and
 ``k_umap`` only, not on the other params: the fuzzy graph, pass 1 of the
@@ -30,6 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import ConfigError, GraphError, NumericError
 # build_knn_graph stays bound here: perfbench's tracer wraps every binding
@@ -40,14 +43,6 @@ from .weights import (DensityWeights, PreparedWeights, apply_weights,
                       build_fuzzy_graph, prepare_weights)
 
 logger = logging.getLogger(__name__)
-
-# Floats per row block of the shift step. Each step scales every row by its
-# weight once; a block then sums its rows' scaled neighbors one neighbor
-# column at a time, into an accumulator and a gather buffer of
-# max(1, STEP_BLOCK_FLOATS // d) rows each, so both stay cache-sized (64
-# rows at d = 512). Every row sums in its own neighbor order, so the
-# height never changes the result.
-STEP_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,11 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray,
 
     ``neighbors`` is the (n, k) integer array of each row's neighbor lists,
     as ``knn_neighbors`` returns it, and ``weights`` holds one density
-    weight per row. A row's weighted sum adds the products w_j * x_j,
-    taken from the once-scaled rows, one at a time in the order of its
-    list. Neighborhoods whose weights sum to zero fall back to the
-    unweighted neighborhood mean so the target stays defined.
+    weight per row. One product of the lists, as a CSR matrix of ones in
+    list order, with the once-scaled rows adds each row's w_j * x_j in the
+    order of its list (scipy sums CSR-times-dense in stored order).
+    Neighborhoods whose weights sum to zero fall back to the unweighted
+    neighborhood mean so the target stays defined.
     """
     if not 0.0 < eta <= 1.0:
         raise ConfigError(f"eta must be in (0, 1], got {eta}")
@@ -121,31 +117,25 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray,
         raise GraphError(f"weights must have shape ({n},), got {weights.shape}")
     wsum = weights[neighbors].sum(axis=1)
     scaled = weights[:, None] * values
-    new = np.empty_like(values)
-    rows = max(1, STEP_BLOCK_FLOATS // max(d, 1))
-    acc = np.empty((min(rows, n), d))
-    term = np.empty_like(acc)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        nbr = neighbors[start:stop]
-        block_acc, block_term = acc[:stop - start], term[:stop - start]
-        # indices were checked above; "wrap" lets take write out= unbuffered
-        np.take(scaled, nbr[:, 0], axis=0, out=block_acc, mode="wrap")
-        for j in range(1, nbr.shape[1]):
-            np.take(scaled, nbr[:, j], axis=0, out=block_term, mode="wrap")
-            block_acc += block_term
-        block_sum = wsum[start:stop]
-        zero = block_sum == 0.0
-        safe = np.where(zero, 1.0, block_sum)
-        targets = new[start:stop]
-        np.divide(block_acc, safe[:, None], out=targets)
-        if zero.any():
-            targets[zero] = values[nbr[zero]].mean(axis=1)
-        if eta != 1.0:
-            # x + eta * (t - x); eta == 1 keeps the target exactly
-            targets -= values[start:stop]
-            targets *= eta
-            targets += values[start:stop]
+    size, k = neighbors.size, neighbors.shape[1]
+    new = sp.csr_matrix((np.ones(size), neighbors.ravel(), np.arange(0, size + 1, k)),
+                        shape=(n, n)) @ scaled
+    zero = wsum == 0.0
+    if eta == 1.0:
+        # The target is kept, so is a zero's sign: sums start from +0.0, and a
+        # kept row's zero sum is -0.0 when every term (the first too) is -0.0.
+        rows, cols = np.divmod(np.flatnonzero(new == 0.0), d)
+        maybe = ~zero[rows] & np.signbit(scaled[neighbors[rows, 0], cols])
+        rows, cols = rows[maybe], cols[maybe]
+        negative = np.signbit(scaled[neighbors[rows], cols[:, None]]).all(axis=1)
+        new[rows[negative], cols[negative]] = -0.0
+    np.divide(new, np.where(zero, 1.0, wsum)[:, None], out=new)
+    new[zero] = values[neighbors[zero]].mean(axis=1)
+    if eta != 1.0:
+        # x + eta * (t - x) in place; a zero t gives the same bits either sign
+        new -= values
+        new *= eta
+        new += values
     if not np.all(np.isfinite(new)):
         bad = int(np.argwhere(~np.isfinite(new))[0][0])
         raise NumericError(f"non-finite coordinates after shift step at row {bad}")

@@ -9,13 +9,13 @@ The fuzzy graph's per-row bandwidths are solved for all rows at once.
 
 No n x n array is formed. The membership matrix G stays sparse, and
 ``knn._GramScreen`` screens squared distances between its rows one block
-at a time, within a derived slack of the kernel's; it re-evaluates with
-``knn.distances_from`` every pair within that slack of a quantity being
-decided (a row's t-th smallest distance, the smallest and largest
-distance, one of the four radii). The weights therefore equal, bit for
-bit, those of the dense oracle in ``tests/_oracles.py``: the whole n x n
-kernel distance matrix of ``G.toarray()`` fed to the same radius
-bisection, then direct strict counts.
+at a time (G times the block's rows densified), within a derived
+slack of the kernel's; it re-evaluates with ``knn.distances_from`` every
+pair within that slack of a quantity being decided (a row's t-th smallest
+distance, the smallest and largest distance, one of the four radii). The
+weights therefore equal, bit for bit, those of the dense oracle in
+``tests/_oracles.py``: the whole n x n kernel distance matrix of
+``G.toarray()`` fed to the same radius bisection, then direct strict counts.
 
 The work splits into a prepare step and an apply step.
 ``prepare_weights`` screens the coordinates once and, in one pass over
@@ -259,8 +259,8 @@ class PreparedWeights:
 
 
 def prepare_weights(coords, t_nbds) -> PreparedWeights:
-    """Pass 1 over the rows of ``coords`` (a dense array or a symmetric CSR
-    matrix): the order statistics the radius search needs for any of ``t_nbds``."""
+    """Pass 1 over the rows of ``coords`` (a dense array or a CSR matrix):
+    the order statistics the radius search needs for any of ``t_nbds``."""
     n = coords.shape[0]
     screen = _GramScreen(coords)
     ranks = sorted({1, n - 1, _clamped_t_nbd(n)} | {t for t in t_nbds if t <= n - 1})

@@ -1,15 +1,21 @@
 """Shared plumbing of the ``bench_*.py`` scaling benchmarks.
 
-Each benchmark measures one msde function on fixed seed-42 instances and
-stores its results in a ``BENCH_*.json`` under a label (``parent``,
-``change``, ...), with the machine it ran on. Other labels already in the
-file are kept, and ``hashes_match`` compares every pair of labels on the
-instances both ran. BLAS is pinned to one thread before numpy loads.
+Each benchmark measures one msde function on fixed seed-42 instances, for
+one or more checkouts given as ``--run LABEL=SRC`` (``SRC`` is the
+directory holding that checkout's ``msde`` package). Every checkout's
+package is loaded into the one process under a name of its own, and on
+each instance the labels' calls alternate, with the first label swapping
+on every repeat, so drift on a shared machine falls on all of them alike.
+The results are stored in a ``BENCH_*.json`` under each label, with the
+machine it ran on. Other labels already in the file are kept, and
+``hashes_match`` compares every pair of labels on the instances both ran.
+BLAS is pinned to one thread before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
 import os
@@ -23,42 +29,79 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 
+def _label_src(value: str) -> tuple[str, Path]:
+    label, sep, src = value.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {value!r}")
+    return label, Path(src).resolve()
+
+
+def _load_package(src: Path, name: str):
+    """The ``msde`` package under ``src``, imported as ``name`` with all
+    the submodules its ``__init__`` imports."""
+    init = src / "msde" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
 def setup(doc: str, out_name: str) -> argparse.Namespace:
-    """Parse ``--label``, ``--src``, ``--max-rows`` and ``--out``, pin BLAS
-    to one thread and put ``--src`` first on the import path."""
+    """Parse ``--run LABEL=SRC`` (repeatable), ``--max-rows`` and
+    ``--out``, pin BLAS to one thread and load each checkout's package:
+    ``args.packages`` maps each label to its ``msde``, in the given order."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--src", default=str(HERE.parent / "src"),
-                        help="directory holding the msde package to measure")
+    parser.add_argument("--run", action="append", required=True, type=_label_src,
+                        metavar="LABEL=SRC",
+                        help="a label and the directory holding the msde package "
+                             "it measures; give two or more to compare them")
     parser.add_argument("--max-rows", type=int, default=None,
                         help="skip instances with more rows")
     parser.add_argument("--out", default=str(HERE / out_name))
     args = parser.parse_args()
+    labels = [label for label, _ in args.run]
+    if len(set(labels)) != len(labels):
+        parser.error(f"each --run needs its own label, got {labels}")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads BLAS
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    args.packages = {label: _load_package(src, f"_msde_run{i}")
+                     for i, (label, src) in enumerate(args.run)}
     return args
 
 
-def measure(fn, *args, repeats: int = 1):
-    """``fn(*args)`` and its timing: ``seconds``, the median of ``repeats``
-    calls, ``repeat_seconds``, each call's seconds in order (their spread
-    shows how far the median can be trusted), and ``peak_mb``, the
-    tracemalloc peak in MB of one more call."""
-    seconds = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn(*args)
-        seconds.append(time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, {"seconds": round(statistics.median(seconds), 4),
-                    "repeat_seconds": [round(t, 4) for t in seconds],
-                    "peak_mb": round(peak / 2**20, 2)}
+def measure(calls: dict, repeats: int = 1) -> dict:
+    """Time ``fn(*fn_args)`` for every ``label: (fn, fn_args)`` of ``calls``,
+    ``repeats`` times each: the labels alternate, and the first of them
+    swaps on every repeat. Returns ``label: (result, timing)``, where
+    timing holds ``seconds``, the median of the repeats,
+    ``repeat_seconds``, each call's seconds in order (their spread shows
+    how far the median can be trusted), and ``peak_mb``, the tracemalloc
+    peak in MB of one more call."""
+    labels = list(calls)
+    seconds = {label: [] for label in labels}
+    results = {}
+    for r in range(repeats):
+        for label in labels[::-1] if r % 2 else labels:
+            fn, fn_args = calls[label]
+            start = time.perf_counter()
+            results[label] = fn(*fn_args)
+            seconds[label].append(time.perf_counter() - start)
+    out = {}
+    for label in labels:
+        fn, fn_args = calls[label]
+        tracemalloc.start()
+        try:
+            fn(*fn_args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[label] = (results[label], {
+            "seconds": round(statistics.median(seconds[label]), 4),
+            "repeat_seconds": [round(t, 4) for t in seconds[label]],
+            "peak_mb": round(peak / 2**20, 2)})
+    return out
 
 
 def _machine() -> dict:
@@ -81,13 +124,17 @@ def _hashes_match(runs: dict, key: tuple) -> dict:
     return out
 
 
-def write_report(args: argparse.Namespace, header: dict, results: list,
+def write_report(args: argparse.Namespace, header: dict, results: dict,
                  key: tuple) -> None:
-    """Store ``results`` under ``args.label`` in ``args.out``; results of
-    two labels are the same instance when they agree on the ``key`` fields."""
+    """Store each label's list of ``results`` in ``args.out``, noting the
+    labels it alternated with; results of two labels are the same instance
+    when they agree on the ``key`` fields."""
     out = Path(args.out)
     report = json.loads(out.read_text()) if out.exists() else {}
     runs = report.get("runs", {})
-    runs[args.label] = {"machine": _machine(), "results": results}
+    for label, rows in results.items():
+        runs[label] = {"machine": _machine(),
+                       "alternated_with": [other for other in results if other != label],
+                       "results": rows}
     report = {**header, "runs": runs, "hashes_match": _hashes_match(runs, key)}
     out.write_text(json.dumps(report, indent=2) + "\n")

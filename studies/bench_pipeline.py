@@ -6,15 +6,14 @@ plus 500 test rows, and an 8-trial ``random_search`` (seed 0) on 500x32
 train rows plus 200 test rows, the shape of acceptance criterion 7. At 2
 threads the solo and joint shift runs of each scoring pass run
 concurrently, so two working sets are live in the peak. Each is timed as
-the median of three calls, then run once more under tracemalloc for its
-peak. The median, each call's seconds, the peak and a SHA-256 (of the raw
-test scores, or of the trial records and final metrics as ``msde tune``
-writes them) are stored in ``studies/BENCH_pipeline.json`` under a label,
-with the machine it ran on (see ``_bench.py``). To compare a change with
-its parent checkout:
+the median of three calls, alternating with the other checkouts' calls,
+then run once more under tracemalloc for its peak. The median, each call's
+seconds, the peak and a SHA-256 (of the raw test scores, or of the trial
+records and final metrics as ``msde tune`` writes them) are stored in
+``studies/BENCH_pipeline.json`` under each label, with the machine it ran
+on (see ``_bench.py``). To compare a change with its parent checkout:
 
-    python studies/bench_pipeline.py --label change
-    python studies/bench_pipeline.py --label parent --src ../parent/src
+    python studies/bench_pipeline.py --run parent=../parent/src --run change=src
 
 BLAS is pinned to one thread, so ``threads`` is msde's only parallelism.
 pytest does not collect this directory.
@@ -47,34 +46,37 @@ def _search_digest(result) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _call(msde, call: str, rows: int, normal: int, anomalous: int, dim: int,
+          threads: int) -> tuple:
+    """One checkout's (function, arguments, digest of its result)."""
+    config = msde.config.MsdeConfig(threads=threads)
+    split = msde.data.generate_synthetic(
+        msde.data.SyntheticSpec(dim=dim, n_train=rows, n_test_normal=normal,
+                                n_test_anomalous=anomalous), SEED)
+    if call == "score_pipeline":
+        return (msde.scoring.score_pipeline, (split, config),
+                lambda report: hashlib.sha256(report.raw.tobytes()).hexdigest())
+    return (msde.tune.random_search,
+            (split, msde.tune.SearchSpace(), TRIALS, SEARCH_SEED, config), _search_digest)
+
+
 def main() -> None:
     args = _bench.setup(__doc__, "BENCH_pipeline.json")
-    from msde.config import MsdeConfig
-    from msde.data import SyntheticSpec, generate_synthetic
-    from msde.scoring import score_pipeline
-    from msde.tune import SearchSpace, random_search
-
-    results = []
+    results = {label: [] for label in args.packages}
     for (call, rows, normal, anomalous, dim), threads in itertools.product(
             INSTANCES, THREADS):
         if args.max_rows is not None and rows > args.max_rows:
             continue
-        config = MsdeConfig(threads=threads)
-        split = generate_synthetic(
-            SyntheticSpec(dim=dim, n_train=rows, n_test_normal=normal,
-                          n_test_anomalous=anomalous), SEED)
-        if call == "score_pipeline":
-            report, timing = _bench.measure(
-                score_pipeline, split, config, repeats=REPEATS)
-            digest = hashlib.sha256(report.raw.tobytes()).hexdigest()
-        else:
-            result, timing = _bench.measure(
-                random_search, split, SearchSpace(), TRIALS, SEARCH_SEED, config,
-                repeats=REPEATS)
-            digest = _search_digest(result)
-        results.append({"call": call, "rows": rows, "test_rows": normal + anomalous,
-                        "dim": dim, "threads": threads, **timing, "sha256": digest})
-        print(json.dumps(results[-1]), flush=True)
+        calls = {label: _call(msde, call, rows, normal, anomalous, dim, threads)
+                 for label, msde in args.packages.items()}
+        timed = _bench.measure({label: (fn, fn_args) for label, (fn, fn_args, _)
+                                in calls.items()}, REPEATS)
+        for label, (result, timing) in timed.items():
+            results[label].append({"call": call, "rows": rows,
+                                   "test_rows": normal + anomalous, "dim": dim,
+                                   "threads": threads, **timing,
+                                   "sha256": calls[label][2](result)})
+            print(json.dumps({"label": label, **results[label][-1]}), flush=True)
     _bench.write_report(args, {"seed": SEED, "search_seed": SEARCH_SEED,
                                "trials": TRIALS, "repeats": REPEATS},
                         results, ("call", "rows", "dim", "threads"))

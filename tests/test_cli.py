@@ -80,6 +80,16 @@ class TestSynth:
                      "--n-test-anomalous", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("offset", ["inf", "nan"])
+    def test_non_finite_anomaly_offset_is_usage_error(self, offset, tmp_path,
+                                                      capsys):
+        code = main(["synth", "--out", str(tmp_path / "x"),
+                     "--anomaly-offset", offset])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "MSDE-ERR cli: synthetic spec: anomaly_offset must be finite" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestRun:
     def test_outputs_and_exit_zero(self, synth_dir, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -55,8 +56,9 @@ class TestBuildKnnGraph:
                 build_knn_graph(_matrix([[0.0], [1.0], [1e200]]), 1)
 
     def test_peak_memory_two_blocks(self, peak_bytes):
-        # The scan's scratch is two SCAN_BLOCK_ROWS x n buffers, allocated
-        # once per call; at n=1200 that is 0.43 of one n x n float64.
+        # The scan's scratch is two SCAN_BLOCK_ROWS x n float buffers and a
+        # bool mask, allocated once per call; at n=1200 that is 0.45 of one
+        # n x n float64.
         n = 1200
         points = np.random.default_rng(0).normal(size=(n, 32))
         assert peak_bytes(build_knn_graph, points, 15) < 0.55 * n * n * 8
@@ -170,6 +172,48 @@ def test_offset_grid_ties_break_by_column_index(dim, offset):
         assert knn_neighbors(points, k).tobytes() == oracle.neighbors.tobytes()
         assert graph.neighbors.tobytes() == oracle.neighbors.tobytes()
         assert graph.distances.tobytes() == oracle.distances.tobytes()
+
+
+@pytest.mark.parametrize("height", [SCAN_BLOCK_ROWS, 7, 1])
+def test_exact_k_rows_and_boundary_ties_in_one_block(height, monkeypatch):
+    # One 256-row block: most rows have exactly k screen candidates, sorted
+    # as an (m, k) array, but rows 0, 100 and 200 have a duplicate of their
+    # k-th neighbor tied at the k-th boundary, which sends the block to the
+    # global sort. At heights 7 and 1 most blocks take the (m, k) sort and
+    # the blocks of those rows the global one, in the same call.
+    rng = np.random.default_rng(3)
+    k = 6
+    points = rng.normal(size=(256, 8))
+    kth = brute_force_knn(points, k).neighbors[:, k - 1]
+    for row, copy in ((0, 250), (100, 251), (200, 252)):
+        points[copy] = points[kth[row]]
+    distances = brute_force_knn(points, k + 1).distances
+    tied = np.flatnonzero(distances[:, k - 1] == distances[:, k])
+    assert set(tied) >= {0, 100, 200} and len(tied) < 20
+    monkeypatch.setattr(knn_module, "SCAN_BLOCK_ROWS", height)
+    oracle = brute_force_knn(points, k).neighbors
+    assert knn_neighbors(points, k).tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_screen_blocks_are_c_contiguous(sparse, out):
+    # The scan reads each block through d2.ravel(), which would copy a
+    # block of any other layout. A CSR matrix need not be square or
+    # symmetric; each block holds squared kernel distances within the
+    # slack, and an inf diagonal.
+    rng = np.random.default_rng(8)
+    dense = rng.uniform(size=(40, 30)) * (rng.random((40, 30)) < 0.3)
+    screen = knn_module._GramScreen(sp.csr_matrix(dense) if sparse else dense)
+    given = np.empty((12, 40)) if out else None
+    d2 = screen.block(5, 17, out=given)
+    assert d2.flags.c_contiguous and d2.shape == (12, 40)
+    assert d2 is given or not out
+    rows, cols = np.divmod(np.arange(12 * 40), 40)
+    exact = screen.distances(5 + rows, cols).reshape(12, 40) ** 2
+    assert np.all(np.isinf(d2[np.arange(12), np.arange(5, 17)]))
+    off = np.arange(12)[:, None] + 5 != np.arange(40)
+    assert np.all(np.abs(d2 - exact)[off] <= np.repeat(screen.slack[5:17], 39))
 
 
 @pytest.mark.parametrize("kind", ["grid", "random"])

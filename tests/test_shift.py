@@ -99,26 +99,6 @@ class TestShiftStep:
             assert np.all(moved <= eta * radius + 1e-12)
 
     @pytest.mark.parametrize("eta", [0.33, 1.0])
-    def test_block_size_does_not_change_step(self, monkeypatch, eta):
-        # Each row sums in its own neighbor order, so the block height must
-        # not change a single bit; zero weights (and one all-zero
-        # neighborhood) exercise the fallback inside and across blocks.
-        rng = np.random.default_rng(11)
-        n, d = 53, 6
-        pts = rng.normal(size=(n, d))
-        graph = build_knn_graph(_matrix(pts), 5)
-        w = rng.uniform(0.0, 5.0, size=n)
-        w[rng.random(n) < 0.3] = 0.0
-        w[graph.neighbors[20]] = 0.0
-        results = []
-        for rows in (1, 7, n + 1):
-            monkeypatch.setattr(shift_module, "STEP_BLOCK_FLOATS", rows * d)
-            results.append(shift_step(pts, graph.neighbors, w, eta))
-        for new, delta in results[1:]:
-            assert new.tobytes() == results[0][0].tobytes()
-            assert delta == results[0][1]
-
-    @pytest.mark.parametrize("eta", [0.33, 1.0])
     @pytest.mark.parametrize("d, k", [(1, 60), (2, 60), (3, 17), (32, 60), (512, 50)])
     def test_step_sums_each_row_in_neighbor_order(self, d, k, eta):
         # Byte for byte against a per-row sequential sum. At d = 512 the
@@ -142,6 +122,18 @@ class TestShiftStep:
         assert delta == expected_delta
         if eta == 1.0:
             assert np.signbit(new[7]).all()
+
+    def test_zero_sums_keep_their_list_order_sign(self):
+        # A sum of -0.0 terms alone is -0.0; one +0.0 term, or terms that
+        # cancel exactly, make it +0.0. Column 0 of rows 0-2 sums to each.
+        pts = _matrix([[-0.0, 1.0], [0.0, 2.0], [3.0, -1.0], [-3.0, 4.0]])
+        neighbors = np.array([[0, 0], [0, 1], [2, 3], [3, 2]])
+        w = _manual_weights([1.0, 2.0, 1.0, 1.0])
+        new, delta = shift_step(pts, neighbors, w, eta=1.0)
+        expected, expected_delta = _sequential_step(pts, neighbors, w, 1.0)
+        assert new.tobytes() == expected.tobytes()
+        assert delta == expected_delta
+        assert list(np.signbit(new[:3, 0])) == [True, False, False]
 
     def test_invalid_eta(self):
         pts = np.array([[0.0], [1.0]])

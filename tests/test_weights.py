@@ -162,7 +162,7 @@ class TestFuzzyGraph:
 
     @pytest.mark.parametrize("kind", ["random", "grid"])
     def test_memberships_equal_their_transpose_bytewise(self, kind):
-        # The Gram screen uses a CSR G as its own transpose.
+        # The probabilistic union A + A^T - A*A^T is symmetric bit for bit.
         rng = np.random.default_rng(23)
         if kind == "random":
             points = rng.normal(size=(150, 5))
