@@ -159,19 +159,6 @@ class _GramScreen:
             out[a:a + len(i)] = distances_from(values, i, j)
         return out
 
-    def settle(self, d2: np.ndarray, lo: int, centers: np.ndarray,
-               widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Re-evaluate with the kernel every pair whose screened value lies
-        within ``widths`` of one of its row's ``centers`` (both shaped rows
-        x m). Their screened values become NaN, so no comparison counts them
-        again. Returns the pairs' block rows, in order, and exact distances."""
-        near = np.zeros(d2.shape, dtype=bool)
-        for c, w in zip(centers.T, widths.T):
-            near |= (d2 >= (c - w)[:, None]) & (d2 <= (c + w)[:, None])
-        rows, cols = np.divmod(np.flatnonzero(near), d2.shape[1])
-        d2[rows, cols] = np.nan
-        return rows, self.distances(lo + rows, cols)
-
 
 def _knn_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, _GramScreen]:
     n = values.shape[0]
@@ -236,11 +223,14 @@ def knn_neighbors(points, k: int) -> np.ndarray:
     return _knn_scan(values, _effective_k(k, values.shape[0]))[0]
 
 
+def _with_distances(neighbors: np.ndarray, screen: _GramScreen) -> NeighborGraph:
+    """The lists ``neighbors`` with the kernel distance of every listed pair."""
+    n, k = neighbors.shape
+    distances = screen.distances(np.repeat(np.arange(n), k), neighbors.ravel())
+    return NeighborGraph(k, neighbors, distances.reshape(n, k))
+
+
 def build_knn_graph(points, k: int) -> NeighborGraph:
     """``knn_neighbors`` with the kernel distance of every listed pair."""
     values = _as_values(points)
-    n = values.shape[0]
-    k = _effective_k(k, n)
-    neighbors, screen = _knn_scan(values, k)
-    distances = screen.distances(np.repeat(np.arange(n), k), neighbors.ravel())
-    return NeighborGraph(k, neighbors, distances.reshape(n, k))
+    return _with_distances(*_knn_scan(values, _effective_k(k, values.shape[0])))

@@ -10,15 +10,17 @@ sparse product. Density weights are computed once per run, on the points
 as given. Points are float64 ``(n, d)`` arrays; row ids and labels stay
 with the caller.
 
-What a run does before its first step depends on its points and
-``k_umap`` only, not on the other params: the fuzzy graph, pass 1 of the
-density weights and the iteration-1 neighbor lists. ``prepare_shift``
-builds that once for a set of params (every ``t_nbd`` among them, and the
-largest ``k``: exact lists with lower-index tie-breaks are prefix-closed,
-so each k takes the first k columns), and ``apply_shift`` runs one of
-them from it. ``run_shift`` is the two for one set of params;
-``prepare_joint`` and ``joint_shift`` do the same for the solo and the
-joint run.
+What a run does before its first step depends on its points, ``k_umap``
+and ``t_nbd`` only, not on the other params: the fuzzy graph, the density
+weights and the iteration-1 neighbor lists. ``prepare_shift`` builds that
+once for a set of params from one exact k-NN scan at the larger of
+``k_umap`` and their largest ``k``: exact lists with lower-index
+tie-breaks are prefix-closed, so the fuzzy graph takes the first
+``k_umap`` columns (with their kernel distances) and each k the first k.
+The weights are prepared for every ``t_nbd`` among the params, and
+``apply_shift`` runs one of them from it. ``run_shift`` is the two for
+one set of params; ``prepare_joint`` and ``joint_shift`` do the same for
+the solo and the joint run.
 
 At ``threads >= 2`` these two run the solo and the joint run on a thread
 each (msde's only fan-out); each run is single-threaded, so results never
@@ -37,10 +39,12 @@ import scipy.sparse as sp
 from .exceptions import ConfigError, GraphError, NumericError
 # build_knn_graph stays bound here: perfbench's tracer wraps every binding
 # of it, and its tests read this one.
-from .knn import _effective_k, build_knn_graph, knn_neighbors  # noqa: F401
+from .knn import build_knn_graph  # noqa: F401
+from .knn import (_as_values, _effective_k, _knn_scan, _with_distances,
+                  knn_neighbors)
 from .parallel import map_row_blocks
-from .weights import (DensityWeights, PreparedWeights, apply_weights,
-                      build_fuzzy_graph, prepare_weights)
+from .weights import (DensityWeights, PreparedWeights, _fuzzy_from_knn,
+                      apply_weights, prepare_weights)
 
 logger = logging.getLogger(__name__)
 
@@ -148,9 +152,9 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray,
 class ShiftInput:
     """The work every shift run over one set of points shares.
 
-    ``weights`` is pass 1 of the density weights on the points' fuzzy
-    graph, built with ``k_umap``, and ``neighbors`` their exact k-NN lists
-    at the largest prepared k (clamped to n-1).
+    ``weights`` holds the density weights, for every prepared ``t_nbd``,
+    on the points' fuzzy graph built with ``k_umap``, and ``neighbors``
+    their exact k-NN lists at the largest prepared k (clamped to n-1).
     """
 
     k_umap: int
@@ -160,10 +164,10 @@ class ShiftInput:
 
 def prepare_shift(points: np.ndarray,
                   params: Sequence[ShiftParams]) -> ShiftInput | None:
-    """What every run of ``params`` over ``points`` shares, built once;
-    None when none of them shifts (``max_iters == 0`` needs nothing). The
-    graph takes the first shifting params' ``k_umap``, and ``apply_shift``
-    refuses params with another."""
+    """What every run of ``params`` over ``points`` shares, built once
+    from one k-NN scan; None when none of them shifts (``max_iters == 0``
+    needs nothing). The graph takes the first shifting params'
+    ``k_umap``, and ``apply_shift`` refuses params with another."""
     shifting = [p for p in params if p.max_iters > 0]
     if not shifting:
         return None
@@ -171,16 +175,19 @@ def prepare_shift(points: np.ndarray,
     if n < 2:
         raise GraphError(f"shift needs at least 2 points, got {n}")
     k_umap = shifting[0].k_umap
-    fuzzy = build_fuzzy_graph(points, k_umap)
+    values = _as_values(points)
+    umap = _effective_k(k_umap, n)
+    k = min(max(p.k for p in shifting), n - 1)
+    neighbors, screen = _knn_scan(values, max(umap, k))
+    fuzzy = _fuzzy_from_knn(_with_distances(neighbors[:, :umap], screen))
     weights = prepare_weights(fuzzy.memberships, [p.t_nbd for p in shifting])
-    neighbors = knn_neighbors(points, min(max(p.k for p in shifting), n - 1))
-    return ShiftInput(k_umap, weights, neighbors)
+    return ShiftInput(k_umap, weights, neighbors[:, :k])
 
 
 def apply_shift(points: np.ndarray, prepared: ShiftInput | None,
                 params: ShiftParams) -> ShiftedEmbeddings:
     """Full refinement loop over ``points`` from ``prepare_shift(points,
-    ...)``: the weights' radius search and counts, then k-NN + step per
+    ...)``: the prepared weights of ``params.t_nbd``, then k-NN + step per
     iteration, where iteration 1 takes its lists from the prepared ones."""
     if params.max_iters == 0:
         return ShiftedEmbeddings(points, ShiftTrace(0, (), False), None)

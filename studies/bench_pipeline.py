@@ -1,9 +1,11 @@
 """End-to-end benchmark of the pipeline at paper scale and of ``msde tune``.
 
-Runs two fixed seed-42 synthetic instances (``generate_synthetic``, default
-config at 1 and at 2 threads): ``score_pipeline`` on 2000x512 train rows
-plus 500 test rows, and an 8-trial ``random_search`` (seed 0) on 500x32
-train rows plus 200 test rows, the shape of acceptance criterion 7. At 2
+Runs three fixed seed-42 synthetic instances (``generate_synthetic``,
+default config at 1 and at 2 threads): ``score_pipeline`` on 2000x512 train
+rows plus 500 test rows, and ``random_search`` (seed 0) with 8 and with 80
+trials (the CLI default: up to 78 distinct ``t_nbd`` share one
+preparation) on 500x32 train rows plus 200 test rows, the shape of
+acceptance criterion 7. At 2
 threads the solo and joint shift runs of each scoring pass run
 concurrently, so two working sets are live in the peak. Each is timed as
 the median of three calls, alternating with the other checkouts' calls,
@@ -28,11 +30,12 @@ import json
 
 import _bench
 
-# (call, train rows, test normals, test anomalies, dim)
-INSTANCES = (("score_pipeline", 2000, 250, 250, 512),
-             ("random_search", 500, 100, 100, 32))
+# (call, train rows, test normals, test anomalies, dim, trials)
+INSTANCES = (("score_pipeline", 2000, 250, 250, 512, None),
+             ("random_search", 500, 100, 100, 32, 8),
+             ("random_search", 500, 100, 100, 32, 80))
 THREADS = (1, 2)
-SEED, SEARCH_SEED, TRIALS, REPEATS = 42, 0, 8, 3
+SEED, SEARCH_SEED, REPEATS = 42, 0, 3
 
 
 def _search_digest(result) -> str:
@@ -47,7 +50,7 @@ def _search_digest(result) -> str:
 
 
 def _call(msde, call: str, rows: int, normal: int, anomalous: int, dim: int,
-          threads: int) -> tuple:
+          trials: int | None, threads: int) -> tuple:
     """One checkout's (function, arguments, digest of its result)."""
     config = msde.config.MsdeConfig(threads=threads)
     split = msde.data.generate_synthetic(
@@ -57,29 +60,29 @@ def _call(msde, call: str, rows: int, normal: int, anomalous: int, dim: int,
         return (msde.scoring.score_pipeline, (split, config),
                 lambda report: hashlib.sha256(report.raw.tobytes()).hexdigest())
     return (msde.tune.random_search,
-            (split, msde.tune.SearchSpace(), TRIALS, SEARCH_SEED, config), _search_digest)
+            (split, msde.tune.SearchSpace(), trials, SEARCH_SEED, config), _search_digest)
 
 
 def main() -> None:
     args = _bench.setup(__doc__, "BENCH_pipeline.json")
     results = {label: [] for label in args.packages}
-    for (call, rows, normal, anomalous, dim), threads in itertools.product(
+    for (call, rows, normal, anomalous, dim, trials), threads in itertools.product(
             INSTANCES, THREADS):
         if args.max_rows is not None and rows > args.max_rows:
             continue
-        calls = {label: _call(msde, call, rows, normal, anomalous, dim, threads)
+        calls = {label: _call(msde, call, rows, normal, anomalous, dim, trials, threads)
                  for label, msde in args.packages.items()}
         timed = _bench.measure({label: (fn, fn_args) for label, (fn, fn_args, _)
                                 in calls.items()}, REPEATS)
         for label, (result, timing) in timed.items():
             results[label].append({"call": call, "rows": rows,
                                    "test_rows": normal + anomalous, "dim": dim,
-                                   "threads": threads, **timing,
+                                   "trials": trials, "threads": threads, **timing,
                                    "sha256": calls[label][2](result)})
             print(json.dumps({"label": label, **results[label][-1]}), flush=True)
     _bench.write_report(args, {"seed": SEED, "search_seed": SEARCH_SEED,
-                               "trials": TRIALS, "repeats": REPEATS},
-                        results, ("call", "rows", "dim", "threads"))
+                               "repeats": REPEATS},
+                        results, ("call", "rows", "dim", "trials", "threads"))
 
 
 if __name__ == "__main__":

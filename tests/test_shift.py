@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from _inputs import recorded
 from _oracles import brute_force_knn
 from msde import (
     ShiftParams,
     SyntheticSpec,
+    build_fuzzy_graph,
     build_knn_graph,
     generate_synthetic,
     joint_shift,
@@ -270,6 +272,43 @@ class TestRunShift:
         outp = run_shift(_matrix(values[perm]), _quiet_params(max_iters=2, tol=1e-9))
         np.testing.assert_allclose(outp.values[inv], out.values,
                                    atol=1e-12)
+
+
+class TestPrepareShift:
+    @pytest.mark.parametrize("ks, k_umap", [((12, 20), 8), ((15,), 15), ((5, 3), 25),
+                                            ((10,), 60), ((45,), 12)])
+    def test_one_scan_gives_the_fuzzy_graph_and_the_lists(self, monkeypatch,
+                                                          ks, k_umap):
+        # On 40 points: k_umap below, equal to and above the largest k, and
+        # k_umap or k past n - 1. The one scan's lists give the fuzzy graph
+        # of build_fuzzy_graph byte for byte, with the same clamp warning,
+        # and the iteration-1 lists of the largest k.
+        points = np.random.default_rng(30).normal(size=(40, 3))
+        scans, graphs = [], []
+        knn_scan, fuzzy_from_knn = shift_module._knn_scan, shift_module._fuzzy_from_knn
+
+        def scan(values, k):
+            scans.append(k)
+            return knn_scan(values, k)
+
+        def fuzzy(graph):
+            graphs.append(fuzzy_from_knn(graph))
+            return graphs[-1]
+
+        monkeypatch.setattr(shift_module, "_knn_scan", scan)
+        monkeypatch.setattr(shift_module, "_fuzzy_from_knn", fuzzy)
+        params = [_quiet_params(k=k, k_umap=k_umap) for k in ks]
+        prepared, caught = recorded(shift_module.prepare_shift, points, params)
+        expected, expected_caught = recorded(build_fuzzy_graph, points, k_umap)
+        assert len(scans) == 1 and len(graphs) == 1
+        assert caught == expected_caught
+        assert graphs[0].rho.tobytes() == expected.rho.tobytes()
+        assert graphs[0].sigma.tobytes() == expected.sigma.tobytes()
+        for part in ("data", "indices", "indptr"):
+            got = getattr(graphs[0].memberships, part)
+            assert got.tobytes() == getattr(expected.memberships, part).tobytes()
+        lists = brute_force_knn(points, min(max(ks), 39)).neighbors
+        assert np.ascontiguousarray(prepared.neighbors).tobytes() == lists.tobytes()
 
 
 def _joint_shift(train, test, params):

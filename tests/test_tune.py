@@ -294,15 +294,15 @@ class TestRandomSearch:
         # The first fuzzy graph is the validation split's; the final
         # evaluation builds its own and succeeds.
         graphs = []
-        build_fuzzy_graph = shift_module.build_fuzzy_graph
+        fuzzy_from_knn = shift_module._fuzzy_from_knn
 
-        def failing_graph(points, k_umap):
-            graphs.append(len(points))
+        def failing_graph(graph):
+            graphs.append(len(graph.neighbors))
             if len(graphs) == 1:
                 raise GraphError("injected graph failure")
-            return build_fuzzy_graph(points, k_umap)
+            return fuzzy_from_knn(graph)
 
-        monkeypatch.setattr(shift_module, "build_fuzzy_graph", failing_graph)
+        monkeypatch.setattr(shift_module, "_fuzzy_from_knn", failing_graph)
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING, "msde.tune"):
             warnings.simplefilter("ignore")
             best, records, final = random_search(

@@ -13,19 +13,24 @@ from hypothesis.extra.numpy import arrays
 from _inputs import point_sets, recorded
 from _oracles import _kth_neighbor_distance, count_within_radius, pairwise_distances
 from msde import (
+    DensityWeights,
     RadiusSchedule,
     build_fuzzy_graph,
     build_knn_graph,
     compute_empirical_weights,
 )
 from msde import weights as weights_module
-from msde.exceptions import GraphError
+from msde.exceptions import ConfigError, GraphError
+from msde.knn import _GramScreen
 from msde.weights import (
     SIGMA_BISECTION_STEPS,
     _bisect_radius,
+    _Bracketed,
     _clamped_t_nbd,
+    _order_statistics,
     _solve_bandwidths,
     _weights_from_coords,
+    apply_weights,
     prepare_weights,
 )
 
@@ -51,17 +56,25 @@ def _solve_bandwidth_reference(dists, rho, target):
     return 0.5 * (lo + hi)
 
 
+def _exact(values):
+    """Known order statistics in the form the radius search reads."""
+    return _Bracketed(None, values, values.copy(), None)
+
+
 def _dense_weights(coords, t_nbd):
     """The dense oracle: the full distance matrix's extremes and order
     statistics fed to the radius bisection, then direct strict counts.
-    Returns (weights, epsilon, satisfied_fraction)."""
+    Returns (weights, epsilon, satisfied_fraction) and emits the search's
+    warnings."""
     dist = pairwise_distances(coords)
     n = len(dist)
     d_max = float(dist.max())
     np.fill_diagonal(dist, np.inf)
-    kth = {t: _kth_neighbor_distance(dist, t)
+    kth = {t: _exact(_kth_neighbor_distance(dist, t))
            for t in (t_nbd, _clamped_t_nbd(n)) if t <= n - 1}
-    eps, _, fraction = _bisect_radius(n, kth, float(dist.min()), d_max, t_nbd)
+    eps, _, fraction, notes = _bisect_radius(n, kth, float(dist.min()), d_max, t_nbd)
+    for note in notes:
+        warnings.warn(note)
     counts = np.zeros(n)
     for radius in RadiusSchedule(eps).radii:
         counts += np.count_nonzero(dist < radius, axis=1)
@@ -256,24 +269,102 @@ def test_screened_weights_equal_dense_oracle_bytewise(inputs):
             assert caught == expected
 
 
-@pytest.mark.parametrize("kind", ["random", "grid"])
-def test_pass_one_order_statistics_do_not_depend_on_the_rank_set(kind):
-    # One pass 1 serves every t_nbd of a tuning study: each rank's column
-    # over the study's rank set is byte-equal to a pass over that rank alone.
+def _instance(kind, n=150):
+    """Gaussian rows, an integer grid (ties) or three equidistant rows
+    repeated, where no row has more than n / 3 - 1 neighbors closer than
+    the largest distance, so the radius search is unsatisfiable."""
     rng = np.random.default_rng(21)
     if kind == "random":
-        points = rng.normal(size=(150, 5))
-    else:
-        points = rng.integers(0, 3, size=(150, 3)).astype(float)
-    memberships = build_fuzzy_graph(points, 15).memberships
+        return rng.normal(size=(n, 5))
+    if kind == "grid":
+        return rng.integers(0, 3, size=(n, 3)).astype(float)
+    return np.eye(3)[np.arange(n) % 3]
+
+
+@pytest.mark.parametrize("kind", ["random", "grid"])
+def test_pass_one_order_statistics_do_not_depend_on_the_rank_set(kind, monkeypatch):
+    # One pass 1 serves every t_nbd of a tuning study: each rank's exact
+    # values over the study's rank set are byte-equal to a pass over that
+    # rank alone, and to the dense oracle's.
+    memberships = build_fuzzy_graph(_instance(kind), 15).memberships
     n = memberships.shape[0]
     t_nbds = [3, 10, 25, 26, 70, 149, 200]
-    together = prepare_weights(memberships, t_nbds).kth
-    assert set(together) == {1, n - 1, _clamped_t_nbd(n)} | {
-        t for t in t_nbds if t <= n - 1}
-    for t, column in together.items():
-        alone = prepare_weights(memberships, [t]).kth[t]
-        assert column.tobytes() == alone.tobytes()
+    requested = []
+
+    def recording(screen, ranks):
+        requested.append(ranks)
+        return _order_statistics(screen, ranks)
+
+    monkeypatch.setattr(weights_module, "_order_statistics", recording)
+    prepare_weights(memberships, t_nbds)
+    assert requested == [sorted({1, n - 1, _clamped_t_nbd(n)} | {
+        t for t in t_nbds if t <= n - 1})]
+
+    dist = pairwise_distances(memberships.toarray())
+    np.fill_diagonal(dist, np.inf)
+    screen = _GramScreen(memberships)
+    together = _order_statistics(screen, requested[0])
+    for t, stat in together.items():
+        alone = _order_statistics(screen, [t])[t]
+        for values in (stat, alone):
+            values.settle(np.ones(n, dtype=bool))
+            assert values.lo.tobytes() == values.hi.tobytes()
+        assert stat.hi.tobytes() == alone.hi.tobytes()
+        assert stat.hi.tobytes() == _kth_neighbor_distance(dist, t).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "grid", "clusters"])
+@pytest.mark.parametrize("sparse", [True, False])
+def test_one_preparation_serves_every_t_nbd(kind, sparse):
+    # A duplicate t_nbd, the t > n-1 clamp and (on the clusters' own
+    # coordinates) the unsatisfiable radius: each t_nbd's weights,
+    # epsilon, fraction and warnings equal those of a preparation for it
+    # alone and the dense oracle's, byte for byte.
+    points = _instance(kind)
+    coords = build_fuzzy_graph(points, 15).memberships if sparse else points
+    dense = coords.toarray() if sparse else coords
+    t_nbds = [3, 10, 10, 25, 149, 200]
+    prepared, caught = recorded(prepare_weights, coords, t_nbds)
+    assert caught == []
+    messages = []
+    for t in t_nbds:
+        dw, caught = recorded(apply_weights, prepared, t)
+        (weights, eps, fraction), expected = recorded(_dense_weights, dense, t)
+        alone, caught_alone = recorded(_weights_from_coords, coords, t)
+        for ref, ref_caught in ((alone, caught_alone),
+                                (DensityWeights(weights, RadiusSchedule(eps), fraction),
+                                 expected)):
+            assert dw.weights.tobytes() == ref.weights.tobytes()
+            assert dw.schedule.epsilon == ref.schedule.epsilon
+            assert dw.satisfied_fraction == ref.satisfied_fraction
+            assert caught == ref_caught
+        messages += caught
+    assert any("clamped" in m for m in messages)
+    if kind == "clusters" and not sparse:
+        assert any("unsatisfiable even at the maximum" in m for m in messages)
+    with pytest.raises(ConfigError, match="not prepared"):
+        apply_weights(prepared, 11)
+
+
+def test_pass_one_evaluates_few_pairs_with_the_kernel(monkeypatch):
+    # Pass 1 keeps an order statistic screened until the radius search
+    # asks about a value inside its bracket; pass 2 evaluates only pairs
+    # within the slack of a radius. Together they send far fewer pairs to
+    # the kernel than one per row and rank.
+    memberships = build_fuzzy_graph(np.random.default_rng(4).normal(size=(300, 8)),
+                                    15).memberships
+    n, t_nbds = memberships.shape[0], [3, 10, 25, 70]
+    ranks = {1, n - 1, _clamped_t_nbd(n)} | set(t_nbds)
+    pairs = []
+    distances = _GramScreen.distances
+
+    def counting(self, rows, cols):
+        pairs.append(len(rows))
+        return distances(self, rows, cols)
+
+    monkeypatch.setattr(_GramScreen, "distances", counting)
+    prepare_weights(memberships, t_nbds)
+    assert sum(pairs) <= n * len(ranks) // 20
 
 
 class TestSearchRadius:
@@ -444,8 +535,8 @@ class TestBisectRadiusInternals:
         # With a single pairwise distance (4), strict counting fails
         # everywhere in [d_min, d_max]; the degenerate bracket extends past
         # d_max so the search lands just above it.
-        with pytest.warns(UserWarning, match="clamped"):
-            eps, t_used, _ = _bisect_radius(2, {1: np.array([4.0, 4.0])}, 4.0, 4.0,
-                                            t_nbd=70)
+        eps, t_used, _, notes = _bisect_radius(2, {1: _exact(np.array([4.0, 4.0]))},
+                                               4.0, 4.0, t_nbd=70)
+        assert any("clamped" in note for note in notes)
         assert 4.0 < eps <= 4.0 * (1.0 + 2e-6)
         assert t_used == 1
