@@ -24,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 import scipy
 
-from . import __version__, npyio
+from . import __version__
 from .config import (
     CONFIG_FIELD_TYPES,
     MsdeConfig,
@@ -238,8 +238,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     split = generate_synthetic(spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    npyio.write_matrix(out / "train.npy", split.train.values)
-    npyio.write_matrix(out / "test.npy", split.test.values)
+    np.save(out / "train.npy", split.train.values, allow_pickle=False)
+    np.save(out / "test.npy", split.test.values, allow_pickle=False)
     # Sidecar ids must match what `run`/`tune` will assign on load.
     reloaded_ids = default_row_ids(split.test.n_samples, "test")
     write_lines(out / "labels.csv", ["row_id,label", *(

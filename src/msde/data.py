@@ -1,6 +1,12 @@
 """Embedding datasets: loading, validation, standardization, synthesis,
 and the one reader and one writer of msde's text files.
 
+Matrices load from ``.npy`` or ``.csv``. Only the NPY subset ``np.save``
+writes for a 2-D float matrix is accepted: version 1.0, dtype ``<f4`` or
+``<f8``, C order, both dimensions >= 1. CSV text is UTF-8 and may start
+with a BOM. Any other file, or bytes that are not UTF-8, is a
+``LoadError``.
+
 All pipeline arithmetic is done in float64 regardless of the width of the
 input files; matrices are widened on load so downstream results do not
 depend on storage precision.
@@ -8,16 +14,17 @@ depend on storage precision.
 
 from __future__ import annotations
 
+import ast
 import csv
 import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import npyio
 from .exceptions import ConfigError, FitError, LoadError, ShapeError
 
 logger = logging.getLogger(__name__)
@@ -209,12 +216,19 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetSplit:
 # ---------------------------------------------------------------------------
 
 def read_csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    """Non-blank rows of a UTF-8 CSV file (LF or CRLF line ends), each with
-    the file line it ends on, so errors can name the line a reader sees."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        return [(reader.line_num, row) for row in reader
-                if row and (len(row) > 1 or row[0].strip())]
+    """Non-blank rows of a UTF-8 CSV file (LF or CRLF line ends, optional
+    BOM), each with the file line it ends on, so errors can name the line a
+    reader sees."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            return [(reader.line_num, row) for row in reader
+                    if row and (len(row) > 1 or row[0].strip())]
+    except UnicodeDecodeError as exc:
+        raise LoadError(
+            f"{path}: not UTF-8 text: cannot decode byte "
+            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
 
 
 def write_lines(path: str | Path, lines) -> None:
@@ -267,6 +281,59 @@ def _parse_csv_matrix(path: Path) -> np.ndarray:
     return np.array(data, dtype=np.float64)
 
 
+_NPY_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
+
+
+def _read_npy(path: Path) -> np.ndarray:
+    """Read an NPY v1.0 file of a 2-D ``<f4``/``<f8`` C-order matrix into
+    float64.
+
+    The header is checked in full before a dtype is built or a payload byte
+    is read. Its ``descr`` is looked up as a string and never reaches
+    numpy's dtype parser, which kills the process with SIGFPE on
+    ``'M8[s/0]'`` (numpy 2.4.6). The payload is read straight into the result array, so a
+    large file is never held a second time as bytes.
+    """
+    try:
+        with open(path, "rb") as fh:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise LoadError(f"{path}: NPY version {version[0]}.{version[1]} "
+                                "unsupported, only 1.0 is accepted")
+            text = fh.read(int.from_bytes(fh.read(2), "little")).decode("latin-1")
+            header = ast.literal_eval(text.strip())
+            if not (isinstance(header, dict)
+                    and header.keys() == {"descr", "fortran_order", "shape"}):
+                raise LoadError(
+                    f"{path}: NPY header must have exactly descr/fortran_order/shape")
+            descr, shape = header["descr"], header["shape"]
+            if not isinstance(descr, str) or descr not in _NPY_DTYPES:
+                raise LoadError(f"{path}: dtype {descr!r} unsupported, "
+                                "expected '<f4' or '<f8'")
+            if header["fortran_order"] is not False:
+                raise LoadError(f"{path}: fortran_order must be False (C order)")
+            if (not isinstance(shape, tuple) or len(shape) != 2
+                    or any(type(s) is not int for s in shape)):
+                raise LoadError(f"{path}: shape {shape!r} is not 2-D")
+            if min(shape) < 1:
+                raise LoadError(f"{path}: empty dimension in shape {shape}")
+            dtype = _NPY_DTYPES[descr]
+            expected = shape[0] * shape[1] * dtype.itemsize
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            if payload == expected:
+                values = np.empty(shape, dtype=dtype)
+                payload = fh.readinto(memoryview(values).cast("B"))
+    except (OSError, ValueError, TypeError, SyntaxError, MemoryError,
+            RecursionError) as exc:
+        # Besides OSError: read_magic's bad magic (ValueError) and a
+        # malformed header literal, whose parser also hits depth limits.
+        raise LoadError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+    if payload != expected:
+        raise LoadError(
+            f"{path}: payload is {payload} bytes, shape {shape} needs {expected}")
+    return np.ascontiguousarray(values, dtype=np.float64)
+
+
 def load_embeddings(path: str | Path, id_prefix: str = "row") -> EmbeddingMatrix:
     """Load a 2-D embedding matrix from ``.npy`` or ``.csv`` (by suffix).
 
@@ -277,13 +344,11 @@ def load_embeddings(path: str | Path, id_prefix: str = "row") -> EmbeddingMatrix
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".npy":
-        values = npyio.read_matrix(path)
+        values = _read_npy(path)
     elif suffix == ".csv":
         values = _parse_csv_matrix(path)
     else:
         raise LoadError(f"{path}: cannot infer format from suffix {suffix!r}")
-    if values.shape[0] < 1 or values.shape[1] < 1:
-        raise LoadError(f"{path}: empty matrix of shape {values.shape}")
     return EmbeddingMatrix(_readonly(values),
                            default_row_ids(values.shape[0], id_prefix))
 

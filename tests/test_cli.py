@@ -243,6 +243,66 @@ class TestEval:
         assert "MSDE-ERR data_io: label file " in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    """Every malformed input file is a data error: exit 2 and one
+    ``MSDE-ERR data_io`` line."""
+
+    @staticmethod
+    def _assert_data_error(code, err):
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("MSDE-ERR data_io: ")
+
+    def test_record_array_npy(self, synth_dir, tmp_path, capsys):
+        train = tmp_path / "train.npy"
+        np.save(train, np.zeros((30, 2), dtype=[("a", "<f8"), ("b", "<f8")]))
+        args = _run_args(synth_dir, tmp_path / "o")
+        args[args.index("--train") + 1] = str(train)
+        self._assert_data_error(main(args), capsys.readouterr().err)
+
+    @pytest.mark.parametrize("target", ["train", "labels", "scores"])
+    def test_non_utf8_csv(self, target, synth_dir, tmp_path, capsys):
+        bad = tmp_path / f"{target}.csv"
+        if target == "train":
+            bad.write_bytes("f\u00e9,x\n1,2\n".encode("latin-1"))
+            args = _run_args(synth_dir, tmp_path / "o")
+            args[args.index("--train") + 1] = str(bad)
+        elif target == "labels":
+            bad.write_bytes("row_id,label\ntest_00000\u00e9,1\n".encode("latin-1"))
+            args = _run_args(synth_dir, tmp_path / "o")
+            args[args.index("--labels") + 1] = str(bad)
+        else:
+            bad.write_bytes("row_id,label,raw_score,normalized_score\n"
+                            "\u00e9,0,0.1,0.2\n".encode("latin-1"))
+            args = ["eval", "--scores", str(bad)]
+        self._assert_data_error(main(args), capsys.readouterr().err)
+
+    def test_utf8_bom_scores_file(self, tmp_path, capsys):
+        p = tmp_path / "scores.csv"
+        p.write_bytes(b"\xef\xbb\xbfrow_id,label,raw_score,normalized_score\n"
+                      b"a,0,0.1,0.2\nb,1,0.9,0.9\n")
+        assert main(["eval", "--scores", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["auc"] == 1.0
+
+    def test_dtype_numpy_cannot_parse_safely(self, synth_dir, tmp_path):
+        # numpy's dtype parser dies of SIGFPE on 'M8[s/0]'; msde must refuse
+        # the header before building any dtype. A subprocess keeps a crash
+        # from ending the whole pytest run.
+        header = b"{'descr': 'M8[s/0]', 'fortran_order': False, 'shape': (1, 1), }"
+        header += b" " * (117 - len(header)) + b"\n"
+        train = tmp_path / "train.npy"
+        train.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little")
+                          + header + bytes(8))
+        args = _run_args(synth_dir, tmp_path / "o")
+        args[args.index("--train") + 1] = str(train)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "msde.cli", *args], env=env,
+                              capture_output=True, text=True)
+        self._assert_data_error(done.returncode, done.stderr)
+        assert "dtype 'M8[s/0]' unsupported" in done.stderr
+
+
 class TestTuneCommand:
     def test_five_trials_jsonl_and_rerun_identical(self, synth_dir, tmp_path):
         a, b = tmp_path / "ta", tmp_path / "tb"

@@ -1,6 +1,7 @@
 """Loading, validation, standardization, synthesis, score persistence."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from msde import (
     load_embeddings,
     save_scores,
 )
-from msde import npyio
 from msde.data import (
     attach_labels,
     join_labels,
@@ -133,6 +133,173 @@ class TestCsvLoading:
         p.write_text("1,2\n")
         with pytest.raises(LoadError):
             load_embeddings(p)
+
+    def test_utf8_bom_keeps_first_row(self, tmp_path):
+        # Excel's "CSV UTF-8" starts with a BOM; it must not turn the first
+        # data row into a header.
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        np.testing.assert_array_equal(load_embeddings(p).values,
+                                      [[1, 2], [3, 4], [5, 6]])
+
+    def test_non_utf8_is_load_error(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes("caf\u00e9,x\n1,2\n".encode("latin-1"))
+        with pytest.raises(LoadError, match="m.csv: not UTF-8 text.*0xe9"):
+            load_embeddings(p)
+
+
+def _raw_npy(descr=b"'<f8'", fortran=b"False", shape=b"(1, 1)",
+             payload=struct.pack("<d", 7.0), version=(1, 0)):
+    header = b"{'descr': " + descr + b", 'fortran_order': " + fortran + \
+             b", 'shape': " + shape + b", }"
+    pad = (64 - (10 + len(header) + 1) % 64) % 64
+    header = header + b" " * pad + b"\n"
+    return (b"\x93NUMPY" + bytes(version) + struct.pack("<H", len(header))
+            + header + payload)
+
+
+class TestNpyInput:
+    """The accepted NPY subset: version 1.0, ``<f4``/``<f8``, C order, 2-D,
+    no empty dimension, exactly the shape's payload bytes."""
+
+    @staticmethod
+    def _load(tmp_path, data):
+        p = tmp_path / "m.npy"
+        p.write_bytes(data)
+        return load_embeddings(p).values
+
+    @staticmethod
+    def _load_saved(tmp_path, array):
+        p = tmp_path / "m.npy"
+        np.save(p, array, allow_pickle=True)
+        return load_embeddings(p).values
+
+    def test_single_element(self, tmp_path):
+        m = self._load(tmp_path, _raw_npy())
+        np.testing.assert_array_equal(m, [[7.0]])
+        assert m.dtype == np.float64
+
+    def test_float32_widened(self, tmp_path):
+        m = self._load(tmp_path, _raw_npy(
+            descr=b"'<f4'", payload=struct.pack("<2f", 1.5, 2.5), shape=b"(1, 2)"))
+        assert m.dtype == np.float64
+        np.testing.assert_array_equal(m, [[1.5, 2.5]])
+
+    def test_bad_magic(self, tmp_path):
+        with pytest.raises(LoadError, match="magic"):
+            self._load(tmp_path, b"NOTNPY" + b"\x00" * 20)
+
+    def test_version_2_rejected(self, tmp_path):
+        with pytest.raises(LoadError, match="version"):
+            self._load(tmp_path, _raw_npy(version=(2, 0)))
+
+    def test_fortran_order_rejected(self, tmp_path):
+        with pytest.raises(LoadError, match="fortran"):
+            self._load(tmp_path, _raw_npy(fortran=b"True"))
+
+    def test_integer_dtype_rejected(self, tmp_path):
+        with pytest.raises(LoadError, match="dtype"):
+            self._load(tmp_path, _raw_npy(descr=b"'<i8'"))
+
+    def test_one_dimensional_rejected(self, tmp_path):
+        with pytest.raises(LoadError, match="2-D"):
+            self._load(tmp_path, _raw_npy(shape=b"(1,)"))
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        with pytest.raises(LoadError, match="empty"):
+            self._load(tmp_path, _raw_npy(shape=b"(0, 1)", payload=b""))
+
+    def test_truncated_payload(self, tmp_path):
+        with pytest.raises(LoadError, match="payload"):
+            self._load(tmp_path, _raw_npy(shape=b"(2, 1)"))  # payload only 8 bytes
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        with pytest.raises(LoadError, match="payload is 16 bytes"):
+            self._load(tmp_path, _raw_npy(payload=struct.pack("<2d", 7.0, 8.0)))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(LoadError):
+            load_embeddings(tmp_path / "nope.npy")
+
+    def test_write_read_identity(self, tmp_path):
+        m = np.random.default_rng(5).normal(size=(13, 7))
+        np.testing.assert_array_equal(self._load_saved(tmp_path, m), m)
+
+    def test_numpy_save_is_compatible(self, tmp_path):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        p = tmp_path / "m.npy"
+        with open(p, "wb") as fh:
+            np.save(fh, m)
+        np.testing.assert_array_equal(load_embeddings(p).values, m)
+
+    def test_load_embeddings_uses_reader(self, tmp_path):
+        p = tmp_path / "m.npy"
+        np.save(p, np.array([[7.0]]), allow_pickle=False)
+        m = load_embeddings(p)
+        assert m.n_samples == 1 and m.dim == 1
+        assert m.values[0, 0] == 7.0
+
+    @pytest.mark.parametrize("array, match", [
+        (np.zeros((2, 2), dtype=[("a", "<f8"), ("b", "<f8")]), "dtype"),
+        (np.zeros((2, 2), dtype=">f8"), "dtype"),
+        (np.zeros((2, 2), dtype=np.int64), "dtype"),
+        (np.zeros((2, 2), dtype=np.complex128), "dtype"),
+        (np.array([[1.0, "a"]], dtype=object), "dtype"),
+        (np.zeros(3), "2-D"),
+        (np.zeros((2, 2, 2)), "2-D"),
+        (np.asfortranarray(np.arange(6.0).reshape(2, 3)), "fortran"),
+    ], ids=["record", "big-endian", "int64", "complex", "object", "1-D", "3-D",
+            "fortran"])
+    def test_saved_outside_subset_rejected(self, tmp_path, array, match):
+        with pytest.raises(LoadError, match=match):
+            self._load_saved(tmp_path, array)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"descr": b"[('a', '<f8')]"}, "dtype"),
+        ({"descr": b"{'a': 1}"}, "dtype"),
+        ({"descr": b"'<,8'"}, "dtype"),
+        ({"descr": b"'float64'"}, "dtype"),
+        ({"shape": b"(True, 1)"}, "2-D"),
+        ({"shape": b"(1, {[1]: 2})"}, "cannot read"),
+        ({"shape": b"(" + b"-" * 9000 + b"1, 1)"}, "cannot read"),
+    ], ids=["list-descr", "dict-descr", "comma-descr", "other-spelling",
+            "bool-shape", "unhashable-key", "parser-depth"])
+    def test_hand_made_header_rejected(self, tmp_path, fields, match):
+        with pytest.raises(LoadError, match=match):
+            self._load(tmp_path, _raw_npy(**fields))
+
+    def test_byte_mutants_raise_only_load_error(self, tmp_path):
+        payload = np.arange(6.0).tobytes()
+        good = _raw_npy(shape=b"(2, 3)", payload=payload)
+        header_end = len(good) - len(payload)
+        rng = np.random.default_rng(2024)
+        # Half the new bytes are ones a header literal is built from.
+        alphabet = b"[](){}',:-LTrueFals0123456789<>=fiucbOVM|. \n\t\x0b\xa0"
+        p = tmp_path / "m.npy"
+        outcomes = {"loaded": 0, "refused": 0}
+        for _ in range(3000):
+            data = bytearray(good)
+            for _ in range(rng.integers(1, 4)):
+                # Mostly the magic, version and header, where parsing happens.
+                end = header_end if rng.random() < 0.9 else len(data)
+                at = int(rng.integers(0, min(end, len(data))))
+                byte = (alphabet[rng.integers(len(alphabet))] if rng.random() < 0.5
+                        else int(rng.integers(0, 256)))
+                op = rng.integers(0, 3)
+                if op == 0:
+                    data[at] = byte
+                elif op == 1:
+                    del data[at]
+                else:
+                    data.insert(at, byte)
+            p.write_bytes(bytes(data))
+            try:
+                load_embeddings(p)
+                outcomes["loaded"] += 1
+            except LoadError:
+                outcomes["refused"] += 1
+        assert outcomes["loaded"] > 0 and outcomes["refused"] > 0
 
 
 class TestStandardizer:
@@ -298,7 +465,7 @@ class TestEmbeddingRoundTrip:
         # msde writes NPY only; a CSV input is written here by hand, with
         # the 17 significant digits that round-trip a float64.
         if path.suffix == ".npy":
-            npyio.write_matrix(path, values)
+            np.save(path, values, allow_pickle=False)
         else:
             path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                     for row in values))
@@ -352,6 +519,11 @@ class TestLabelSidecar:
     def test_attach_shares_values(self):
         m = _matrix([[1.0], [2.0]])
         assert attach_labels(m, {"r0": 0, "r1": 1}).values is m.values
+
+    def test_utf8_bom_header_recognised(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_bytes(b"\xef\xbb\xbfrow_id,label\nr0,0\nr1,1\n")
+        assert load_labels(p) == {"r0": 0, "r1": 1}
 
     def test_bad_label_value(self, tmp_path):
         p = tmp_path / "labels.csv"
