@@ -102,9 +102,12 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_field_flags(p: argparse.ArgumentParser, types: dict[str, type]) -> None:
-    """One kebab-case flag per field, default None (unset); a bool field
-    gets a ``--name``/``--no-name`` pair."""
+def _add_field_flags(p: argparse.ArgumentParser, types: dict[str, type],
+                     groups=None) -> None:
+    """One kebab-case flag per field, default None (unset), added to
+    ``groups[field]`` (a mutually exclusive group) when there is one; a
+    bool field gets a ``--name``/``--no-name`` pair."""
+    groups = groups or {}
     for key, typ in types.items():
         flag = external_key(key).replace("_", "-")
         if typ is bool:
@@ -113,19 +116,26 @@ def _add_field_flags(p: argparse.ArgumentParser, types: dict[str, type]) -> None
             group.add_argument("--no-" + flag, dest=key, action="store_const",
                                const=False)
         else:
-            p.add_argument("--" + flag, dest=key, type=typ)
+            groups.get(key, p).add_argument("--" + flag, dest=key, type=typ)
 
 
 def _add_pipeline_parser(sub, command: str, help: str) -> argparse.ArgumentParser:
     """A command over a train/test pair: its inputs, ``--out``, ``--config``
-    and one flag per config key it reads."""
+    and one flag per config key it reads; ``run`` also takes ``--no-shift``,
+    which cannot be given with ``--max-iters``."""
     p = sub.add_parser(command, help=help)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--labels", help="sidecar row_id,label CSV for the test set")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="flat key=value config file")
-    _add_field_flags(p, _CONFIG_KEYS[command])
+    groups = {}
+    if command == "run":
+        groups["max_iters"] = p.add_mutually_exclusive_group()
+        groups["max_iters"].add_argument(
+            "--no-shift", dest="max_iters", action="store_const", const=0,
+            help="baseline mode: alias for --max-iters 0")
+    _add_field_flags(p, _CONFIG_KEYS[command], groups)
     return p
 
 
@@ -135,8 +145,6 @@ def _build_parser() -> _Parser:
     parser.commands = sub.choices
 
     run = _add_pipeline_parser(sub, "run", "score a train/test pair")
-    run.add_argument("--no-shift", dest="max_iters", action="store_const", const=0,
-                     help="baseline mode: alias for --max-iters 0")
     run.add_argument("--dump-weights", action="store_true",
                      help="also write the density weights of both shift runs")
 

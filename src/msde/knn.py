@@ -32,7 +32,9 @@ from .exceptions import GraphError
 logger = logging.getLogger(__name__)
 
 # Rows per Gram block in the scan. Its scratch buffers (the screen, a copy to
-# partition, the candidate mask) are this many rows x n, allocated once a call.
+# partition, the candidate mask) are this many rows x n, views of one
+# ``ScanScratch``: a call without one allocates its own, and the shift loop
+# passes the one its run allocated to every scan.
 SCAN_BLOCK_ROWS = 256
 # Floats per gathered operand when the screen's kernel evaluates pairs of
 # dense rows: each ``distances_from`` call takes max(1, budget // d) pairs.
@@ -84,6 +86,23 @@ def _effective_k(k: int, n: int) -> int:
         warnings.warn(f"k={k} clamped to n-1={n - 1}")
         return n - 1
     return k
+
+
+@dataclass(frozen=True)
+class ScanScratch:
+    """Reusable scratch of k-NN scans over n points: flat float64 ``floats``
+    (at least two blocks of min(``SCAN_BLOCK_ROWS``, n) rows x n) and a flat
+    bool ``mask`` (one block). A scan writes every element it reads, so the values left
+    by earlier scans never matter."""
+
+    floats: np.ndarray
+    mask: np.ndarray
+
+
+def scan_scratch(n: int, floats: int = 0) -> ScanScratch:
+    """Scratch for scans of n points, with at least ``floats`` floats."""
+    size = min(SCAN_BLOCK_ROWS, n) * n
+    return ScanScratch(np.empty(max(2 * size, floats)), np.empty(size, dtype=bool))
 
 
 class _GramScreen:
@@ -160,13 +179,18 @@ class _GramScreen:
         return out
 
 
-def _knn_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, _GramScreen]:
+def _knn_scan(values: np.ndarray, k: int, scratch: ScanScratch | None = None
+              ) -> tuple[np.ndarray, _GramScreen]:
     n = values.shape[0]
     neighbors = np.empty((n, k), dtype=np.int64)
     screen = _GramScreen(values)
+    if scratch is None:
+        scratch = scan_scratch(n)
     height = min(SCAN_BLOCK_ROWS, n)
-    screened, ranked, mask = (np.empty((height, n)), np.empty((height, n)),
-                              np.empty((height, n), dtype=bool))
+    size = height * n
+    screened, ranked, mask = (scratch.floats[:size].reshape(height, n),
+                              scratch.floats[size:2 * size].reshape(height, n),
+                              scratch.mask[:size].reshape(height, n))
     widen = 1.0 + 8.0 * np.finfo(np.float64).eps
 
     # Screen each block and keep every column at or near each row's k-th
@@ -213,14 +237,15 @@ def _knn_scan(values: np.ndarray, k: int) -> tuple[np.ndarray, _GramScreen]:
     return neighbors, screen
 
 
-def knn_neighbors(points, k: int) -> np.ndarray:
+def knn_neighbors(points, k: int, scratch: ScanScratch | None = None) -> np.ndarray:
     """Exact k-NN lists, (n, k) int64: nearest first, ties by lower index,
-    no self-loops; k clamped to n-1 with a warning.
+    no self-loops; k clamped to n-1 with a warning. The scan works in
+    ``scratch`` (from ``scan_scratch(n)``) when it is given.
 
     Raises ``GraphError`` for non-finite points or squared distances that
     overflow float64."""
     values = _as_values(points)
-    return _knn_scan(values, _effective_k(k, values.shape[0]))[0]
+    return _knn_scan(values, _effective_k(k, values.shape[0]), scratch)[0]
 
 
 def _with_distances(neighbors: np.ndarray, screen: _GramScreen) -> NeighborGraph:

@@ -20,7 +20,13 @@ tie-breaks are prefix-closed, so the fuzzy graph takes the first
 The weights are prepared for every ``t_nbd`` among the params, and
 ``apply_shift`` runs one of them from it. ``run_shift`` is the two for
 one set of params; ``prepare_joint`` and ``joint_shift`` do the same for
-the solo and the joint run.
+the solo and the joint run. ``prepare_joint`` stacks the train and test
+rows once; the joint run's points are that array, and the solo run's
+are its train rows.
+
+A run allocates one ``knn.ScanScratch``, large enough for a k-NN scan's
+blocks and for a step's n x d temporaries, and every scan and step of its
+loop works in it, so no iteration allocates block-sized buffers.
 
 At ``threads >= 2`` these two run the solo and the joint run on a thread
 each (msde's only fan-out); each run is single-threaded, so results never
@@ -40,8 +46,8 @@ from .exceptions import ConfigError, GraphError, NumericError
 # build_knn_graph stays bound here: perfbench's tracer wraps every binding
 # of it, and its tests read this one.
 from .knn import build_knn_graph  # noqa: F401
-from .knn import (_as_values, _effective_k, _knn_scan, _with_distances,
-                  knn_neighbors)
+from .knn import (ScanScratch, _as_values, _effective_k, _knn_scan,
+                  _with_distances, knn_neighbors, scan_scratch)
 from .parallel import map_row_blocks
 from .weights import (DensityWeights, PreparedWeights, _fuzzy_from_knn,
                       apply_weights, prepare_weights)
@@ -95,8 +101,9 @@ class ShiftedEmbeddings:
     weights_used: DensityWeights | None
 
 
-def shift_step(values: np.ndarray, neighbors: np.ndarray,
-               weights: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
+def shift_step(values: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
+               eta: float, scratch: ScanScratch | None = None
+               ) -> tuple[np.ndarray, float]:
     """One synchronous update from the snapshot; returns (new, mean shift).
 
     ``neighbors`` is the (n, k) integer array of each row's neighbor lists,
@@ -105,7 +112,9 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray,
     list order, with the once-scaled rows adds each row's w_j * x_j in the
     order of its list (scipy sums CSR-times-dense in stored order).
     Neighborhoods whose weights sum to zero fall back to the unweighted
-    neighborhood mean so the target stays defined.
+    neighborhood mean so the target stays defined. The scaled rows, and
+    then each row's displacement, are written to the first n * d floats of
+    ``scratch`` when it is given.
     """
     if not 0.0 < eta <= 1.0:
         raise ConfigError(f"eta must be in (0, 1], got {eta}")
@@ -120,7 +129,8 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray,
     if weights.shape != (n,):
         raise GraphError(f"weights must have shape ({n},), got {weights.shape}")
     wsum = weights[neighbors].sum(axis=1)
-    scaled = weights[:, None] * values
+    out = None if scratch is None else scratch.floats[:n * d].reshape(n, d)
+    scaled = np.multiply(weights[:, None], values, out=out)
     size, k = neighbors.size, neighbors.shape[1]
     new = sp.csr_matrix((np.ones(size), neighbors.ravel(), np.arange(0, size + 1, k)),
                         shape=(n, n)) @ scaled
@@ -188,23 +198,26 @@ def apply_shift(points: np.ndarray, prepared: ShiftInput | None,
                 params: ShiftParams) -> ShiftedEmbeddings:
     """Full refinement loop over ``points`` from ``prepare_shift(points,
     ...)``: the prepared weights of ``params.t_nbd``, then k-NN + step per
-    iteration, where iteration 1 takes its lists from the prepared ones."""
+    iteration, where iteration 1 takes its lists from the prepared ones.
+    Every scan and step works in one scratch, allocated here."""
     if params.max_iters == 0:
         return ShiftedEmbeddings(points, ShiftTrace(0, (), False), None)
-    n = points.shape[0]
     if (prepared is None or params.k_umap != prepared.k_umap
-            or len(prepared.neighbors) != n
-            or min(params.k, n - 1) > prepared.neighbors.shape[1]):
+            or len(prepared.neighbors) != len(points)
+            or min(params.k, len(points) - 1) > prepared.neighbors.shape[1]):
         raise ConfigError(f"shift input was not prepared for {params}")
+    n, d = points.shape
     weights = apply_weights(prepared.weights, params.t_nbd)
     neighbors = prepared.neighbors[:, :_effective_k(params.k, n)]
+    scratch = scan_scratch(n, n * d)
     values = points
     deltas: list[float] = []
     converged = False
     for iteration in range(1, params.max_iters + 1):
         if iteration > 1:
-            neighbors = knn_neighbors(values, params.k)
-        values, delta = shift_step(values, neighbors, weights.weights, params.eta)
+            neighbors = knn_neighbors(values, params.k, scratch)
+        values, delta = shift_step(values, neighbors, weights.weights, params.eta,
+                                   scratch)
         deltas.append(delta)
         logger.info("shift iteration %d: mean displacement %.6g", iteration, delta)
         if delta < params.tol:
@@ -222,11 +235,14 @@ def run_shift(points: np.ndarray, params: ShiftParams) -> ShiftedEmbeddings:
 @dataclass(frozen=True)
 class JointInput:
     """Train and test rows with the prepared inputs of the solo run (train
-    rows) and of the joint run (train then test rows). The stacked rows
-    are not kept: the joint run stacks them again when it starts."""
+    rows) and of the joint run (``stacked``: train then test rows, one
+    C-contiguous array, of which ``train`` and ``test`` are views). When
+    no params shift, nothing is stacked: ``stacked`` is None and ``train``
+    and ``test`` are the arrays given."""
 
     train: np.ndarray
     test: np.ndarray
+    stacked: np.ndarray | None
     solo: ShiftInput | None
     joint: ShiftInput | None
 
@@ -246,13 +262,16 @@ def _solo_and_joint(solo, joint, threads: int) -> list:
 
 def prepare_joint(train: np.ndarray, test: np.ndarray,
                   params: Sequence[ShiftParams], threads: int = 1) -> JointInput:
-    """``prepare_shift`` for the solo and the joint run of ``params``."""
+    """``prepare_shift`` for the solo and the joint run of ``params``, on
+    the train and test rows stacked once."""
     if all(p.max_iters == 0 for p in params):
-        return JointInput(train, test, None, None)
-    solo, joint = _solo_and_joint(
-        lambda: prepare_shift(train, params),
-        lambda: prepare_shift(np.vstack([train, test]), params), threads)
-    return JointInput(train, test, solo, joint)
+        return JointInput(train, test, None, None, None)
+    stacked = np.vstack([train, test])
+    stacked.flags.writeable = False  # every trial of a study shares it
+    train, test = stacked[:len(train)], stacked[len(train):]
+    solo, joint = _solo_and_joint(lambda: prepare_shift(train, params),
+                                  lambda: prepare_shift(stacked, params), threads)
+    return JointInput(train, test, stacked, solo, joint)
 
 
 def joint_shift(prepared: JointInput, params: ShiftParams, threads: int = 1
@@ -272,6 +291,6 @@ def joint_shift(prepared: JointInput, params: ShiftParams, threads: int = 1
         return solo, solo, test
     solo, joint = _solo_and_joint(
         lambda: apply_shift(train, prepared.solo, params),
-        lambda: apply_shift(np.vstack([train, test]), prepared.joint, params),
+        lambda: apply_shift(prepared.stacked, prepared.joint, params),
         threads)
     return solo, joint, joint.values[train.shape[0]:]

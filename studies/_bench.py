@@ -20,6 +20,7 @@ import itertools
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -77,17 +78,25 @@ def measure(calls: dict, repeats: int = 1) -> dict:
     swaps on every repeat. Returns ``label: (result, timing)``, where
     timing holds ``seconds``, the median of the repeats,
     ``repeat_seconds``, each call's seconds in order (their spread shows
-    how far the median can be trusted), and ``peak_mb``, the tracemalloc
-    peak in MB of one more call."""
+    how far the median can be trusted), ``repeat_minflt`` and
+    ``repeat_sys_s``, each call's minor page faults and kernel seconds
+    (``getrusage`` of the whole process, so threads included), with
+    ``minflt`` and ``sys_s`` their medians, and ``peak_mb``, the
+    tracemalloc peak in MB of one more call. The calls share one process's
+    heap, so faults read lower than in a fresh process."""
     labels = list(calls)
-    seconds = {label: [] for label in labels}
+    usage = {label: {"seconds": [], "minflt": [], "sys_s": []} for label in labels}
     results = {}
     for r in range(repeats):
         for label in labels[::-1] if r % 2 else labels:
             fn, fn_args = calls[label]
+            before = resource.getrusage(resource.RUSAGE_SELF)
             start = time.perf_counter()
             results[label] = fn(*fn_args)
-            seconds[label].append(time.perf_counter() - start)
+            usage[label]["seconds"].append(time.perf_counter() - start)
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            usage[label]["minflt"].append(after.ru_minflt - before.ru_minflt)
+            usage[label]["sys_s"].append(after.ru_stime - before.ru_stime)
     out = {}
     for label in labels:
         fn, fn_args = calls[label]
@@ -97,10 +106,11 @@ def measure(calls: dict, repeats: int = 1) -> dict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out[label] = (results[label], {
-            "seconds": round(statistics.median(seconds[label]), 4),
-            "repeat_seconds": [round(t, 4) for t in seconds[label]],
-            "peak_mb": round(peak / 2**20, 2)})
+        timing = {}
+        for name, values in usage[label].items():
+            timing[name] = round(statistics.median(values), 4)
+            timing[f"repeat_{name}"] = [round(v, 4) for v in values]
+        out[label] = (results[label], {**timing, "peak_mb": round(peak / 2**20, 2)})
     return out
 
 

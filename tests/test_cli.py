@@ -35,14 +35,15 @@ def synth_dir(tmp_path):
 REMOVED_FLAGS = {"--fit-on-joint": (), "--static-graph": (), "--seed": ("3",)}
 
 
-def _run_args(synth_dir, out, extra=()):
+def _run_args(synth_dir, out, extra=(), max_iters="3"):
     return ["run",
             "--train", str(synth_dir / "train.npy"),
             "--test", str(synth_dir / "test.npy"),
             "--labels", str(synth_dir / "labels.csv"),
             "--out", str(out),
             "--k", "10", "--t-nbd", "10", "--k-umap", "10",
-            "--max-iters", "3", "--pca-dim", "6", *extra]
+            *(("--max-iters", max_iters) if max_iters is not None else ()),
+            "--pca-dim", "6", *extra]
 
 
 def _tune_args(synth_dir, out, extra=()):
@@ -124,9 +125,33 @@ class TestRun:
 
     def test_no_shift_flag_is_max_iters_zero(self, synth_dir, tmp_path):
         a, b = tmp_path / "ns", tmp_path / "mi0"
-        assert main(_run_args(synth_dir, a, ("--no-shift",))) == 0
-        assert main(_run_args(synth_dir, b, ("--max-iters", "0"))) == 0
+        assert main(_run_args(synth_dir, a, ("--no-shift",), max_iters=None)) == 0
+        assert main(_run_args(synth_dir, b, max_iters="0")) == 0
         assert (a / "scores.csv").read_bytes() == (b / "scores.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags", [("--no-shift", "--max-iters", "3"),
+                                       ("--max-iters", "3", "--no-shift")],
+                             ids=["no-shift-first", "max-iters-first"])
+    def test_no_shift_with_max_iters_is_usage_error(self, flags, synth_dir,
+                                                    tmp_path, capsys):
+        # Both set max_iters, so neither order may let the last one win.
+        out = tmp_path / "both"
+        with pytest.raises(SystemExit) as exc:
+            main(_run_args(synth_dir, out, flags, max_iters=None))
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "MSDE-ERR cli:" in err and "not allowed with" in err
+        assert not out.exists()
+
+    def test_no_shift_overrides_config_file_max_iters(self, synth_dir, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_iters = 3\n")
+        a, b = tmp_path / "file", tmp_path / "flag"
+        assert main(_run_args(synth_dir, a, ("--config", str(cfg), "--no-shift"),
+                              max_iters=None)) == 0
+        assert main(_run_args(synth_dir, b, ("--no-shift",), max_iters=None)) == 0
+        assert (a / "scores.csv").read_bytes() == (b / "scores.csv").read_bytes()
+        assert "max_iters = 0" in (a / "config_echo.txt").read_text().splitlines()
 
     def test_dim_mismatch_exits_nonzero_with_both_dims(self, synth_dir,
                                                        tmp_path, capsys):

@@ -231,6 +231,27 @@ def test_neighbor_lists_are_prefix_closed(kind):
         assert full[:, :k].tobytes() == knn_neighbors(points, k).tobytes()
 
 
+@pytest.mark.parametrize("kind", ["grid", "random"])
+def test_reused_scratch_gives_the_oracle_lists(kind):
+    # One scratch through several scans of different points of the same n,
+    # as the shift loop passes it. It starts poisoned (NaN, all-true mask)
+    # and then holds the previous scan's values, so a read before a write
+    # would change the lists. 300 rows span a full and a partial block; the
+    # grid sits 1e8 from the origin, where tied columns screen apart.
+    rng = np.random.default_rng(17)
+    n, k = 300, 9
+    scratch = knn_module.scan_scratch(n, n * 64)
+    scratch.floats.fill(np.nan)
+    scratch.mask.fill(True)
+    for _ in range(4):
+        if kind == "grid":
+            points = rng.integers(0, 5, size=(n, 3)) + 1e8
+        else:
+            points = rng.normal(size=(n, 64))
+        oracle = brute_force_knn(points, k).neighbors
+        assert knn_neighbors(points, k, scratch).tobytes() == oracle.tobytes()
+
+
 class TestBruteForce:
     def test_coincident_pair(self):
         g = brute_force_knn(_matrix([[1.0, 1.0], [1.0, 1.0]]), 1)

@@ -19,6 +19,7 @@ from msde import (
     run_shift,
     shift_step,
 )
+import msde.knn as knn_module
 import msde.shift as shift_module
 from msde.exceptions import ConfigError, GraphError, NumericError
 from msde.knn import NeighborGraph
@@ -104,24 +105,29 @@ class TestShiftStep:
     @pytest.mark.parametrize("d, k", [(1, 60), (2, 60), (3, 17), (32, 60), (512, 50)])
     def test_step_sums_each_row_in_neighbor_order(self, d, k, eta):
         # Byte for byte against a per-row sequential sum. At d = 512 the
-        # 130 rows span three row blocks. Rows 0-4 are -0.0 vectors and row
-        # 7's list holds only them, so the sign of a zero sum is pinned
-        # too; row 20's neighborhood weighs zero and falls back.
-        rng = np.random.default_rng(d * 100 + k)
-        n = 130
-        pts = rng.normal(size=(n, d))
-        pts[rng.random((n, d)) < 0.1] = -0.0
-        pts[:5] = -0.0
-        neighbors = rng.integers(5, n, size=(n, k))
-        neighbors[7] = np.resize(np.arange(5), k)
-        w = rng.uniform(0.0, 5.0, size=n)
-        w[5:][rng.random(n - 5) < 0.3] = 0.0
-        w[:5] = rng.uniform(1.0, 2.0, size=5)
-        w[neighbors[20]] = 0.0
+        # 130 rows span three row blocks.
+        pts, neighbors, w = _step_instance(d, k)
         new, delta = shift_step(pts, neighbors, w, eta)
         expected, expected_delta = _sequential_step(pts, neighbors, w, eta)
         assert new.tobytes() == expected.tobytes()
         assert delta == expected_delta
+        if eta == 1.0:
+            assert np.signbit(new[7]).all()
+
+    @pytest.mark.parametrize("eta", [0.33, 1.0])
+    @pytest.mark.parametrize("d, k", [(3, 17), (32, 60)])
+    def test_scratch_gives_the_same_bytes(self, d, k, eta):
+        # The scaled rows and the displacements live in the scratch, which
+        # starts poisoned and keeps the previous step's values; at eta = 1
+        # the sign of row 7's zero sums is read back from the scaled rows.
+        pts, neighbors, w = _step_instance(d, k)
+        expected, expected_delta = shift_step(pts, neighbors, w, eta)
+        scratch = knn_module.scan_scratch(len(pts), pts.size)
+        scratch.floats.fill(np.nan)
+        for _ in range(2):
+            new, delta = shift_step(pts, neighbors, w, eta, scratch)
+            assert new.tobytes() == expected.tobytes()
+            assert delta == expected_delta
         if eta == 1.0:
             assert np.signbit(new[7]).all()
 
@@ -165,6 +171,24 @@ class TestShiftStep:
         neighbors = np.array([[1, 2], [0, 2], [0, 1], [0, 1]])
         with pytest.raises(GraphError):
             shift_step(np.zeros((4, 2)), neighbors, np.ones(shape), eta=0.5)
+
+
+def _step_instance(d, k):
+    """130 rows with their lists and weights. Rows 0-4 are -0.0 vectors and
+    row 7's list holds only them, so the sign of a zero sum is pinned too;
+    row 20's neighborhood weighs zero and falls back."""
+    rng = np.random.default_rng(d * 100 + k)
+    n = 130
+    pts = rng.normal(size=(n, d))
+    pts[rng.random((n, d)) < 0.1] = -0.0
+    pts[:5] = -0.0
+    neighbors = rng.integers(5, n, size=(n, k))
+    neighbors[7] = np.resize(np.arange(5), k)
+    w = rng.uniform(0.0, 5.0, size=n)
+    w[5:][rng.random(n - 5) < 0.3] = 0.0
+    w[:5] = rng.uniform(1.0, 2.0, size=5)
+    w[neighbors[20]] = 0.0
+    return pts, neighbors, w
 
 
 def _sequential_step(values, neighbors, weights, eta):
@@ -257,11 +281,41 @@ class TestRunShift:
             points = rng.normal(size=(200, 64))
         params = _quiet_params(k=8, t_nbd=10, k_umap=8, max_iters=4, tol=1e-9)
         out = run_shift(points, params)
+        # The loop passes its scratch to every scan through this one name.
         monkeypatch.setattr(shift_module, "knn_neighbors",
-                            lambda values, k: brute_force_knn(values, k).neighbors)
+                            lambda values, k, scratch:
+                            brute_force_knn(values, k).neighbors)
         oracle = run_shift(points, params)
         assert out.values.tobytes() == oracle.values.tobytes()
         assert out.trace == oracle.trace
+
+    def test_run_allocates_its_scratch_once(self, monkeypatch):
+        # Eight iterations: one allocation, handed to all 7 scans and 8 steps.
+        allocated, used = [], []
+        scan_scratch = shift_module.scan_scratch
+        knn_neighbors, step = shift_module.knn_neighbors, shift_module.shift_step
+
+        def allocate(*args):
+            allocated.append(scan_scratch(*args))
+            return allocated[-1]
+
+        def scan(values, k, scratch):
+            used.append(("scan", scratch))
+            return knn_neighbors(values, k, scratch)
+
+        def stepping(values, neighbors, weights, eta, scratch):
+            used.append(("step", scratch))
+            return step(values, neighbors, weights, eta, scratch)
+
+        monkeypatch.setattr(shift_module, "scan_scratch", allocate)
+        monkeypatch.setattr(shift_module, "knn_neighbors", scan)
+        monkeypatch.setattr(shift_module, "shift_step", stepping)
+        points = np.random.default_rng(15).normal(size=(300, 8))
+        out = run_shift(points, _quiet_params(max_iters=8, tol=1e-12))
+        assert out.trace.iterations_run == 8
+        assert len(allocated) == 1
+        assert [kind for kind, _ in used] == ["step"] + ["scan", "step"] * 7
+        assert all(scratch is allocated[0] for _, scratch in used)
 
     def test_permutation_equivariance_synchronous_update(self):
         rng = np.random.default_rng(7)
@@ -346,6 +400,32 @@ class TestJointShift:
         assert test_joint is test
         assert solo.values is train and joint is solo
         assert joint.trace.iterations_run == 0
+
+    def test_joint_run_shifts_the_one_stacked_copy(self, monkeypatch):
+        # prepare_joint stacks train and test once: both are views of that
+        # array, and the joint run's points are the array itself.
+        rng = np.random.default_rng(14)
+        train, test = rng.normal(size=(30, 3)), rng.normal(size=(8, 3))
+        params = _quiet_params(max_iters=2)
+        prepared = prepare_joint(train, test, [params])
+        stacked = prepared.stacked
+        assert stacked.flags.c_contiguous
+        assert stacked.tobytes() == np.vstack([train, test]).tobytes()
+        assert prepared.train.base is stacked and prepared.test.base is stacked
+        assert np.shares_memory(prepared.train, stacked)
+        assert np.shares_memory(prepared.test, stacked)
+        runs = []
+        apply_shift = shift_module.apply_shift
+
+        def recording(points, prepared_input, p):
+            runs.append(points)
+            return apply_shift(points, prepared_input, p)
+
+        monkeypatch.setattr(shift_module, "apply_shift", recording)
+        joint_shift(prepared, params)
+        solo_points, joint_points = runs
+        assert joint_points is stacked
+        assert solo_points is prepared.train
 
     def test_extracted_test_rows_come_from_joint_run(self):
         rng = np.random.default_rng(11)
