@@ -105,18 +105,11 @@ def _int_at_least(low: int):
 def _add_field_flags(p: argparse.ArgumentParser, types: dict[str, type],
                      groups=None) -> None:
     """One kebab-case flag per field, default None (unset), added to
-    ``groups[field]`` (a mutually exclusive group) when there is one; a
-    bool field gets a ``--name``/``--no-name`` pair."""
+    ``groups[field]`` (a mutually exclusive group) when there is one."""
     groups = groups or {}
     for key, typ in types.items():
-        flag = external_key(key).replace("_", "-")
-        if typ is bool:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--" + flag, dest=key, action="store_const", const=True)
-            group.add_argument("--no-" + flag, dest=key, action="store_const",
-                               const=False)
-        else:
-            groups.get(key, p).add_argument("--" + flag, dest=key, type=typ)
+        flag = "--" + external_key(key).replace("_", "-")
+        groups.get(key, p).add_argument(flag, dest=key, type=typ)
 
 
 def _add_pipeline_parser(sub, command: str, help: str) -> argparse.ArgumentParser:
@@ -126,7 +119,8 @@ def _add_pipeline_parser(sub, command: str, help: str) -> argparse.ArgumentParse
     p = sub.add_parser(command, help=help)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--labels", help="sidecar row_id,label CSV for the test set")
+    p.add_argument("--labels", required=True,
+                   help="sidecar row_id,label CSV for the test set")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="flat key=value config file")
     groups = {}
@@ -182,11 +176,8 @@ def _prepare(args: argparse.Namespace) -> tuple[MsdeConfig, DatasetSplit, Path]:
     # distinct id prefixes keep train/test ids unique when mixed (tuning
     # builds validation sets out of rows from both)
     train = load_embeddings(args.train, id_prefix="train")
-    test = load_embeddings(args.test, id_prefix="test")
-    if args.labels:
-        test = attach_labels(test, load_labels(args.labels))
-    if test.labels is None:
-        raise ConfigError("test labels are required; pass --labels", module="data_io")
+    test = attach_labels(load_embeddings(args.test, id_prefix="test"),
+                         load_labels(args.labels))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, DatasetSplit(train=train, test=test), out
@@ -196,9 +187,7 @@ def _write_echo(args: argparse.Namespace, config: MsdeConfig, out: Path, **extra
     """The settings the command read, ``extra`` ones, versions, input digests."""
     flat = config.flat()
     settings = {name: flat[name] for name in map(external_key, _CONFIG_KEYS[args.command])}
-    inputs = {"train": args.train, "test": args.test}
-    if args.labels:
-        inputs["labels"] = args.labels
+    inputs = {"train": args.train, "test": args.test, "labels": args.labels}
     versions = {"msde": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
     write_lines(out / "config_echo.txt",
                 config_echo({**settings, **extra}, inputs, versions))

@@ -1,8 +1,8 @@
 """Run configuration: defaults, flat key=value config files, echo text.
 
 Config files are a TOML-compatible subset: one ``key = value`` per line,
-``#`` comments; each value is read as its field's type (``true``/``false``,
-an int or a float). CLI flags override file values which override defaults.
+``#`` comments; each value is read as its field's type, an int or a
+float. CLI flags override file values which override defaults.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class MsdeConfig:
     shift: ShiftParams = ShiftParams()
     pca_dim: int = 256
     lam: float = 1e-4
-    standardize: bool = True
     threads: int = 1
 
     def __post_init__(self):
@@ -86,13 +85,11 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _parse_value(key: str, text: str, where: str):
-    """``text`` as field ``key``'s type: bool is ``true``/``false``."""
+    """``text`` as field ``key``'s type."""
     typ = CONFIG_FIELD_TYPES[key]
     try:
-        if typ is bool:
-            return {"true": True, "false": False}[text.lower()]
         return typ(text)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"{where}: {external_key(key)} must be "
                           f"{typ.__name__}, got {text!r}") from None
 
@@ -118,7 +115,7 @@ def _typed(key: str, value):
     """``value`` as field ``key``'s type: a bool is not an int, and an int
     is a valid float."""
     typ = CONFIG_FIELD_TYPES[key]
-    if isinstance(value, bool) == (typ is bool):
+    if not isinstance(value, bool):
         if isinstance(value, typ):
             return value
         if typ is float and isinstance(value, int):
@@ -149,8 +146,6 @@ def config_echo(settings: dict, inputs: dict[str, str | Path],
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)

@@ -164,12 +164,13 @@ def fit_standardizer(train: EmbeddingMatrix) -> Standardizer:
     return Standardizer(_readonly(mean), _readonly(std))
 
 
-def apply_standardizer(s: Standardizer, x: EmbeddingMatrix) -> EmbeddingMatrix:
-    if x.dim != s.dim:
-        raise ShapeError(f"standardizer dim {s.dim} != data dim {x.dim}")
-    out = x.values - s.mean
-    out /= s.std
-    return EmbeddingMatrix(_readonly(out), x.row_ids, x.labels)
+def apply_standardizer(s: Standardizer, rows: np.ndarray) -> None:
+    """Standardize the float64 ``(n, d)`` array ``rows`` in place:
+    ``(rows - mean) / std``."""
+    if rows.shape[1] != s.dim:
+        raise ShapeError(f"standardizer dim {s.dim} != data dim {rows.shape[1]}")
+    rows -= s.mean
+    rows /= s.std
 
 
 @dataclass(frozen=True)
@@ -374,7 +375,7 @@ def load_labels(path: str | Path) -> dict[str, int]:
         if lab not in (0, 1):
             raise LoadError(f"{path}: label for {rid!r} must be 0 or 1, got {lab}")
         if rid in labels:
-            raise LoadError(f"{path}: duplicate row id {rid!r}")
+            raise LoadError(f"{path}: line {line_no}: duplicate row id {rid!r}")
         labels[rid] = lab
     return labels
 
@@ -420,15 +421,19 @@ def save_scores(report, path: str | Path) -> None:
 
 
 def load_scores(path: str | Path):
-    """Read back a scores CSV into (row_ids, labels, raw, normalized)."""
+    """Read back a scores CSV into (row_ids, labels, raw, normalized); row
+    ids must be unique."""
     rows = read_csv_rows(path)
     if not rows or rows[0][1] != ["row_id", "label", "raw_score", "normalized_score"]:
         raise LoadError(f"{path}: not a scores CSV (bad header)")
-    row_ids, labels, raw, norm = [], [], [], []
+    row_ids, labels, raw, norm, seen = [], [], [], [], set()
     for line_no, cells in rows[1:]:
         if len(cells) != 4:
             raise LoadError(
                 f"{path}: line {line_no} has {len(cells)} fields, expected 4")
+        if cells[0] in seen:
+            raise LoadError(f"{path}: line {line_no}: duplicate row id {cells[0]!r}")
+        seen.add(cells[0])
         row_ids.append(cells[0])
         try:
             labels.append(int(cells[1]))

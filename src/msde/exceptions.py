@@ -1,7 +1,7 @@
 """Error taxonomy shared by all modules.
 
-Every exception carries the subsystem it originated from and the process
-exit code the CLI maps it to (1 usage, 2 data, 3 numeric).
+Each exception class fixes the subsystem an error comes from and the
+process exit code the CLI maps it to (1 usage, 2 data, 3 numeric).
 """
 
 from __future__ import annotations
@@ -12,11 +12,6 @@ class MsdeError(Exception):
 
     module = "msde"
     exit_code = 2
-
-    def __init__(self, message: str, *, module: str | None = None):
-        super().__init__(message)
-        if module is not None:
-            self.module = module
 
 
 class ConfigError(MsdeError):

@@ -8,10 +8,13 @@ normalized scores squash their z-scores through a logistic map. The
 fitting and scoring functions take float64 ``(n, d)`` arrays; only
 ``score_shifted`` reads row ids and labels, from its ``DatasetSplit``.
 
-``score_pipeline`` is ``prepare_split`` (standardize, then
-``shift.prepare_joint``) for its own shift params, ``shift.joint_shift``,
-then ``score_shifted``. ``msde tune`` prepares its validation split once
-for every trial's params.
+``score_pipeline`` is ``prepare_split`` for its own shift params,
+``shift.joint_shift``, then ``score_shifted``. ``prepare_split`` copies
+the split's train rows then test rows into one array, standardizes it in
+place with the train rows' statistics and hands it to
+``shift.prepare_joint``, so both shift runs read that one array.
+``msde tune`` prepares its validation split once for every trial's
+params.
 """
 
 from __future__ import annotations
@@ -175,14 +178,12 @@ def normalize_scores(raw) -> np.ndarray:
 
 def prepare_split(split: DatasetSplit, config: MsdeConfig,
                   shifts: Sequence[ShiftParams]) -> JointInput:
-    """The split's train and test rows, standardized when ``config`` says
-    so, prepared for the solo and joint shift runs of each of ``shifts``."""
-    train, test = split.train, split.test
-    if config.standardize:
-        standardizer = fit_standardizer(train)
-        train = apply_standardizer(standardizer, train)
-        test = apply_standardizer(standardizer, test)
-    return prepare_joint(train.values, test.values, shifts, threads=config.threads)
+    """The split's train rows then test rows, standardized with the train
+    statistics, prepared for the solo and joint shift runs of each of
+    ``shifts``."""
+    rows = np.concatenate([split.train.values, split.test.values])
+    apply_standardizer(fit_standardizer(split.train), rows)
+    return prepare_joint(rows, split.train.n_samples, shifts, threads=config.threads)
 
 
 def score_shifted(split: DatasetSplit, shifted: tuple[ShiftedEmbeddings,

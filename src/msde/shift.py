@@ -20,9 +20,9 @@ tie-breaks are prefix-closed, so the fuzzy graph takes the first
 The weights are prepared for every ``t_nbd`` among the params, and
 ``apply_shift`` runs one of them from it. ``run_shift`` is the two for
 one set of params; ``prepare_joint`` and ``joint_shift`` do the same for
-the solo and the joint run. ``prepare_joint`` stacks the train and test
-rows once; the joint run's points are that array, and the solo run's
-are its train rows.
+the solo and the joint run. Both runs read one array of train rows then
+test rows: the joint run's points are that array, and the solo run's are
+its train rows.
 
 A run allocates one ``knn.ScanScratch``, large enough for a k-NN scan's
 blocks and for a step's n x d temporaries, and every scan and step of its
@@ -234,15 +234,14 @@ def run_shift(points: np.ndarray, params: ShiftParams) -> ShiftedEmbeddings:
 
 @dataclass(frozen=True)
 class JointInput:
-    """Train and test rows with the prepared inputs of the solo run (train
-    rows) and of the joint run (``stacked``: train then test rows, one
-    C-contiguous array, of which ``train`` and ``test`` are views). When
-    no params shift, nothing is stacked: ``stacked`` is None and ``train``
-    and ``test`` are the arrays given."""
+    """The rows of both runs (``rows``: train then test rows, one read-only
+    C-contiguous array, of which ``train`` and ``test`` are views) with the
+    prepared inputs of the solo run (train rows) and of the joint run (all
+    rows)."""
 
+    rows: np.ndarray
     train: np.ndarray
     test: np.ndarray
-    stacked: np.ndarray | None
     solo: ShiftInput | None
     joint: ShiftInput | None
 
@@ -260,18 +259,17 @@ def _solo_and_joint(solo, joint, threads: int) -> list:
     return out
 
 
-def prepare_joint(train: np.ndarray, test: np.ndarray,
+def prepare_joint(rows: np.ndarray, n_train: int,
                   params: Sequence[ShiftParams], threads: int = 1) -> JointInput:
-    """``prepare_shift`` for the solo and the joint run of ``params``, on
-    the train and test rows stacked once."""
-    if all(p.max_iters == 0 for p in params):
-        return JointInput(train, test, None, None, None)
-    stacked = np.vstack([train, test])
-    stacked.flags.writeable = False  # every trial of a study shares it
-    train, test = stacked[:len(train)], stacked[len(train):]
+    """``prepare_shift`` for the solo and the joint run of ``params`` over
+    ``rows``, a C-contiguous float64 array of ``n_train`` train rows then
+    the test rows. The array is taken over, not copied, and made read-only:
+    every trial of a study shares it."""
+    rows.flags.writeable = False
+    train, test = rows[:n_train], rows[n_train:]
     solo, joint = _solo_and_joint(lambda: prepare_shift(train, params),
-                                  lambda: prepare_shift(stacked, params), threads)
-    return JointInput(train, test, stacked, solo, joint)
+                                  lambda: prepare_shift(rows, params), threads)
+    return JointInput(rows, train, test, solo, joint)
 
 
 def joint_shift(prepared: JointInput, params: ShiftParams, threads: int = 1
@@ -279,18 +277,14 @@ def joint_shift(prepared: JointInput, params: ShiftParams, threads: int = 1
     """Refine train alone (for model fitting) and train+test jointly.
 
     Returns ``(solo, joint, test_values)``: the solo train run, the run
-    over the stacked train and test rows, and that run's test rows. The
-    joint run has its own weights and radii, so test samples are scored
-    from geometry consistent with the train set. With ``max_iters == 0``
-    nothing moves, so the joint run is skipped: ``joint`` is ``solo`` and
-    the test rows are returned as given.
+    over all the prepared rows, and that run's test rows. The joint run has
+    its own weights and radii, so test samples are scored from geometry
+    consistent with the train set. With ``max_iters == 0`` both runs pass
+    their rows through, so the test rows are a view of ``prepared.rows``.
     """
-    train, test = prepared.train, prepared.test
-    if params.max_iters == 0:
-        solo = apply_shift(train, prepared.solo, params)
-        return solo, solo, test
+    train = prepared.train
     solo, joint = _solo_and_joint(
         lambda: apply_shift(train, prepared.solo, params),
-        lambda: apply_shift(prepared.stacked, prepared.joint, params),
+        lambda: apply_shift(prepared.rows, prepared.joint, params),
         threads)
-    return solo, joint, joint.values[train.shape[0]:]
+    return solo, joint, joint.values[len(train):]

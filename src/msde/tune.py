@@ -9,11 +9,11 @@ of the winning parameters, which is retrained on all training normals.
 Every trial's parameters are drawn before any trial runs, each from its
 own ``default_rng(seed + trial_index)``. The validation split is then
 prepared once for all of them (``scoring.prepare_split``: the
-standardized rows and, for the solo and the joint run, one k-NN scan
-that gives the fuzzy graph and the iteration-1 neighbor lists at the
-largest drawn ``k``, and the density weights for every drawn ``t_nbd``:
-one pass 1, a radius search per ``t_nbd`` and one pass 2 that counts
-inside all of their radii). Each trial then looks up its weights and
+standardized rows in one array and, for the solo and the joint run, one
+k-NN scan that gives the fuzzy graph and the iteration-1 neighbor lists
+at the largest drawn ``k``, and the density weights for every drawn
+``t_nbd``: one pass 1, a radius search per ``t_nbd`` and one pass 2 that
+counts inside all of their radii). Each trial then looks up its weights and
 runs only the shift iterations and the scoring. A trial scores exactly
 what ``score_pipeline`` on the validation split would.
 """

@@ -30,9 +30,11 @@ def synth_dir(tmp_path):
 
 
 # Flags of settings removed from `msde run` and the config file, each with
-# the value it once took: two that no paper setting, demo or test used, and
-# --seed, which run never read (tune and synth have their own --seed).
-REMOVED_FLAGS = {"--fit-on-joint": (), "--static-graph": (), "--seed": ("3",)}
+# the value it once took: four that no paper setting, demo or test used
+# (standardization is always on), and --seed, which run never read (tune
+# and synth have their own --seed).
+REMOVED_FLAGS = {"--fit-on-joint": (), "--static-graph": (), "--standardize": (),
+                 "--no-standardize": (), "--seed": ("3",)}
 
 
 def _run_args(synth_dir, out, extra=(), max_iters="3"):
@@ -44,6 +46,13 @@ def _run_args(synth_dir, out, extra=(), max_iters="3"):
             "--k", "10", "--t-nbd", "10", "--k-umap", "10",
             *(("--max-iters", max_iters) if max_iters is not None else ()),
             "--pca-dim", "6", *extra]
+
+
+def _with_labels(argv):
+    """``argv`` split, with the ``--labels`` that run and tune require."""
+    command, *rest = argv.split()
+    labels = ["--labels", "l"] if command in ("run", "tune") else []
+    return [command, *labels, *rest]
 
 
 def _tune_args(synth_dir, out, extra=()):
@@ -168,9 +177,18 @@ class TestRun:
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code = main(["run", "--train", str(tmp_path / "nope.npy"),
                      "--test", str(tmp_path / "nope.npy"),
+                     "--labels", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "MSDE-ERR" in capsys.readouterr().err
+
+    def test_no_shift_writes_two_zero_iteration_traces(self, synth_dir, tmp_path):
+        out = tmp_path / "ns"
+        assert main(_run_args(synth_dir, out, ("--no-shift",), max_iters=None)) == 0
+        assert (out / "shift_trace.log").read_text().splitlines() == [
+            "solo converged false after 0 iterations",
+            "joint converged false after 0 iterations",
+        ]
 
     def test_single_class_labels_still_write_echo_and_trace(self, synth_dir,
                                                              tmp_path, capsys):
@@ -254,6 +272,19 @@ class TestEval:
         assert code == 2
         assert "MSDE-ERR eval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_repeated_row_id_is_data_error(self, sidecar, tmp_path, capsys):
+        # counted once per row, `a` would make n_pos 2 against one real row
+        scores = tmp_path / "scores.csv"
+        scores.write_text("row_id,label,raw_score,normalized_score\n"
+                          "a,1,0.9,0.9\na,0,0.1,0.2\nb,0,0.2,0.3\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("row_id,label\na,1\nb,0\n")
+        args = ["eval", "--scores", str(scores)]
+        code = main(args + ["--labels", str(labels)] if sidecar else args)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"MSDE-ERR data_io: {scores}: line 3: duplicate row id 'a'\n")
 
     @pytest.mark.parametrize("case", ["unknown", "missing"])
     def test_sidecar_ids_must_match_scores(self, case, tmp_path, capsys):
@@ -429,7 +460,7 @@ class TestTuneCommand:
         from msde.cli import _build_parser
         parser = _build_parser()
         ns = parser.parse_args(["tune", "--train", "x", "--test", "y",
-                                "--out", "z"])
+                                "--labels", "l", "--out", "z"])
         assert ns.trials == 80
         assert isinstance(ns, argparse.Namespace)
 
@@ -437,14 +468,12 @@ class TestTuneCommand:
 class TestConfigParsing:
     def test_parse_and_build(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("# comment\nk = 12\neta = 0.2\nlambda = 1e-3\n"
-                     "standardize = false\n")
+        p.write_text("# comment\nk = 12\neta = 0.2\nlambda = 1e-3\n")
         values = parse_config_file(p)
         cfg = build_config(values)
         assert cfg.shift.k == 12
         assert cfg.shift.eta == 0.2
         assert cfg.lam == 1e-3
-        assert cfg.standardize is False
 
     def test_unknown_key_rejected(self, tmp_path):
         # Settings that were removed are unknown keys like any other.
@@ -460,8 +489,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("flag", list(REMOVED_FLAGS))
     def test_removed_flag_is_usage_error(self, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--train", "x", "--test", "y", "--out", str(tmp_path),
-                  flag, *REMOVED_FLAGS[flag]])
+            main(["run", "--train", "x", "--test", "y", "--labels", "l",
+                  "--out", str(tmp_path), flag, *REMOVED_FLAGS[flag]])
         assert exc.value.code == 1
         assert "MSDE-ERR cli:" in capsys.readouterr().err
 
@@ -474,10 +503,11 @@ class TestConfigParsing:
             ("tune", {"trials", "seed"}, set(CONFIG_FIELD_TYPES) - SAMPLED_KEYS),
         ):
             ns = _build_parser().parse_args([command, "--train", "x", "--test", "y",
-                                             "--out", "z"])
+                                             "--labels", "l", "--out", "z"])
             assert set(vars(ns)) - common - other == keys, command
-        assert len(build_config().flat()) == len(CONFIG_FIELD_TYPES) == 10
-        assert len(set(CONFIG_FIELD_TYPES) - SAMPLED_KEYS) == 5
+        assert len(build_config().flat()) == len(CONFIG_FIELD_TYPES) == 9
+        assert len(set(CONFIG_FIELD_TYPES) - SAMPLED_KEYS) == 4
+        assert set(CONFIG_FIELD_TYPES.values()) == {int, float}
 
     @pytest.mark.parametrize("argv", [
         "run --train x --test y --out z --max 2",
@@ -488,7 +518,7 @@ class TestConfigParsing:
     ])
     def test_abbreviated_flag_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv.split())
+            main(_with_labels(argv))
         assert exc.value.code == 1
         assert "MSDE-ERR cli:" in capsys.readouterr().err
 
@@ -499,7 +529,7 @@ class TestConfigParsing:
     def test_leftover_argument_prints_command_usage(self, argv, capsys):
         command, *_, flag, value = argv.split()
         with pytest.raises(SystemExit) as exc:
-            main(argv.split())
+            main(_with_labels(argv))
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: msde {command} ")
@@ -528,7 +558,7 @@ class TestConfigParsing:
             build_config({"eta": 2.0})
 
     @pytest.mark.parametrize("line", ["k = 20.0", "threads = 2.0",
-                                      "pca_dim = 2.5", "standardize = 1",
+                                      "pca_dim = 2.5", "tol = true",
                                       "max_iters = true", 'k = "20"'])
     def test_value_of_wrong_type_is_config_error(self, line, tmp_path):
         p = tmp_path / "c.cfg"
@@ -538,9 +568,9 @@ class TestConfigParsing:
 
     def test_file_values_read_as_field_type(self, tmp_path):
         p = tmp_path / "c.cfg"
-        p.write_text("k = 12\neta = 1\nstandardize = True\n")
+        p.write_text("k = 12\neta = 1\n")
         values = parse_config_file(p)
-        assert values == {"k": 12, "eta": 1.0, "standardize": True}
+        assert values == {"k": 12, "eta": 1.0}
         assert type(values["eta"]) is float
 
     def test_int_for_float_key_stored_as_float(self):
@@ -554,6 +584,7 @@ class TestConfigParsing:
         cfg.write_text("k = 20.0\n")
         code = main(["run", "--train", str(synth_dir / "train.npy"),
                      "--test", str(synth_dir / "test.npy"),
+                     "--labels", str(synth_dir / "labels.csv"),
                      "--out", str(tmp_path / "out"), "--config", str(cfg)])
         assert code == 1
         assert "MSDE-ERR cli:" in capsys.readouterr().err
@@ -563,6 +594,19 @@ class TestConfigParsing:
             main(["run"])  # missing required flags
         assert exc.value.code == 1
         assert "MSDE-ERR cli" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    def test_missing_labels_is_usage_error(self, command, synth_dir, tmp_path,
+                                           capsys):
+        args = {"run": _run_args, "tune": _tune_args}[command](synth_dir,
+                                                              tmp_path / "o")
+        del args[args.index("--labels"):args.index("--labels") + 2]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 1
+        assert ("MSDE-ERR cli: the following arguments are required: --labels\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_log_level_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("MSDE_LOG", "loud")

@@ -16,12 +16,16 @@ from msde import (
     fit_gaussian,
     fit_pca,
     generate_synthetic,
+    joint_shift,
     mahalanobis,
     normalize_scores,
+    prepare_joint,
     project,
     score_pipeline,
 )
+from msde.data import fit_standardizer
 from msde.exceptions import FitError, ShapeError
+from msde.scoring import prepare_split, score_shifted
 from msde.metrics import auc_roc, average_precision
 
 
@@ -273,27 +277,27 @@ class TestScorePipeline:
 
     def test_rotation_invariance_at_full_rank(self):
         # joint rigid rotation of train and test leaves scores unchanged
-        # when the PCA keeps every direction
-        rng = np.random.default_rng(18)
+        # when the PCA keeps every direction; the rows are shifted and
+        # scored raw, since per-column standardization does not commute
+        # with a rotation
         spec = SyntheticSpec(dim=5, n_train=50, n_test_normal=20,
                              n_test_anomalous=20, anomaly_offset=3.0)
         split = generate_synthetic(spec, 19)
         rot = ortho_group.rvs(5, random_state=20)
-        rotated = DatasetSplit(
-            train=EmbeddingMatrix(split.train.values @ rot.T, split.train.row_ids),
-            test=EmbeddingMatrix(split.test.values @ rot.T,
-                                 split.test.row_ids, split.test.labels),
-        )
-        config = MsdeConfig(
-            shift=ShiftParams(k=10, t_nbd=10, k_umap=10, max_iters=3,
-                              eta=0.33, tol=1e-8),
-            pca_dim=5, standardize=False,
-        )
+        params = ShiftParams(k=10, t_nbd=10, k_umap=10, max_iters=3,
+                             eta=0.33, tol=1e-8)
+        config = MsdeConfig(shift=params, pca_dim=5)
+        rows = np.concatenate([split.train.values, split.test.values])
+
+        def raw_scores(points):
+            prepared = prepare_joint(points, split.train.n_samples, [params])
+            return score_shifted(split, joint_shift(prepared, params), config).raw
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            base = score_pipeline(split, config)
-            rot_report = score_pipeline(rotated, config)
-        np.testing.assert_allclose(rot_report.raw, base.raw, atol=1e-6)
+            base = raw_scores(rows.copy())
+            rotated = raw_scores(rows @ rot.T)
+        np.testing.assert_allclose(rotated, base, atol=1e-6)
 
     def test_no_shift_baseline_matches_plain_pca_gaussian(self):
         spec = SyntheticSpec(dim=6, n_train=50, n_test_normal=20,
@@ -304,15 +308,16 @@ class TestScorePipeline:
             warnings.simplefilter("ignore")
             report = score_pipeline(split, config)
         # manual reference: standardize, PCA, Gaussian, Mahalanobis
-        from msde import apply_standardizer, fit_standardizer
+        from msde import apply_standardizer
         std = fit_standardizer(split.train)
-        train = apply_standardizer(std, split.train)
-        test = apply_standardizer(std, split.test)
+        train, test = split.train.values.copy(), split.test.values.copy()
+        apply_standardizer(std, train)
+        apply_standardizer(std, test)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            basis = fit_pca(train.values, 6)
-        scorer = fit_gaussian(project(basis, train.values), lam=1e-4)
-        expected = mahalanobis(scorer, project(basis, test.values))
+            basis = fit_pca(train, 6)
+        scorer = fit_gaussian(project(basis, train), lam=1e-4)
+        expected = mahalanobis(scorer, project(basis, test))
         np.testing.assert_array_equal(report.raw, expected)
 
     def test_raw_scores_move_continuously_in_lambda(self):
@@ -350,3 +355,28 @@ class TestScorePipeline:
                                                      max_iters=2))
         assert report.row_ids == ids
         np.testing.assert_array_equal(report.labels, labels)
+
+
+class TestPrepareSplit:
+    def test_one_read_only_array_of_train_then_test_rows(self):
+        rng = np.random.default_rng(25)
+        train = rng.normal(3.0, 2.0, size=(40, 4))
+        train[:, 2] = 7.0  # constant column: its std is floored to 1
+        test = rng.normal(3.0, 2.0, size=(10, 4))
+        split = DatasetSplit(
+            train=_embedding(train),
+            test=EmbeddingMatrix(test, tuple(f"t{i}" for i in range(10)),
+                                 np.arange(10) % 2),
+        )
+        prepared = prepare_split(split, MsdeConfig(), [ShiftParams(max_iters=0)])
+        rows = prepared.rows
+        assert rows.dtype == np.float64 and rows.shape == (50, 4)
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert prepared.train.shape == (40, 4) and prepared.test.shape == (10, 4)
+        assert np.shares_memory(prepared.train, rows)
+        assert np.shares_memory(prepared.test, rows)
+        # the same bytes as standardizing each part on its own
+        s = fit_standardizer(split.train)
+        assert s.std[2] == 1.0
+        assert rows[:40].tobytes() == ((train - s.mean) / s.std).tobytes()
+        assert rows[40:].tobytes() == ((test - s.mean) / s.std).tobytes()

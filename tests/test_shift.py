@@ -10,6 +10,7 @@ from _inputs import recorded
 from _oracles import brute_force_knn
 from msde import (
     ShiftParams,
+    ShiftTrace,
     SyntheticSpec,
     build_fuzzy_graph,
     build_knn_graph,
@@ -365,8 +366,12 @@ class TestPrepareShift:
         assert np.ascontiguousarray(prepared.neighbors).tobytes() == lists.tobytes()
 
 
+def _prepare(train, test, params, threads=1):
+    return prepare_joint(np.concatenate([train, test]), len(train), params, threads)
+
+
 def _joint_shift(train, test, params):
-    return joint_shift(prepare_joint(train, test, [params]), params)
+    return joint_shift(_prepare(train, test, [params]), params)
 
 
 class TestJointShift:
@@ -383,37 +388,43 @@ class TestJointShift:
     def test_params_not_prepared_for_are_refused(self):
         rng = np.random.default_rng(12)
         train, test = rng.normal(size=(20, 2)), rng.normal(size=(5, 2))
-        prepared = prepare_joint(train, test, [_quiet_params(k=5, t_nbd=5)])
+        prepared = _prepare(train, test, [_quiet_params(k=5, t_nbd=5)])
         for params in (_quiet_params(k=6), _quiet_params(t_nbd=6),
                        _quiet_params(k_umap=6)):
             with pytest.raises(ConfigError, match="not prepared"):
                 joint_shift(prepared, params)
-        unshifted = prepare_joint(train, test, [_quiet_params(max_iters=0)])
+        unshifted = _prepare(train, test, [_quiet_params(max_iters=0)])
         with pytest.raises(ConfigError, match="not prepared"):
             joint_shift(unshifted, _quiet_params())
 
     def test_no_shift_passes_rows_through(self):
+        # Both runs return their points unmoved, so the test rows are a view
+        # of the prepared rows, and each run has a trace of 0 iterations.
         rng = np.random.default_rng(13)
         train = _matrix(rng.normal(size=(20, 2)))
         test = rng.normal(size=(5, 2))
-        solo, joint, test_joint = _joint_shift(train, test, _quiet_params(max_iters=0))
-        assert test_joint is test
-        assert solo.values is train and joint is solo
-        assert joint.trace.iterations_run == 0
+        params = _quiet_params(max_iters=0)
+        prepared = _prepare(train, test, [params])
+        solo, joint, test_joint = joint_shift(prepared, params)
+        assert solo.values is prepared.train and joint.values is prepared.rows
+        assert test_joint.base is prepared.rows
+        assert test_joint.tobytes() == test.tobytes()
+        assert solo.trace == joint.trace == ShiftTrace(0, (), False)
+        assert solo.weights_used is None and joint.weights_used is None
 
     def test_joint_run_shifts_the_one_stacked_copy(self, monkeypatch):
-        # prepare_joint stacks train and test once: both are views of that
-        # array, and the joint run's points are the array itself.
+        # prepare_joint takes over the one array of train then test rows,
+        # uncopied: both are views of it, and the joint run's points are the
+        # array itself.
         rng = np.random.default_rng(14)
         train, test = rng.normal(size=(30, 3)), rng.normal(size=(8, 3))
         params = _quiet_params(max_iters=2)
-        prepared = prepare_joint(train, test, [params])
-        stacked = prepared.stacked
-        assert stacked.flags.c_contiguous
-        assert stacked.tobytes() == np.vstack([train, test]).tobytes()
+        stacked = np.concatenate([train, test])
+        prepared = prepare_joint(stacked, len(train), [params])
+        assert prepared.rows is stacked and not stacked.flags.writeable
         assert prepared.train.base is stacked and prepared.test.base is stacked
-        assert np.shares_memory(prepared.train, stacked)
-        assert np.shares_memory(prepared.test, stacked)
+        assert prepared.train.tobytes() == train.tobytes()
+        assert prepared.test.tobytes() == test.tobytes()
         runs = []
         apply_shift = shift_module.apply_shift
 
@@ -491,7 +502,7 @@ class TestSoloJointFanOut:
             idents.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # clamps
-                prepared = prepare_joint(train, test, [params], threads)
+                prepared = _prepare(train, test, [params], threads)
                 solo, joint, test_values = joint_shift(prepared, params, threads)
             runs[threads] = (_run_fingerprint(solo), _run_fingerprint(joint),
                              test_values.tobytes())
@@ -507,7 +518,7 @@ class TestSoloJointFanOut:
         rng = np.random.default_rng(32)
         train, test = rng.normal(size=(30, 3)), rng.normal(size=(10, 3))
         params = _quiet_params()
-        prepared = prepare_joint(train, test, [params])
+        prepared = _prepare(train, test, [params])
         apply_shift = shift_module.apply_shift
 
         def failing_run(points, prepared_input, p):
