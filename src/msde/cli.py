@@ -173,6 +173,9 @@ def _prepare(args: argparse.Namespace) -> tuple[MsdeConfig, DatasetSplit, Path]:
         raise ConfigError(f"{args.config}: msde {args.command} does not take "
                           f"{', '.join(unread)}")
     config = build_config(file_values, _given(args, keys))
+    if getattr(args, "dump_weights", False) and config.shift.max_iters == 0:
+        raise ConfigError("--dump-weights writes the shift runs' weights, "
+                          "but max_iters is 0, so nothing shifts")
     # distinct id prefixes keep train/test ids unique when mixed (tuning
     # builds validation sets out of rows from both)
     train = load_embeddings(args.train, id_prefix="train")
@@ -213,14 +216,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = score_pipeline(split, config)
     save_scores(report, out / "scores.csv")
     if args.dump_weights:
-        if report.solo_weights is not None:
-            _dump_weights(out / "weights_train.csv", split.train.row_ids,
-                          report.solo_weights)
-        if report.joint_weights is not None:
-            union_ids = [f"train:{r}" for r in split.train.row_ids] + \
-                        [f"test:{r}" for r in split.test.row_ids]
-            _dump_weights(out / "weights_joint.csv", union_ids,
-                          report.joint_weights)
+        _dump_weights(out / "weights_train.csv", split.train.row_ids,
+                      report.solo_weights)
+        union_ids = [f"train:{r}" for r in split.train.row_ids] + \
+                    [f"test:{r}" for r in split.test.row_ids]
+        _dump_weights(out / "weights_joint.csv", union_ids, report.joint_weights)
     _write_echo(args, config, out)
     write_lines(out / "shift_trace.log", _trace_lines(report))
     if report.metrics is None:

@@ -134,8 +134,8 @@ def build_fuzzy_graph(points, k_umap: int) -> FuzzyGraph:
     n = points.shape[0]
     if n < 2:
         raise GraphError(f"fuzzy graph needs at least 2 points, got {n}")
-    if k_umap < 1:
-        raise ConfigError(f"k_umap must be >= 1, got {k_umap}")
+    if k_umap < 2:
+        raise ConfigError(f"k_umap must be >= 2, got {k_umap}")
     return _fuzzy_from_knn(build_knn_graph(points, k_umap))
 
 

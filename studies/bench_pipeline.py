@@ -1,19 +1,19 @@
 """End-to-end benchmark of the pipeline at paper scale and of ``msde tune``.
 
 Runs three fixed seed-42 synthetic instances (``generate_synthetic``,
-default config at 1 and at 2 threads): ``score_pipeline`` on 2000x512 train
-rows plus 500 test rows, and ``random_search`` (seed 0) with 8 and with 80
-trials (the CLI default: up to 78 distinct ``t_nbd`` share one
-preparation) on 500x32 train rows plus 200 test rows, the shape of
-acceptance criterion 7. At 2
-threads the solo and joint shift runs of each scoring pass run
-concurrently, so two working sets are live in the peak. Each is timed as
-the median of three calls, alternating with the other checkouts' calls,
-then run once more under tracemalloc for its peak. The median, each call's
-seconds, the peak and a SHA-256 (of the raw test scores, or of the trial
-records and final metrics as ``msde tune`` writes them) are stored in
-``studies/BENCH_pipeline.json`` under each label, with the machine it ran
-on (see ``_bench.py``). To compare a change with its parent checkout:
+default config at 1 and at 2 threads; the test rows are half normal, half
+anomalous): ``score_pipeline`` on 2000x512 train rows plus 500 test rows,
+and ``random_search`` (seed 0) with 8 and with 80 trials (the CLI default:
+up to 78 distinct ``t_nbd`` share one preparation) on 500x32 train rows
+plus 200 test rows, the shape of acceptance criterion 7. At 2 threads the
+solo and joint shift runs of each scoring pass run concurrently, so two
+working sets are live in the peak. Each is run in a fresh interpreter per
+checkout, in alternated pairs, then once more under tracemalloc (see
+``_bench.py``), so each call pays the allocator churn of a fresh process,
+as an ``msde`` command does. The digest is the SHA-256 of the raw test
+scores, or of the trial records and final metrics as ``msde tune`` writes
+them. The comparison is written to ``studies/BENCH_pipeline.json``. To
+compare a change with its parent checkout:
 
     python studies/bench_pipeline.py --run parent=../parent/src --run change=src
 
@@ -25,17 +25,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 
 import _bench
 
-# (call, train rows, test normals, test anomalies, dim, trials)
-INSTANCES = (("score_pipeline", 2000, 250, 250, 512, None),
-             ("random_search", 500, 100, 100, 32, 8),
-             ("random_search", 500, 100, 100, 32, 80))
-THREADS = (1, 2)
-SEED, SEARCH_SEED, REPEATS = 42, 0, 3
+INSTANCES = [{"call": call, "rows": rows, "test_rows": test_rows, "dim": dim,
+              "trials": trials, "threads": threads}
+             for call, rows, test_rows, dim, trials in (
+                 ("score_pipeline", 2000, 500, 512, None),
+                 ("random_search", 500, 200, 32, 8),
+                 ("random_search", 500, 200, 32, 80))
+             for threads in (1, 2)]
+SEED, SEARCH_SEED = 42, 0
 
 
 def _search_digest(result) -> str:
@@ -49,41 +50,24 @@ def _search_digest(result) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _call(msde, call: str, rows: int, normal: int, anomalous: int, dim: int,
-          trials: int | None, threads: int) -> tuple:
-    """One checkout's (function, arguments, digest of its result)."""
-    config = msde.config.MsdeConfig(threads=threads)
-    split = msde.data.generate_synthetic(
-        msde.data.SyntheticSpec(dim=dim, n_train=rows, n_test_normal=normal,
-                                n_test_anomalous=anomalous), SEED)
-    if call == "score_pipeline":
-        return (msde.scoring.score_pipeline, (split, config),
+def call(instance: dict) -> tuple:
+    """(function, arguments, digest of its output) of one instance."""
+    from msde.config import MsdeConfig
+    from msde.data import SyntheticSpec, generate_synthetic
+    from msde.scoring import score_pipeline
+    from msde.tune import SearchSpace, random_search
+
+    config = MsdeConfig(threads=instance["threads"])
+    half = instance["test_rows"] // 2
+    spec = SyntheticSpec(dim=instance["dim"], n_train=instance["rows"],
+                         n_test_normal=half, n_test_anomalous=half)
+    split = generate_synthetic(spec, SEED)
+    if instance["call"] == "score_pipeline":
+        return (score_pipeline, (split, config),
                 lambda report: hashlib.sha256(report.raw.tobytes()).hexdigest())
-    return (msde.tune.random_search,
-            (split, msde.tune.SearchSpace(), trials, SEARCH_SEED, config), _search_digest)
-
-
-def main() -> None:
-    args = _bench.setup(__doc__, "BENCH_pipeline.json")
-    results = {label: [] for label in args.packages}
-    for (call, rows, normal, anomalous, dim, trials), threads in itertools.product(
-            INSTANCES, THREADS):
-        if args.max_rows is not None and rows > args.max_rows:
-            continue
-        calls = {label: _call(msde, call, rows, normal, anomalous, dim, trials, threads)
-                 for label, msde in args.packages.items()}
-        timed = _bench.measure({label: (fn, fn_args) for label, (fn, fn_args, _)
-                                in calls.items()}, REPEATS)
-        for label, (result, timing) in timed.items():
-            results[label].append({"call": call, "rows": rows,
-                                   "test_rows": normal + anomalous, "dim": dim,
-                                   "trials": trials, "threads": threads, **timing,
-                                   "sha256": calls[label][2](result)})
-            print(json.dumps({"label": label, **results[label][-1]}), flush=True)
-    _bench.write_report(args, {"seed": SEED, "search_seed": SEARCH_SEED,
-                               "repeats": REPEATS},
-                        results, ("call", "rows", "dim", "trials", "threads"))
+    search = (split, SearchSpace(), instance["trials"], SEARCH_SEED, config)
+    return random_search, search, _search_digest
 
 
 if __name__ == "__main__":
-    main()
+    _bench.main(__doc__, __file__, INSTANCES, seed=SEED, search_seed=SEARCH_SEED)

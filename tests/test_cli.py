@@ -228,6 +228,25 @@ class TestRun:
         assert joint_lines[1].startswith("train:train_000000,")
         assert float(train_lines[1].split(",")[1]) >= 0.0
 
+    @pytest.mark.parametrize("how", ["no-shift", "max-iters", "config"])
+    def test_dump_weights_without_a_shift_is_usage_error(self, how, synth_dir,
+                                                         tmp_path, capsys):
+        # No shift run means no weights to write: refused before any input
+        # is read or --out is made.
+        extra, max_iters = ["--dump-weights"], None
+        if how == "no-shift":
+            extra.append("--no-shift")
+        elif how == "max-iters":
+            max_iters = "0"
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("max_iters = 0\n")
+            extra += ["--config", str(cfg)]
+        out = tmp_path / "dw"
+        assert main(_run_args(synth_dir, out, extra, max_iters=max_iters)) == 1
+        assert "MSDE-ERR cli: --dump-weights" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_applied_and_flags_override(self, synth_dir, tmp_path):
         cfg = tmp_path / "msde.cfg"
         cfg.write_text("k = 10\nt_nbd = 10\nk_umap = 10\n"

@@ -192,6 +192,15 @@ class TestFuzzyGraph:
         with pytest.raises(GraphError):
             build_fuzzy_graph(_matrix([[0.0]]), 2)
 
+    def test_k_umap_below_two_is_config_error(self):
+        # As ShiftParams and --k-umap refuse it: one neighbour leaves no
+        # membership for sigma to calibrate.
+        points = np.random.default_rng(0).normal(size=(10, 3))
+        for build in (lambda: build_fuzzy_graph(points, 1),
+                      lambda: compute_empirical_weights(points, 5, 1)):
+            with pytest.raises(ConfigError, match="k_umap must be >= 2"):
+                build()
+
     def test_bandwidth_solver_hits_target(self):
         rng = np.random.default_rng(1)
         d = np.sort(rng.uniform(1.0, 3.0, size=14))
@@ -237,7 +246,7 @@ def _weight_inputs(draw):
     """Points for the fuzzy graph; t_nbd goes up to n + 4 so the clamp and
     the unsatisfiable radius are reached."""
     points = draw(point_sets(260))
-    return points, draw(st.integers(1, 20)), draw(st.integers(1, len(points) + 4))
+    return points, draw(st.integers(2, 20)), draw(st.integers(1, len(points) + 4))
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
