@@ -5,7 +5,9 @@ takes every config key, ``tune`` the ones its ``SearchSpace`` does not
 sample, ``synth`` the ``SyntheticSpec`` fields. Flags must be spelled in
 full. Every run and tune writes a resolved-config echo (the settings it
 used, tune's seed and trial count, the msde, numpy and scipy versions,
-input digests) sufficient to reproduce it byte for byte. Errors print one
+input digests) sufficient to reproduce it byte for byte, plus the BLAS
+numpy and scipy were built with and the ``OPENBLAS_NUM_THREADS`` the
+process saw, which can change the last bits. Errors print one
 machine-parsable line ``MSDE-ERR <module>: detail`` and map to exit codes
 1 (usage), 2 (data), 3 (numeric).
 """
@@ -186,14 +188,27 @@ def _prepare(args: argparse.Namespace) -> tuple[MsdeConfig, DatasetSplit, Path]:
     return config, DatasetSplit(train=train, test=test), out
 
 
+def _blas(module) -> str:
+    """The BLAS name and version ``module`` was built with, from its
+    build config; ``unknown`` where the config lacks one."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # no mode= before numpy 1.25 and scipy 1.11
+        blas = {}
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def _write_echo(args: argparse.Namespace, config: MsdeConfig, out: Path, **extra) -> None:
-    """The settings the command read, ``extra`` ones, versions, input digests."""
+    """The settings the command read, ``extra`` ones, versions, the BLAS
+    builds and thread setting, input digests."""
     flat = config.flat()
     settings = {name: flat[name] for name in map(external_key, _CONFIG_KEYS[args.command])}
     inputs = {"train": args.train, "test": args.test, "labels": args.labels}
-    versions = {"msde": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    versions = {"msde": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                "numpy.blas": _blas(np), "scipy.blas": _blas(scipy)}
+    env = {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
     write_lines(out / "config_echo.txt",
-                config_echo({**settings, **extra}, inputs, versions))
+                config_echo({**settings, **extra}, inputs, versions, env))
 
 
 def _trace_lines(report):

@@ -134,11 +134,12 @@ def file_digest(path: str | Path) -> str:
 
 
 def config_echo(settings: dict, inputs: dict[str, str | Path],
-                versions: dict[str, str]) -> list[str]:
-    """Lines of flat resolved settings, versions and input digests; enough
-    to rerun exactly."""
+                versions: dict[str, str], env: dict[str, str]) -> list[str]:
+    """Lines of flat resolved settings, versions, environment variables and
+    input digests; enough to rerun exactly."""
     lines = [f"{key} = {_format_value(v)}" for key, v in sorted(settings.items())]
     lines += [f"version.{name} = \"{v}\"" for name, v in sorted(versions.items())]
+    lines += [f"env.{name} = \"{v}\"" for name, v in sorted(env.items())]
     for name, path in sorted(inputs.items()):
         lines.append(f"input.{name} = \"{path}\"")
         lines.append(f"input.{name}.sha256 = \"{file_digest(path)}\"")

@@ -20,13 +20,13 @@ params.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.special import expit
 
 from .config import MsdeConfig
 from .data import DatasetSplit, apply_standardizer, fit_standardizer
@@ -116,11 +116,13 @@ def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
 
     center = x.mean(axis=0)
     centered = x - center
-    cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = eigh(cov)
+    cov = centered.T @ centered  # syrk, then mirrored: exactly symmetric
+    cov /= n - 1
+    del centered
+    eigvals, eigvecs = eigh(cov.T, overwrite_a=True)  # cov's bytes, F-ordered: no copy
     order = np.argsort(eigvals)[::-1][:reduced_dim]
     variance = np.maximum(eigvals[order], 0.0)
-    components = eigvecs[:, order].T.copy()
+    components = eigvecs.T[order]
     pivot = components[np.arange(reduced_dim), np.argmax(np.abs(components), axis=1)]
     components[pivot < 0] *= -1.0
     return PcaBasis(center=center, components=components,
@@ -145,7 +147,9 @@ def fit_gaussian(z: np.ndarray, lam: float) -> GaussianScorer:
         raise FitError(f"lambda must be > 0, got {lam}")
     mu = z.mean(axis=0)
     centered = z - mu
-    sigma = centered.T @ centered / (n - 1) + lam * np.eye(d)
+    sigma = centered.T @ centered
+    sigma /= n - 1
+    sigma += lam * np.eye(d)
     return GaussianScorer(mu=mu, sigma=sigma)
 
 
@@ -167,13 +171,19 @@ def mahalanobis(scorer: GaussianScorer, z) -> np.ndarray | float:
 
 def normalize_scores(raw) -> np.ndarray:
     """Logistic map of the scores' own z-scores; constant input -> 0.5."""
+    def logistic(v: float) -> float:  # the C library's exp, as scipy's expit
+        try:
+            return 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:  # v < -709.78, where expit gives 0.0 too
+            return 0.0
     raw = np.asarray(raw, dtype=np.float64)
     if raw.size == 0:
         return raw.copy()
     std = raw.std()  # population std, divisor n
     if std < NORMALIZE_STD_FLOOR:
         return np.full(raw.shape, 0.5)
-    return expit((raw - raw.mean()) / std)
+    z = (raw - raw.mean()) / std
+    return np.array([logistic(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def prepare_split(split: DatasetSplit, config: MsdeConfig,

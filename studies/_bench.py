@@ -18,7 +18,10 @@ first label swapping on every pair (ABAB...), then one more call under
 tracemalloc. ``BENCH_*.json`` holds this one comparison and nothing from
 earlier runs: per instance and label the medians, each pair's values, the
 peak and the digest; per two labels ``a vs b``, the pairs each was faster
-in (``wins``, a's first), the ``ties`` and the two-sided sign-test ``p``.
+in (``wins``, a's first), the ``ties`` and the two-sided sign-test ``p``
+(``sign_test``), and the same for the pairs each had the smaller
+``ru_maxrss`` in (``sign_test_ru_maxrss``), so a memory claim rests on
+pairs as a speed claim does.
 ``hashes_match`` is true when every call on an instance gave one digest,
 and the file's when every instance's is.
 """
@@ -65,8 +68,8 @@ def sign_test(wins: int, losses: int) -> float:
 
 
 def compare(a: list, b: list) -> dict:
-    """Pair by pair, how often ``a`` and ``b`` took fewer seconds; ties
-    are left out of the sign test."""
+    """Pair by pair, how often ``a`` and ``b`` had the smaller value (fewer
+    seconds, a lower peak); ties are left out of the sign test."""
     wins = [sum(x < y for x, y in zip(a, b)), sum(y < x for x, y in zip(a, b))]
     return {"wins": wins, "ties": len(a) - sum(wins), "p": sign_test(*wins)}
 
@@ -90,9 +93,10 @@ def measure(module: str, instance: dict, runs: list, pairs: int = PAIRS) -> dict
             **{f"pair_{name}": [c[name] for c in calls[label]] for name in fields},
             "peak_mb": peak["peak_mb"],
             "sha256": digests[0] if len(digests) == 1 else digests}
-    seconds = {label: run["pair_seconds"] for label, run in row["runs"].items()}
-    row["sign_test"] = {f"{a} vs {b}": compare(seconds[a], seconds[b])
-                        for a, b in itertools.combinations(seconds, 2)}
+    for name, key in (("seconds", "sign_test"), ("ru_maxrss", "sign_test_ru_maxrss")):
+        pairs = {label: run[f"pair_{name}"] for label, run in row["runs"].items()}
+        row[key] = {f"{a} vs {b}": compare(pairs[a], pairs[b])
+                    for a, b in itertools.combinations(pairs, 2)}
     row["hashes_match"] = len(seen) == 1
     return row
 

@@ -9,6 +9,9 @@ the fast path it checks round the same way and refuse the same inputs.
 import math
 
 import numpy as np
+from scipy.linalg import eigh
+# The logistic oracle; msde itself does not import scipy.special.
+from scipy.special import expit  # noqa: F401
 
 from msde.exceptions import GraphError
 from msde.knn import NeighborGraph, _as_values, _effective_k, distances_from
@@ -89,3 +92,27 @@ def average_precision_stepwise(scores, labels) -> float:
         terms.append((block_tp / n_pos) * (tp / seen))
         i = j
     return math.fsum(terms)
+
+
+def pca_reference(x: np.ndarray, reduced_dim: int):
+    """``fit_pca``'s arithmetic as it was written with copies: the scaled
+    Gram as a new array, scipy's own Fortran copy for ``eigh`` and the
+    components gathered by column. Returns (center, components, variance)."""
+    n = x.shape[0]
+    center = x.mean(axis=0)
+    centered = x - center
+    cov = centered.T @ centered / (n - 1)
+    eigvals, eigvecs = eigh(cov)
+    order = np.argsort(eigvals)[::-1][:reduced_dim]
+    variance = np.maximum(eigvals[order], 0.0)
+    components = eigvecs[:, order].T.copy()
+    pivot = components[np.arange(reduced_dim), np.argmax(np.abs(components), axis=1)]
+    components[pivot < 0] *= -1.0
+    return center, components, variance
+
+
+def gaussian_sigma_reference(z: np.ndarray, lam: float) -> np.ndarray:
+    """``fit_gaussian``'s regularized covariance as one expression."""
+    n, d = z.shape
+    centered = z - z.mean(axis=0)
+    return centered.T @ centered / (n - 1) + lam * np.eye(d)

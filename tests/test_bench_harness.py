@@ -34,7 +34,31 @@ def test_children_give_the_in_process_digest():
     assert row["hashes_match"]
     assert row["runs"]["a"]["peak_mb"] > 0
     assert len(row["runs"]["b"]["pair_seconds"]) == 1
-    assert set(row["sign_test"]) == {"a vs b"}
+    assert set(row["sign_test"]) == set(row["sign_test_ru_maxrss"]) == {"a vs b"}
+
+
+def test_peak_rss_is_sign_tested_pair_by_pair(monkeypatch):
+    # Seconds and ru_maxrss are tested on their own pairs: here a is the
+    # faster label in every pair and the larger one in all but a tie.
+    seconds = {"a": [1.0, 1.0, 1.0], "b": [2.0, 2.0, 2.0]}
+    rss = {"a": [900, 800, 700], "b": [800, 800, 600]}
+    calls = {"a": 0, "b": 0}
+
+    def fake_child(module, instance, src, peak=False):
+        label = src.name
+        if peak:
+            return {"seconds": 0.0, "minflt": 0, "sys_s": 0.0, "ru_maxrss": 0,
+                    "peak_mb": 1.0, "sha256": "h"}
+        i = calls[label]
+        calls[label] += 1
+        return {"seconds": seconds[label][i], "minflt": 0, "sys_s": 0.0,
+                "ru_maxrss": rss[label][i], "sha256": "h"}
+
+    monkeypatch.setattr(_bench, "run_child", fake_child)
+    row = _bench.measure("m", {}, [("a", Path("a")), ("b", Path("b"))], pairs=3)
+    assert row["sign_test"] == {"a vs b": {"wins": [3, 0], "ties": 0, "p": 0.25}}
+    assert row["sign_test_ru_maxrss"] == {"a vs b": {"wins": [0, 2], "ties": 1, "p": 0.5}}
+    assert row["runs"]["a"]["ru_maxrss"] == 800
 
 
 def test_child_whose_msde_is_from_outside_its_src_fails(tmp_path):

@@ -28,6 +28,8 @@ from msde.exceptions import FitError, ShapeError
 from msde.scoring import prepare_split, score_shifted
 from msde.metrics import auc_roc, average_precision
 
+from _oracles import expit, gaussian_sigma_reference, pca_reference
+
 
 def _matrix(values):
     return np.atleast_2d(np.asarray(values, dtype=float))
@@ -98,6 +100,43 @@ class TestFitPca:
     def test_single_row_rejected(self):
         with pytest.raises(FitError):
             fit_pca(_matrix([[1.0, 2.0]]), 1)
+
+
+def _fit_inputs():
+    """The shapes the copy-free fits are checked on, each with and without
+    a pair of duplicate rows (two duplicate rows alone have zero spread)."""
+    rng = np.random.default_rng(16)
+    for n, d in ((4, 10), (2, 1), (30, 1), (40, 7), (50, 10), (600, 512),
+                 (2000, 64), (8000, 512)):
+        x = rng.normal(size=(n, d))
+        yield x
+        dup = x.copy()
+        dup[-1] = dup[0]
+        yield dup
+
+
+class TestCopyFreeFitsKeepTheBytes:
+    def test_gram_of_centered_rows_is_exactly_symmetric(self):
+        # fit_pca hands eigh cov.T in place of cov; that is cov only so.
+        for x in _fit_inputs():
+            centered = x - x.mean(axis=0)
+            gram = centered.T @ centered
+            assert np.array_equal(gram, gram.T), x.shape
+
+    def test_pca_matches_the_copying_form_byte_for_byte(self):
+        for x in _fit_inputs():
+            dim = min(x.shape[1], x.shape[0] - 1)
+            center, components, variance = pca_reference(x, dim)
+            basis = fit_pca(x, dim)
+            assert basis.center.tobytes() == center.tobytes(), x.shape
+            assert basis.components.tobytes() == components.tobytes(), x.shape
+            assert basis.explained_variance.tobytes() == variance.tobytes(), x.shape
+
+    def test_gaussian_sigma_matches_the_one_expression_byte_for_byte(self):
+        for x in _fit_inputs():
+            for lam in (1e-4, 0.3):
+                got = fit_gaussian(x, lam).sigma
+                assert got.tobytes() == gaussian_sigma_reference(x, lam).tobytes()
 
 
 class TestProject:
@@ -229,6 +268,37 @@ class TestNormalizeScores:
 
     def test_empty(self):
         assert normalize_scores([]).size == 0
+
+
+class TestNormalizeBytesEqualExpit:
+    def _check(self, raw):
+        raw = np.asarray(raw, dtype=np.float64)
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = normalize_scores(raw)
+            expected = expit((raw - raw.mean()) / raw.std())
+        assert got.tobytes() == expected.tobytes()
+
+    def test_seeded_sets(self):
+        rng = np.random.default_rng(17)
+        for raw in (*rng.normal(size=(4, 5000)), rng.uniform(-50, 50, 5000),
+                    rng.uniform(-750, 750, 5000)):
+            self._check(raw)
+
+    def test_edge_values(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, 709.78, -709.78, -745.2]
+        self._check(edges)
+        self._check([-1.0, -0.0, 1.0])  # z = -0.0 in the middle
+        self._check(edges + [np.inf, -np.inf])  # every z is nan
+
+    def test_overflow_gives_zero_as_expit_does(self):
+        # One value below 599,999 zeros: its z is -sqrt(n - 1) ~ -775, where
+        # exp(-z) overflows; one above gives z ~ +775.
+        for outlier, expected in ((-1.0, 0.0), (1.0, 1.0)):
+            raw = np.zeros(600_000)
+            raw[7] = outlier
+            self._check(raw)
+            assert normalize_scores(raw)[7] == expected
 
 
 def _pipeline_config(**shift_kw):
