@@ -13,6 +13,7 @@ from .data import (
     fit_standardizer,
     generate_synthetic,
     load_embeddings,
+    load_rows,
     save_scores,
 )
 from .knn import NeighborGraph, build_knn_graph, knn_neighbors
@@ -27,6 +28,7 @@ from .scoring import (
     normalize_scores,
     project,
     score_pipeline,
+    score_rows,
 )
 from .shift import (
     ShiftParams,
@@ -89,6 +91,7 @@ __all__ = [
     "joint_shift",
     "knn_neighbors",
     "load_embeddings",
+    "load_rows",
     "mahalanobis",
     "make_leakage_split",
     "normalize_scores",
@@ -99,5 +102,6 @@ __all__ = [
     "run_shift",
     "save_scores",
     "score_pipeline",
+    "score_rows",
     "shift_step",
 ]

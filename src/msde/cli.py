@@ -44,13 +44,14 @@ from .data import (
     join_labels,
     load_embeddings,
     load_labels,
+    load_rows,
     load_scores,
     save_scores,
     write_lines,
 )
 from .exceptions import ConfigError, MetricError, MsdeError
 from .metrics import evaluate, metrics_json
-from .scoring import score_pipeline
+from .scoring import score_rows
 from .tune import DEFAULT_TRIALS, SearchSpace, random_search
 
 logger = logging.getLogger(__name__)
@@ -166,8 +167,9 @@ def _given(args: argparse.Namespace, keys) -> dict:
     return {key: v for key in keys if (v := getattr(args, key)) is not None}
 
 
-def _prepare(args: argparse.Namespace) -> tuple[MsdeConfig, DatasetSplit, Path]:
-    """Resolve the command's config keys, load the split, create ``--out``."""
+def _prepare(args: argparse.Namespace, load):
+    """Resolve the command's config keys, ``load(args)`` its inputs, create
+    ``--out``."""
     keys = _CONFIG_KEYS[args.command]
     file_values = parse_config_file(args.config) if args.config else {}
     unread = [external_key(k) for k in file_values if k not in keys]
@@ -178,14 +180,27 @@ def _prepare(args: argparse.Namespace) -> tuple[MsdeConfig, DatasetSplit, Path]:
     if getattr(args, "dump_weights", False) and config.shift.max_iters == 0:
         raise ConfigError("--dump-weights writes the shift runs' weights, "
                           "but max_iters is 0, so nothing shifts")
+    inputs = load(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return config, inputs, out
+
+
+def _load_split(args: argparse.Namespace) -> DatasetSplit:
     # distinct id prefixes keep train/test ids unique when mixed (tuning
     # builds validation sets out of rows from both)
     train = load_embeddings(args.train, id_prefix="train")
     test = attach_labels(load_embeddings(args.test, id_prefix="test"),
                          load_labels(args.labels))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return config, DatasetSplit(train=train, test=test), out
+    return DatasetSplit(train=train, test=test)
+
+
+def _load_rows(args: argparse.Namespace):
+    """The train then test rows in one array (``load_rows``), the train row
+    count, and the test rows' ids and sidecar labels."""
+    rows, n_train = load_rows(args.train, args.test)
+    test_ids = default_row_ids(len(rows) - n_train, "test")
+    return rows, n_train, test_ids, join_labels(test_ids, load_labels(args.labels))
 
 
 def _blas(module) -> str:
@@ -227,14 +242,14 @@ def _dump_weights(path: Path, row_ids, weights) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config, split, out = _prepare(args)
-    report = score_pipeline(split, config)
+    config, (rows, n_train, test_ids, labels), out = _prepare(args, _load_rows)
+    report = score_rows(rows, n_train, test_ids, labels, config)
     save_scores(report, out / "scores.csv")
     if args.dump_weights:
-        _dump_weights(out / "weights_train.csv", split.train.row_ids,
-                      report.solo_weights)
-        union_ids = [f"train:{r}" for r in split.train.row_ids] + \
-                    [f"test:{r}" for r in split.test.row_ids]
+        train_ids = default_row_ids(n_train, "train")
+        _dump_weights(out / "weights_train.csv", train_ids, report.solo_weights)
+        union_ids = [f"train:{r}" for r in train_ids] + \
+                    [f"test:{r}" for r in test_ids]
         _dump_weights(out / "weights_joint.csv", union_ids, report.joint_weights)
     _write_echo(args, config, out)
     write_lines(out / "shift_trace.log", _trace_lines(report))
@@ -261,7 +276,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    config, split, out = _prepare(args)
+    config, split, out = _prepare(args, _load_split)
     best, records, final_metrics = random_search(
         split, SearchSpace(), n_trials=args.trials, seed=args.seed,
         base_config=config,

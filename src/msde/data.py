@@ -9,7 +9,9 @@ with a BOM. Any other file, or bytes that are not UTF-8, is a
 
 All pipeline arithmetic is done in float64 regardless of the width of the
 input files; matrices are widened on load so downstream results do not
-depend on storage precision.
+depend on storage precision. ``load_embeddings`` reads one file into its
+own array; ``load_rows`` reads a train and a test file into one array,
+each straight into its row range, which ``msde run`` scores in place.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import logging
 import math
 import os
 import warnings
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,18 +151,19 @@ class Standardizer:
         return self.mean.shape[0]
 
 
-def fit_standardizer(train: EmbeddingMatrix) -> Standardizer:
-    """Column means and sample stds (divisor n-1); stds are floored.
+def fit_standardizer(train: np.ndarray) -> Standardizer:
+    """Column means and sample stds (divisor n-1) of the float64 ``(n, d)``
+    train rows; stds are floored.
 
     Columns whose sample std falls below ``STD_FLOOR`` get std 1.0 so a
     constant feature passes through unscaled instead of dividing by ~0.
     """
-    if train.n_samples < 2:
+    if train.shape[0] < 2:
         raise FitError(
-            f"standardizer needs at least 2 training rows, got {train.n_samples}"
+            f"standardizer needs at least 2 training rows, got {train.shape[0]}"
         )
-    mean = train.values.mean(axis=0)
-    std = train.values.std(axis=0, ddof=1)
+    mean = train.mean(axis=0)
+    std = train.std(axis=0, ddof=1)
     std = np.where(std < STD_FLOOR, 1.0, std)
     return Standardizer(_readonly(mean), _readonly(std))
 
@@ -285,73 +289,121 @@ def _parse_csv_matrix(path: Path) -> np.ndarray:
 _NPY_DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 
-def _read_npy(path: Path) -> np.ndarray:
-    """Read an NPY v1.0 file of a 2-D ``<f4``/``<f8`` C-order matrix into
-    float64.
-
-    The header is checked in full before a dtype is built or a payload byte
-    is read. Its ``descr`` is looked up as a string and never reaches
-    numpy's dtype parser, which kills the process with SIGFPE on
-    ``'M8[s/0]'`` (numpy 2.4.6). The payload is read straight into the result array, so a
-    large file is never held a second time as bytes.
-    """
+@contextmanager
+def _reading(path: Path):
+    """Turn the errors reading ``path`` can raise into ``LoadError``."""
     try:
-        with open(path, "rb") as fh:
-            version = np.lib.format.read_magic(fh)
-            if version != (1, 0):
-                raise LoadError(f"{path}: NPY version {version[0]}.{version[1]} "
-                                "unsupported, only 1.0 is accepted")
-            text = fh.read(int.from_bytes(fh.read(2), "little")).decode("latin-1")
-            header = ast.literal_eval(text.strip())
-            if not (isinstance(header, dict)
-                    and header.keys() == {"descr", "fortran_order", "shape"}):
-                raise LoadError(
-                    f"{path}: NPY header must have exactly descr/fortran_order/shape")
-            descr, shape = header["descr"], header["shape"]
-            if not isinstance(descr, str) or descr not in _NPY_DTYPES:
-                raise LoadError(f"{path}: dtype {descr!r} unsupported, "
-                                "expected '<f4' or '<f8'")
-            if header["fortran_order"] is not False:
-                raise LoadError(f"{path}: fortran_order must be False (C order)")
-            if (not isinstance(shape, tuple) or len(shape) != 2
-                    or any(type(s) is not int for s in shape)):
-                raise LoadError(f"{path}: shape {shape!r} is not 2-D")
-            if min(shape) < 1:
-                raise LoadError(f"{path}: empty dimension in shape {shape}")
-            dtype = _NPY_DTYPES[descr]
-            expected = shape[0] * shape[1] * dtype.itemsize
-            payload = os.fstat(fh.fileno()).st_size - fh.tell()
-            if payload == expected:
-                values = np.empty(shape, dtype=dtype)
-                payload = fh.readinto(memoryview(values).cast("B"))
+        yield
     except (OSError, ValueError, TypeError, SyntaxError, MemoryError,
             RecursionError) as exc:
         # Besides OSError: read_magic's bad magic (ValueError) and a
         # malformed header literal, whose parser also hits depth limits.
         raise LoadError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _npy_header(fh, path: Path) -> tuple[np.dtype, tuple[int, int]]:
+    """Dtype and shape of the NPY v1.0 file ``fh`` holding a 2-D
+    ``<f4``/``<f8`` C-order matrix, left positioned at its payload.
+
+    The header is checked in full before a dtype is built. Its ``descr`` is
+    looked up as a string and never reaches numpy's dtype parser, which
+    kills the process with SIGFPE on ``'M8[s/0]'`` (numpy 2.4.6). The file
+    must hold exactly the shape's payload bytes after the header.
+    """
+    version = np.lib.format.read_magic(fh)
+    if version != (1, 0):
+        raise LoadError(f"{path}: NPY version {version[0]}.{version[1]} "
+                        "unsupported, only 1.0 is accepted")
+    text = fh.read(int.from_bytes(fh.read(2), "little")).decode("latin-1")
+    header = ast.literal_eval(text.strip())
+    if not (isinstance(header, dict)
+            and header.keys() == {"descr", "fortran_order", "shape"}):
+        raise LoadError(f"{path}: NPY header must have exactly descr/fortran_order/shape")
+    descr, shape = header["descr"], header["shape"]
+    if not isinstance(descr, str) or descr not in _NPY_DTYPES:
+        raise LoadError(f"{path}: dtype {descr!r} unsupported, expected '<f4' or '<f8'")
+    if header["fortran_order"] is not False:
+        raise LoadError(f"{path}: fortran_order must be False (C order)")
+    if (not isinstance(shape, tuple) or len(shape) != 2
+            or any(type(s) is not int for s in shape)):
+        raise LoadError(f"{path}: shape {shape!r} is not 2-D")
+    if min(shape) < 1:
+        raise LoadError(f"{path}: empty dimension in shape {shape}")
+    dtype = _NPY_DTYPES[descr]
+    expected = shape[0] * shape[1] * dtype.itemsize
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
     if payload != expected:
         raise LoadError(
             f"{path}: payload is {payload} bytes, shape {shape} needs {expected}")
-    return np.ascontiguousarray(values, dtype=np.float64)
+    return dtype, shape
+
+
+def _open_matrix(path: str | Path, files: ExitStack):
+    """``(shape, fill)`` of the matrix in ``path`` (``.npy`` or ``.csv``, by
+    suffix): ``fill(out)`` writes its rows into the float64 array ``out`` of
+    that shape. A CSV is parsed here. An NPY file's header is checked here
+    and its payload read by ``fill``, from the file ``files`` keeps open, so
+    a large file is never held a second time as bytes; its values must be
+    finite."""
+    path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix == ".csv":
+        values = _parse_csv_matrix(path)
+        return values.shape, lambda out: np.copyto(out, values)
+    if suffix != ".npy":
+        raise LoadError(f"{path}: cannot infer format from suffix {suffix!r}")
+    with _reading(path):
+        fh = files.enter_context(open(path, "rb"))
+        dtype, shape = _npy_header(fh, path)
+
+    def fill(out):
+        # straight into out for <f8, through one buffer of the file's size for <f4
+        target = out if dtype == out.dtype else np.empty(shape, dtype)
+        with _reading(path):
+            got = fh.readinto(memoryview(target).cast("B"))
+        if got != target.nbytes:
+            raise LoadError(f"{path}: payload is {got} bytes, shape {shape} "
+                            f"needs {target.nbytes}")
+        if target is not out:
+            out[...] = target
+        finite = np.isfinite(out)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise LoadError(f"{path}: non-finite value at row {row}, column {col}")
+    return shape, fill
 
 
 def load_embeddings(path: str | Path, id_prefix: str = "row") -> EmbeddingMatrix:
     """Load a 2-D embedding matrix from ``.npy`` or ``.csv`` (by suffix).
 
     Neither format carries row identifiers, so positional ids
-    ``{id_prefix}_NNNNNN`` are assigned; the CLI loads train and test with
-    distinct prefixes so their ids never collide.
+    ``{id_prefix}_NNNNNN`` are assigned; ``msde tune`` loads train and test
+    with distinct prefixes so their ids never collide.
     """
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".npy":
-        values = _read_npy(path)
-    elif suffix == ".csv":
-        values = _parse_csv_matrix(path)
-    else:
-        raise LoadError(f"{path}: cannot infer format from suffix {suffix!r}")
-    return EmbeddingMatrix(_readonly(values),
-                           default_row_ids(values.shape[0], id_prefix))
+    with ExitStack() as files:
+        shape, fill = _open_matrix(path, files)
+        values = np.empty(shape)
+        fill(values)
+    return EmbeddingMatrix(_readonly(values), default_row_ids(shape[0], id_prefix))
+
+
+def load_rows(train_path: str | Path, test_path: str | Path) -> tuple[np.ndarray, int]:
+    """The rows of the train file then the test file, read into one
+    writable C-contiguous float64 array, and the number of train rows.
+
+    Each file is read and checked as ``load_embeddings`` reads it, straight
+    into its row range, so no row is held twice; the two must have the same
+    width.
+    """
+    with ExitStack() as files:
+        (n_train, dim), fill_train = _open_matrix(train_path, files)
+        (n_test, test_dim), fill_test = _open_matrix(test_path, files)
+        if dim != test_dim:
+            raise ShapeError(f"train dim {dim} != test dim {test_dim}")
+        rows = np.empty((n_train + n_test, dim))
+        fill_train(rows[:n_train])
+        fill_test(rows[n_train:])
+    return rows, n_train
 
 
 def load_labels(path: str | Path) -> dict[str, int]:

@@ -6,15 +6,16 @@ with Tikhonov-regularized covariance whose inverse is applied through a
 Cholesky factorization. Raw test scores are Mahalanobis distances;
 normalized scores squash their z-scores through a logistic map. The
 fitting and scoring functions take float64 ``(n, d)`` arrays; only
-``score_shifted`` reads row ids and labels, from its ``DatasetSplit``.
+``score_shifted`` reads row ids and labels, which it is given.
 
-``score_pipeline`` is ``prepare_split`` for its own shift params,
-``shift.joint_shift``, then ``score_shifted``. ``prepare_split`` copies
-the split's train rows then test rows into one array, standardizes it in
-place with the train rows' statistics and hands it to
-``shift.prepare_joint``, so both shift runs read that one array.
-``msde tune`` prepares its validation split once for every trial's
-params.
+``score_rows`` is the pipeline: ``prepare_rows`` over one array of train
+rows then test rows (standardize it in place with the train rows'
+statistics and hand it to ``shift.prepare_joint``, so both shift runs read
+that one array), ``shift.joint_shift``, then ``score_shifted``. ``msde
+run`` reads its input files straight into that array
+(``data.load_rows``); ``score_pipeline`` and ``prepare_split`` copy a
+``DatasetSplit``'s train rows then test rows into it. ``msde tune``
+prepares its validation split once for every trial's params.
 """
 
 from __future__ import annotations
@@ -186,19 +187,31 @@ def normalize_scores(raw) -> np.ndarray:
     return np.array([logistic(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
+def prepare_rows(rows: np.ndarray, n_train: int, config: MsdeConfig,
+                 shifts: Sequence[ShiftParams]) -> JointInput:
+    """``rows``, a C-contiguous float64 array of ``n_train`` train rows then
+    the test rows, standardized in place with the train rows' statistics
+    and taken over by ``prepare_joint`` for the solo and joint shift runs of
+    each of ``shifts``."""
+    apply_standardizer(fit_standardizer(rows[:n_train]), rows)
+    return prepare_joint(rows, n_train, shifts, threads=config.threads)
+
+
+def _stacked(split: DatasetSplit) -> np.ndarray:
+    return np.concatenate([split.train.values, split.test.values])
+
+
 def prepare_split(split: DatasetSplit, config: MsdeConfig,
                   shifts: Sequence[ShiftParams]) -> JointInput:
-    """The split's train rows then test rows, standardized with the train
-    statistics, prepared for the solo and joint shift runs of each of
-    ``shifts``."""
-    rows = np.concatenate([split.train.values, split.test.values])
-    apply_standardizer(fit_standardizer(split.train), rows)
-    return prepare_joint(rows, split.train.n_samples, shifts, threads=config.threads)
+    """``prepare_rows`` over a copy of the split's train rows then test rows."""
+    return prepare_rows(_stacked(split), split.train.n_samples, config, shifts)
 
 
-def score_shifted(split: DatasetSplit, shifted: tuple[ShiftedEmbeddings,
-                  ShiftedEmbeddings, np.ndarray], config: MsdeConfig) -> ScoreReport:
-    """Fit, project and score from the ``joint_shift`` runs of ``split``.
+def score_shifted(shifted: tuple[ShiftedEmbeddings, ShiftedEmbeddings, np.ndarray],
+                  test_ids: tuple[str, ...], labels: np.ndarray,
+                  config: MsdeConfig) -> ScoreReport:
+    """Fit, project and score from the ``joint_shift`` runs; ``test_ids``
+    and ``labels`` belong to the joint run's test rows.
 
     PCA and the Gaussian are fitted on the solo-shifted train set; test
     rows are scored from the joint run.
@@ -210,14 +223,13 @@ def score_shifted(split: DatasetSplit, shifted: tuple[ShiftedEmbeddings,
     raw = mahalanobis(scorer, z_test) if len(z_test) else np.empty(0)
     normalized = normalize_scores(raw)
 
-    labels = split.test.labels
     metrics = None
     if 0 < int(labels.sum()) < labels.size:
         metrics = evaluate(raw, labels)
     else:
         warnings.warn("test labels contain a single class; metrics skipped")
     return ScoreReport(
-        row_ids=split.test.row_ids,
+        row_ids=test_ids,
         raw=np.asarray(raw, dtype=np.float64),
         normalized=normalized,
         labels=labels,
@@ -229,9 +241,17 @@ def score_shifted(split: DatasetSplit, shifted: tuple[ShiftedEmbeddings,
     )
 
 
-def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
-    """End-to-end scoring: standardize, shift, fit, project, score. Nothing
-    else holds the prepared inputs, so they are freed before the fit."""
-    shifted = joint_shift(prepare_split(split, config, [config.shift]),
+def score_rows(rows: np.ndarray, n_train: int, test_ids: tuple[str, ...],
+               labels: np.ndarray, config: MsdeConfig) -> ScoreReport:
+    """End-to-end scoring of ``rows``, ``n_train`` train rows then the test
+    rows with ``test_ids`` and ``labels``, in one C-contiguous float64 array
+    that is taken over: standardize, shift, fit, project, score."""
+    shifted = joint_shift(prepare_rows(rows, n_train, config, [config.shift]),
                           config.shift, threads=config.threads)
-    return score_shifted(split, shifted, config)
+    return score_shifted(shifted, test_ids, labels, config)
+
+
+def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
+    """``score_rows`` over a copy of the split's train rows then test rows."""
+    return score_rows(_stacked(split), split.train.n_samples, split.test.row_ids,
+                      split.test.labels, config)

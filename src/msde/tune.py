@@ -158,7 +158,8 @@ def _score_trials(val_split: DatasetSplit, base: MsdeConfig,
         if error is None:
             try:
                 shifted = joint_shift(prepared, params, threads=base.threads)
-                metrics = score_shifted(val_split, shifted,
+                metrics = score_shifted(shifted, val_split.test.row_ids,
+                                        val_split.test.labels,
                                         replace(base, shift=params)).metrics
             except _TRIAL_ERRORS as exc:
                 error = exc

@@ -190,6 +190,28 @@ class TestRun:
         assert (a / "scores.csv").read_bytes() == (b / "scores.csv").read_bytes()
         assert "max_iters = 0" in (a / "config_echo.txt").read_text().splitlines()
 
+    def test_no_shift_run_holds_its_input_rows_once(self, tmp_path, peak_bytes):
+        # The input files are read into the one array that is standardized
+        # and scored, and the fit's centered train copy comes on top (about
+        # 2.1x the input bytes in all). A second copy of the rows, such as
+        # a loaded split kept beside that array, reads about 3.1x.
+        rng = np.random.default_rng(12)
+        train, test = rng.normal(size=(4000, 256)), rng.normal(size=(1000, 256))
+        test[500:, 0] += 3.0
+        np.save(tmp_path / "train.npy", train)
+        np.save(tmp_path / "test.npy", test)
+        (tmp_path / "labels.csv").write_text("row_id,label\n" + "".join(
+            f"test_{i:06d},{int(i >= 500)}\n" for i in range(1000)))
+        input_bytes = train.nbytes + test.nbytes
+        del train, test
+        out = tmp_path / "out"
+        peak = peak_bytes(main, ["run", "--train", str(tmp_path / "train.npy"),
+                                 "--test", str(tmp_path / "test.npy"),
+                                 "--labels", str(tmp_path / "labels.csv"),
+                                 "--out", str(out), "--no-shift", "--pca-dim", "64"])
+        assert (out / "metrics.json").exists()
+        assert peak < 2.5 * input_bytes, peak / input_bytes
+
     def test_dim_mismatch_exits_nonzero_with_both_dims(self, synth_dir,
                                                        tmp_path, capsys):
         other = tmp_path / "other"
@@ -379,6 +401,20 @@ class TestMalformedInputs:
                             "\u00e9,0,0.1,0.2\n".encode("latin-1"))
             args = ["eval", "--scores", str(bad)]
         self._assert_data_error(main(args), capsys.readouterr().err)
+
+    @pytest.mark.parametrize("target", ["train", "test"])
+    def test_non_finite_npy_value_names_its_file(self, target, synth_dir,
+                                                 tmp_path, capsys):
+        values = np.load(synth_dir / f"{target}.npy")
+        values[3, 2] = np.nan
+        bad = tmp_path / f"{target}.npy"
+        np.save(bad, values)
+        args = _run_args(synth_dir, tmp_path / "o")
+        args[args.index(f"--{target}") + 1] = str(bad)
+        code = main(args)
+        err = capsys.readouterr().err
+        self._assert_data_error(code, err)
+        assert f"MSDE-ERR data_io: {bad}: non-finite value at row 3, column 2" in err
 
     def test_utf8_bom_scores_file(self, tmp_path, capsys):
         p = tmp_path / "scores.csv"

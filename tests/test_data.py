@@ -1,6 +1,7 @@
 """Loading, validation, standardization, synthesis, score persistence."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from msde.data import (
     attach_labels,
     join_labels,
     load_labels,
+    load_rows,
     load_scores,
     read_csv_rows,
     write_lines,
@@ -27,8 +29,12 @@ from msde.exceptions import ConfigError, FitError, LoadError, ShapeError
 from msde.scoring import ScoreReport
 
 
+def _rows(values):
+    return np.atleast_2d(np.asarray(values, dtype=float))
+
+
 def _matrix(values, labels=None):
-    values = np.atleast_2d(np.asarray(values, dtype=float))
+    values = _rows(values)
     ids = tuple(f"r{i}" for i in range(values.shape[0]))
     return EmbeddingMatrix(values, ids, labels)
 
@@ -304,32 +310,32 @@ class TestNpyInput:
 
 class TestStandardizer:
     def test_two_point_column(self):
-        s = fit_standardizer(_matrix([[0.0], [2.0]]))
+        s = fit_standardizer(_rows([[0.0], [2.0]]))
         assert s.mean[0] == 1.0
         assert s.std[0] == pytest.approx(math.sqrt(2.0), abs=0)
 
     def test_constant_column_floored(self):
-        s = fit_standardizer(_matrix([[5.0], [5.0], [5.0]]))
+        s = fit_standardizer(_rows([[5.0], [5.0], [5.0]]))
         assert s.std[0] == 1.0
 
     def test_mixed_columns(self):
-        s = fit_standardizer(_matrix([[1, 10], [3, 10], [5, 10]]))
+        s = fit_standardizer(_rows([[1, 10], [3, 10], [5, 10]]))
         np.testing.assert_allclose(s.mean, [3.0, 10.0])
         assert s.std[0] == pytest.approx(2.0)
         assert s.std[1] == 1.0
 
     def test_single_row_rejected(self):
         with pytest.raises(FitError):
-            fit_standardizer(_matrix([[1.0]]))
+            fit_standardizer(_rows([[1.0]]))
 
     def test_apply_simple(self):
         rows = np.array([[3.0]])
-        assert apply_standardizer(fit_standardizer(_matrix([[0.0], [2.0]])),
+        assert apply_standardizer(fit_standardizer(_rows([[0.0], [2.0]])),
                                   rows) is None
         assert rows[0, 0] == pytest.approx((3.0 - 1.0) / math.sqrt(2.0))
 
     def test_apply_to_means_gives_zero(self):
-        train = _matrix([[1, 4], [3, 8]])
+        train = _rows([[1, 4], [3, 8]])
         s = fit_standardizer(train)
         rows = np.array([s.mean])
         apply_standardizer(s, rows)
@@ -337,16 +343,16 @@ class TestStandardizer:
 
     def test_refit_after_apply_is_unit(self):
         rng = np.random.default_rng(3)
-        train = _matrix(rng.normal(2.0, 5.0, size=(40, 4)))
+        train = _rows(rng.normal(2.0, 5.0, size=(40, 4)))
         s = fit_standardizer(train)
-        z = train.values.copy()
+        z = train.copy()
         apply_standardizer(s, z)
-        s2 = fit_standardizer(_matrix(z))
+        s2 = fit_standardizer(_rows(z))
         np.testing.assert_allclose(s2.mean, 0.0, atol=1e-9)
         np.testing.assert_allclose(s2.std, 1.0, atol=1e-9)
 
     def test_dim_mismatch(self):
-        s = fit_standardizer(_matrix([[0.0], [2.0]]))
+        s = fit_standardizer(_rows([[0.0], [2.0]]))
         with pytest.raises(ShapeError):
             apply_standardizer(s, np.array([[1.0, 2.0]]))
 
@@ -481,6 +487,70 @@ class TestEmbeddingRoundTrip:
         reloaded = load_embeddings(second)
         np.testing.assert_array_equal(loaded.values, reloaded.values)
         np.testing.assert_array_equal(loaded.values, values)
+
+
+class TestLoadRows:
+    """``load_rows`` reads a train and a test file into one array: the same
+    bytes as the two ``load_embeddings`` reads concatenated, checked as
+    those check each file."""
+
+    @staticmethod
+    def _write(path, values):
+        if path.suffix == ".npy":
+            np.save(path, values, allow_pickle=False)
+        else:
+            path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                    for row in values))
+
+    @pytest.mark.parametrize("train_name, test_name, dtype", [
+        ("train.npy", "test.npy", "<f8"),
+        ("train.npy", "test.npy", "<f4"),
+        ("train.csv", "test.csv", "<f8"),
+        ("train.npy", "test.csv", "<f8"),
+    ], ids=["f8-npy", "f4-npy", "csv", "npy-train-csv-test"])
+    def test_equals_concatenated_loads(self, tmp_path, train_name, test_name, dtype):
+        rng = np.random.default_rng(31)
+        paths = [tmp_path / train_name, tmp_path / test_name]
+        for path, n in zip(paths, (23, 9)):
+            values = rng.normal(size=(n, 6)) * np.logspace(-3, 3, 6)
+            self._write(path, values.astype(dtype))
+        rows, n_train = load_rows(*paths)
+        expected = np.concatenate([load_embeddings(p).values for p in paths])
+        assert n_train == 23
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert rows.flags.writeable and rows.flags.owndata
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_width_mismatch_names_both_widths(self, tmp_path):
+        np.save(tmp_path / "train.npy", np.zeros((3, 6)))
+        np.save(tmp_path / "test.npy", np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match=r"^train dim 6 != test dim 4$"):
+            load_rows(tmp_path / "train.npy", tmp_path / "test.npy")
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+    @pytest.mark.parametrize("bad", ["train", "test"])
+    def test_non_finite_value_names_its_file(self, tmp_path, bad, dtype):
+        paths = {name: tmp_path / f"{name}.npy" for name in ("train", "test")}
+        for name, n in (("train", 5), ("test", 4)):
+            values = np.ones((n, 3), dtype=dtype)
+            if name == bad:
+                values[3, 2] = np.inf
+            np.save(paths[name], values)
+        message = rf"^{re.escape(str(paths[bad]))}: non-finite value at row 3, column 2$"
+        with pytest.raises(LoadError, match=message):
+            load_rows(paths["train"], paths["test"])
+        with pytest.raises(LoadError, match=message):
+            load_embeddings(paths[bad])
+
+    def test_file_errors_keep_their_messages(self, tmp_path):
+        np.save(tmp_path / "train.npy", np.zeros((3, 2)))
+        (tmp_path / "test.npy").write_bytes(_raw_npy(shape=b"(2, 1)"))
+        with pytest.raises(LoadError, match="payload is 8 bytes, shape"):
+            load_rows(tmp_path / "train.npy", tmp_path / "test.npy")
+        with pytest.raises(LoadError, match="cannot infer format"):
+            load_rows(tmp_path / "train.npy", tmp_path / "test.txt")
+        with pytest.raises(LoadError, match="cannot read"):
+            load_rows(tmp_path / "nope.npy", tmp_path / "train.npy")
 
 
 class TestLabelSidecar:

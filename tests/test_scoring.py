@@ -361,7 +361,8 @@ class TestScorePipeline:
 
         def raw_scores(points):
             prepared = prepare_joint(points, split.train.n_samples, [params])
-            return score_shifted(split, joint_shift(prepared, params), config).raw
+            return score_shifted(joint_shift(prepared, params), split.test.row_ids,
+                                 split.test.labels, config).raw
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -379,7 +380,7 @@ class TestScorePipeline:
             report = score_pipeline(split, config)
         # manual reference: standardize, PCA, Gaussian, Mahalanobis
         from msde import apply_standardizer
-        std = fit_standardizer(split.train)
+        std = fit_standardizer(split.train.values)
         train, test = split.train.values.copy(), split.test.values.copy()
         apply_standardizer(std, train)
         apply_standardizer(std, test)
@@ -446,7 +447,7 @@ class TestPrepareSplit:
         assert np.shares_memory(prepared.train, rows)
         assert np.shares_memory(prepared.test, rows)
         # the same bytes as standardizing each part on its own
-        s = fit_standardizer(split.train)
+        s = fit_standardizer(train)
         assert s.std[2] == 1.0
         assert rows[:40].tobytes() == ((train - s.mean) / s.std).tobytes()
         assert rows[40:].tobytes() == ((test - s.mean) / s.std).tobytes()
