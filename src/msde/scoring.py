@@ -8,14 +8,23 @@ normalized scores squash their z-scores through a logistic map. The
 fitting and scoring functions take float64 ``(n, d)`` arrays; only
 ``score_shifted`` reads row ids and labels, which it is given.
 
+``fit_pca``, ``project`` and ``fit_gaussian`` center a copy of their
+input and never write it. ``score_shifted`` runs the same private cores
+but centers inside the shifted rows it is given, and the train
+projection inside itself, so fitting and scoring hold no centered n x d
+copy; read-only rows are centered into new arrays instead.
+
 ``score_rows`` is the pipeline: ``prepare_rows`` over one array of train
 rows then test rows (standardize it in place with the train rows'
 statistics and hand it to ``shift.prepare_joint``, so both shift runs read
 that one array), ``shift.joint_shift``, then ``score_shifted``. ``msde
 run`` reads its input files straight into that array
 (``data.load_rows``); ``score_pipeline`` and ``prepare_split`` copy a
-``DatasetSplit``'s train rows then test rows into it. ``msde tune``
-prepares its validation split once for every trial's params.
+``DatasetSplit``'s train rows then test rows into it; ``score_rows``
+makes that array writable again after preparation, so without shift
+iterations the fit centers its train and test rows in place. ``msde
+tune`` prepares its validation split once for every trial's params
+(``prepare_split``) and shares the read-only array across the trials.
 """
 
 from __future__ import annotations
@@ -96,12 +105,24 @@ class ScoreReport:
     joint_weights: "DensityWeights | None" = None
 
 
-def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
-    """Top principal components of the sample covariance (divisor n-1).
+def _centered(x: np.ndarray, center: np.ndarray, in_place: bool) -> np.ndarray:
+    """``x - center``: written into ``x`` itself when ``in_place`` and ``x``
+    is writable and C-contiguous (the layout ``x - center`` has), else a new
+    array, so a read-only ``x`` is never written."""
+    if in_place and x.flags.writeable and x.flags.c_contiguous:
+        x -= center
+        return x
+    return x - center
 
-    Eigenvector sign is pinned by making each component's largest-magnitude
-    entry positive; ``reduced_dim`` is clamped to min(input_dim, n-1).
-    """
+
+def _rotate(basis: PcaBasis, centered: np.ndarray) -> np.ndarray:
+    return centered @ basis.components.T
+
+
+def _fit_pca(x: np.ndarray, reduced_dim: int, in_place: bool
+             ) -> tuple[PcaBasis, np.ndarray]:
+    """``fit_pca(x, reduced_dim)`` and the rows of ``x`` centered on its
+    center (``_centered``)."""
     n, d = x.shape
     if n < 2:
         raise FitError(f"PCA needs at least 2 training rows, got {n}")
@@ -116,10 +137,9 @@ def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
         reduced_dim = max_dim
 
     center = x.mean(axis=0)
-    centered = x - center
+    centered = _centered(x, center, in_place)
     cov = centered.T @ centered  # syrk, then mirrored: exactly symmetric
     cov /= n - 1
-    del centered
     eigvals, eigvecs = eigh(cov.T, overwrite_a=True)  # cov's bytes, F-ordered: no copy
     order = np.argsort(eigvals)[::-1][:reduced_dim]
     variance = np.maximum(eigvals[order], 0.0)
@@ -127,31 +147,48 @@ def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
     pivot = components[np.arange(reduced_dim), np.argmax(np.abs(components), axis=1)]
     components[pivot < 0] *= -1.0
     return PcaBasis(center=center, components=components,
-                    explained_variance=variance)
+                    explained_variance=variance), centered
 
 
-def project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
-    """Center and rotate rows into the reduced space."""
+def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
+    """Top principal components of the sample covariance (divisor n-1).
+
+    Eigenvector sign is pinned by making each component's largest-magnitude
+    entry positive; ``reduced_dim`` is clamped to min(input_dim, n-1).
+    """
+    return _fit_pca(x, reduced_dim, in_place=False)[0]
+
+
+def _project(basis: PcaBasis, x: np.ndarray, in_place: bool) -> np.ndarray:
     if x.shape[1] != basis.input_dim:
         raise ShapeError(
             f"projection expects dim {basis.input_dim}, got {x.shape[1]}"
         )
-    return (x - basis.center) @ basis.components.T
+    return _rotate(basis, _centered(x, basis.center, in_place))
 
 
-def fit_gaussian(z: np.ndarray, lam: float) -> GaussianScorer:
-    """Mean and regularized covariance of the reduced training sample."""
+def project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
+    """Center and rotate rows into the reduced space."""
+    return _project(basis, x, in_place=False)
+
+
+def _fit_gaussian(z: np.ndarray, lam: float, in_place: bool) -> GaussianScorer:
     n, d = z.shape
     if n < 2:
         raise FitError(f"Gaussian fit needs at least 2 rows, got {n}")
     if not lam > 0.0:
         raise FitError(f"lambda must be > 0, got {lam}")
     mu = z.mean(axis=0)
-    centered = z - mu
+    centered = _centered(z, mu, in_place)
     sigma = centered.T @ centered
     sigma /= n - 1
     sigma += lam * np.eye(d)
     return GaussianScorer(mu=mu, sigma=sigma)
+
+
+def fit_gaussian(z: np.ndarray, lam: float) -> GaussianScorer:
+    """Mean and regularized covariance of the reduced training sample."""
+    return _fit_gaussian(z, lam, in_place=False)
 
 
 def mahalanobis(scorer: GaussianScorer, z) -> np.ndarray | float:
@@ -214,12 +251,20 @@ def score_shifted(shifted: tuple[ShiftedEmbeddings, ShiftedEmbeddings, np.ndarra
     and ``labels`` belong to the joint run's test rows.
 
     PCA and the Gaussian are fitted on the solo-shifted train set; test
-    rows are scored from the joint run.
+    rows are scored from the joint run. The arrays in ``shifted`` are taken
+    over: the train and test rows are centered inside them, and the train
+    projection inside itself for the Gaussian, where they are writable and
+    C-contiguous. Read-only rows (``msde tune``'s shared rows at
+    ``max_iters = 0``) are centered into new arrays and never written. The
+    bytes are those of ``fit_pca``, ``project`` and ``fit_gaussian``.
     """
     solo, joint, test_shifted = shifted
-    basis = fit_pca(solo.values, config.pca_dim)
-    scorer = fit_gaussian(project(basis, solo.values), config.lam)
-    z_test = project(basis, test_shifted)
+    basis, centered = _fit_pca(solo.values, config.pca_dim, in_place=True)
+    z_train = _rotate(basis, centered)
+    del centered
+    scorer = _fit_gaussian(z_train, config.lam, in_place=True)
+    del z_train
+    z_test = _project(basis, test_shifted, in_place=True)
     raw = mahalanobis(scorer, z_test) if len(z_test) else np.empty(0)
     normalized = normalize_scores(raw)
 
@@ -244,10 +289,13 @@ def score_shifted(shifted: tuple[ShiftedEmbeddings, ShiftedEmbeddings, np.ndarra
 def score_rows(rows: np.ndarray, n_train: int, test_ids: tuple[str, ...],
                labels: np.ndarray, config: MsdeConfig) -> ScoreReport:
     """End-to-end scoring of ``rows``, ``n_train`` train rows then the test
-    rows with ``test_ids`` and ``labels``, in one C-contiguous float64 array
-    that is taken over: standardize, shift, fit, project, score."""
-    shifted = joint_shift(prepare_rows(rows, n_train, config, [config.shift]),
-                          config.shift, threads=config.threads)
+    rows with ``test_ids`` and ``labels``, in one writable C-contiguous
+    float64 array that is taken over: standardize, shift, fit, project,
+    score. ``rows`` is standardized in place and, without shift iterations,
+    also centered in place by ``score_shifted``."""
+    prepared = prepare_rows(rows, n_train, config, [config.shift])
+    rows.flags.writeable = True  # frozen by prepare_joint; no other run shares it
+    shifted = joint_shift(prepared, config.shift, threads=config.threads)
     return score_shifted(shifted, test_ids, labels, config)
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -234,16 +235,24 @@ def run_shift(points: np.ndarray, params: ShiftParams) -> ShiftedEmbeddings:
 
 @dataclass(frozen=True)
 class JointInput:
-    """The rows of both runs (``rows``: train then test rows, one read-only
-    C-contiguous array, of which ``train`` and ``test`` are views) with the
-    prepared inputs of the solo run (train rows) and of the joint run (all
-    rows)."""
+    """The rows of both runs (``rows``: ``n_train`` train rows then the test
+    rows, one C-contiguous array) with the prepared inputs of the solo run
+    (train rows) and of the joint run (all rows). ``train`` and ``test`` are
+    views of ``rows`` taken at their first use, so they are writable when
+    ``rows`` is writable then."""
 
     rows: np.ndarray
-    train: np.ndarray
-    test: np.ndarray
+    n_train: int
     solo: ShiftInput | None
     joint: ShiftInput | None
+
+    @cached_property
+    def train(self) -> np.ndarray:
+        return self.rows[:self.n_train]
+
+    @cached_property
+    def test(self) -> np.ndarray:
+        return self.rows[self.n_train:]
 
 
 def _solo_and_joint(solo, joint, threads: int) -> list:
@@ -264,12 +273,13 @@ def prepare_joint(rows: np.ndarray, n_train: int,
     """``prepare_shift`` for the solo and the joint run of ``params`` over
     ``rows``, a C-contiguous float64 array of ``n_train`` train rows then
     the test rows. The array is taken over, not copied, and made read-only:
-    every trial of a study shares it."""
+    every trial of a study shares it. A caller that scores it once may make
+    it writable again before the runs (``scoring.score_rows`` does)."""
     rows.flags.writeable = False
-    train, test = rows[:n_train], rows[n_train:]
+    train = rows[:n_train]
     solo, joint = _solo_and_joint(lambda: prepare_shift(train, params),
                                   lambda: prepare_shift(rows, params), threads)
-    return JointInput(rows, train, test, solo, joint)
+    return JointInput(rows, n_train, solo, joint)
 
 
 def joint_shift(prepared: JointInput, params: ShiftParams, threads: int = 1

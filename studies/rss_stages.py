@@ -47,6 +47,8 @@ STAGES = (
     ("msde.scoring", "mahalanobis"),
     ("msde.scoring", "normalize_scores"),
     ("msde.metrics", "evaluate"),
+    ("msde.scoring", "score_shifted"),
+    ("msde.scoring", "score_rows"),
     ("msde.scoring", "score_pipeline"),
     ("msde.data", "save_scores"),
 )

@@ -192,9 +192,11 @@ class TestRun:
 
     def test_no_shift_run_holds_its_input_rows_once(self, tmp_path, peak_bytes):
         # The input files are read into the one array that is standardized
-        # and scored, and the fit's centered train copy comes on top (about
-        # 2.1x the input bytes in all). A second copy of the rows, such as
-        # a loaded split kept beside that array, reads about 3.1x.
+        # and scored; the fit centers its rows in place. The peak is set by
+        # fit_standardizer's transient copy of the train rows for their std
+        # (about 1.8x the input bytes in all). A centered copy of the train
+        # rows in the fit reads about 2.0x, and a second copy of the rows,
+        # such as a loaded split kept beside that array, about 3.1x.
         rng = np.random.default_rng(12)
         train, test = rng.normal(size=(4000, 256)), rng.normal(size=(1000, 256))
         test[500:, 0] += 3.0
@@ -210,7 +212,7 @@ class TestRun:
                                  "--labels", str(tmp_path / "labels.csv"),
                                  "--out", str(out), "--no-shift", "--pca-dim", "64"])
         assert (out / "metrics.json").exists()
-        assert peak < 2.5 * input_bytes, peak / input_bytes
+        assert peak < 2.0 * input_bytes, peak / input_bytes
 
     def test_dim_mismatch_exits_nonzero_with_both_dims(self, synth_dir,
                                                        tmp_path, capsys):

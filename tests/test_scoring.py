@@ -23,6 +23,7 @@ from msde import (
     project,
     score_pipeline,
 )
+from msde import scoring as scoring_module
 from msde.data import fit_standardizer
 from msde.exceptions import FitError, ShapeError
 from msde.scoring import prepare_split, score_shifted
@@ -137,6 +138,53 @@ class TestCopyFreeFitsKeepTheBytes:
             for lam in (1e-4, 0.3):
                 got = fit_gaussian(x, lam).sigma
                 assert got.tobytes() == gaussian_sigma_reference(x, lam).tobytes()
+
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_score_shifted_fits_in_place_with_the_same_bytes(self, monkeypatch,
+                                                              writable):
+        # Unshifted rows reach score_shifted as views of the prepared array:
+        # writable ones (score_rows) are centered in place, read-only ones
+        # (msde tune's shared array) into new arrays and never written.
+        # Either way the fits and raw scores are the copying chain's bytes.
+        fits = {}
+        for name in ("_fit_pca", "_fit_gaussian"):
+            def spy(*args, core=getattr(scoring_module, name), name=name, **kw):
+                fits[name] = core(*args, **kw)
+                return fits[name]
+            monkeypatch.setattr(scoring_module, name, spy)
+        params = ShiftParams(max_iters=0)
+        labels = np.arange(6) % 2
+        rng = np.random.default_rng(17)
+        for x in _fit_inputs():
+            n, d = x.shape
+            config = MsdeConfig(shift=params, pca_dim=min(d, n - 1), lam=0.3)
+            test = rng.normal(size=(6, d))
+            given = np.concatenate([x, test])
+            basis = fit_pca(x, config.pca_dim)
+            z = project(basis, x)
+            scorer = fit_gaussian(z, config.lam)
+            raw = mahalanobis(scorer, project(basis, test))
+            assert np.concatenate([x, test]).tobytes() == given.tobytes()
+
+            rows = given.copy()
+            prepared = prepare_joint(rows, n, [params])
+            rows.flags.writeable = writable
+            report = score_shifted(joint_shift(prepared, params),
+                                   tuple(map(str, range(6))), labels, config)
+            (got, centered), got_scorer = fits["_fit_pca"], fits["_fit_gaussian"]
+            assert np.shares_memory(centered, rows) == writable, x.shape
+            center, components, variance = pca_reference(x, config.pca_dim)
+            for a, b in ((got.center, center), (got.components, components),
+                         (got.explained_variance, variance),
+                         (got_scorer.mu, scorer.mu), (got_scorer.sigma, scorer.sigma),
+                         (got_scorer.sigma, gaussian_sigma_reference(z, config.lam)),
+                         (report.raw, raw)):
+                assert a.tobytes() == b.tobytes(), x.shape
+            if not writable:
+                assert not rows.flags.writeable
+                assert not prepared.train.flags.writeable
+                assert not prepared.test.flags.writeable
+                assert rows.tobytes() == given.tobytes()
 
 
 class TestProject:
@@ -451,3 +499,26 @@ class TestPrepareSplit:
         assert s.std[2] == 1.0
         assert rows[:40].tobytes() == ((train - s.mean) / s.std).tobytes()
         assert rows[40:].tobytes() == ((test - s.mean) / s.std).tobytes()
+
+
+class TestScoreShiftedMemory:
+    def test_unshifted_fit_holds_no_centered_copy_of_the_train_rows(self,
+                                                                     peak_bytes):
+        # As in score_rows without shift iterations: the rows reach the fit
+        # writable and are centered in place, so the fit's peak is the
+        # reduced rows, the covariance and eigh's work (about 0.29x the
+        # train rows' bytes). A centered copy of the train rows, as fit_pca
+        # and project make, reads about 1.28x.
+        rng = np.random.default_rng(26)
+        n_train, n_test, d = 4000, 1000, 256
+        rows = rng.normal(size=(n_train + n_test, d))
+        rows[n_train + n_test // 2:, 0] += 3.0
+        labels = (np.arange(n_test) >= n_test // 2).astype(np.int64)
+        params = ShiftParams(max_iters=0)
+        prepared = prepare_joint(rows, n_train, [params])
+        rows.flags.writeable = True
+        shifted = joint_shift(prepared, params)
+        peak = peak_bytes(score_shifted, shifted, tuple(map(str, range(n_test))),
+                          labels, MsdeConfig(shift=params, pca_dim=64))
+        train_bytes = n_train * d * 8
+        assert peak < 0.5 * train_bytes, peak / train_bytes

@@ -229,20 +229,62 @@ class TestRandomSearch:
             assert any(r.params.k > 11 and r.params.t_nbd > 11 for r in records)
             assert any("clamped to n-1=7" in w for w in study_warnings)
 
+    def test_unshifted_trials_leave_the_shared_rows_as_they_were(self, monkeypatch):
+        # At max_iters = 0 every trial scores read-only views of the one
+        # prepared array; score_shifted centers copies of them, so the
+        # array and its views leave the search as they came, and each trial
+        # records what score_pipeline on the validation split gives.
+        data, base = self._data(), _search_config()
+        shared, views = [], []
+        prepare_split, score_shifted = tune_module.prepare_split, tune_module.score_shifted
+
+        def keep_prepared(*args):
+            prepared = prepare_split(*args)
+            shared.append((prepared, prepared.rows.copy()))
+            return prepared
+
+        def keep_views(shifted, *args):
+            views.append((shifted[0].values, shifted[2]))
+            return score_shifted(shifted, *args)
+
+        monkeypatch.setattr(tune_module, "prepare_split", keep_prepared)
+        monkeypatch.setattr(tune_module, "score_shifted", keep_views)
+        (_, records, _), _ = recorded(random_search, data,
+                                      SearchSpace(max_iters=(0, 0)), 3, 7, base)
+        (prepared, before), = shared
+        n_train = prepared.n_train
+        for array, bytes_before in ((prepared.rows, before),
+                                    (prepared.train, before[:n_train]),
+                                    (prepared.test, before[n_train:])):
+            assert not array.flags.writeable
+            assert array.tobytes() == bytes_before.tobytes()
+        assert len(views) == len(records) == 3
+        for train, test in views:
+            assert train is prepared.train and test.base is prepared.rows
+            assert not train.flags.writeable and not test.flags.writeable
+        val_split = make_leakage_split(data, seed=7).validation_split()
+        for rec in records:
+            assert rec.params.max_iters == 0
+            alone, _ = recorded(score_pipeline, val_split,
+                                replace(base, shift=rec.params))
+            assert (rec.val_auc, rec.val_ap) == (alone.metrics.auc, alone.metrics.ap)
+            assert rec.val_auc > -1.0
+
     def test_failed_trial_records_sentinel_and_never_wins(self, monkeypatch,
                                                           caplog):
-        # Every trial fits one Gaussian, in index order; trial 0's raises.
-        # Identical params elsewhere tie, and the tie goes to trial 1.
+        # Every trial fits one Gaussian (score_shifted runs fit_gaussian's
+        # core), in index order; trial 0's raises. Identical params
+        # elsewhere tie, and the tie goes to trial 1.
         fits = []
-        fit_gaussian = scoring_module.fit_gaussian
+        fit_gaussian = scoring_module._fit_gaussian
 
-        def failing_fit(z, lam):
+        def failing_fit(z, lam, in_place):
             fits.append(len(fits))
             if len(fits) == 1:
                 raise NumericError("injected fit failure")
-            return fit_gaussian(z, lam)
+            return fit_gaussian(z, lam, in_place)
 
-        monkeypatch.setattr(scoring_module, "fit_gaussian", failing_fit)
+        monkeypatch.setattr(scoring_module, "_fit_gaussian", failing_fit)
         space = SearchSpace(k=(8, 8), t_nbd=(10, 10), eta=(0.3, 0.3),
                             max_iters=(3, 3), tol=(0.01, 0.01))
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING, "msde.tune"):
