@@ -14,8 +14,10 @@ time, within a derived slack of the kernel's, and the kernel for the pairs
 it cannot decide. The k-NN scan keeps every column within the slack of its
 row's k-th screened value and orders them by screened value; only runs of
 candidates too close for the screen to order go through the kernel. The
-density weights (``msde.weights``) take their order statistics and radius
-counts from it on the fuzzy graph's CSR rows.
+density weights (``msde.weights``) take their order statistics and each
+row's head of smallest values from one screen of the fuzzy graph's CSR
+rows, and screen again only the rows whose radius counts the head cannot
+decide.
 """
 
 from __future__ import annotations
@@ -150,19 +152,21 @@ class _GramScreen:
         self.slack = (2.0 * units * np.finfo(np.float64).eps
                       * (self.sq_norms + self.sq_norms.max()))
 
-    def block(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Screened squared distances from rows lo:hi to every row, with an
-        inf diagonal; written into ``out`` when it is given."""
+    def block(self, rows, out: np.ndarray | None = None) -> np.ndarray:
+        """Screened squared distances from ``rows`` (a slice or an index
+        array) to every row, inf where a row meets itself; written into
+        ``out`` when it is given."""
         if self.sparse:
-            gram = self.coords @ self.coords[lo:hi].T.toarray()
+            gram = self.coords @ self.coords[rows].T.toarray(order="C")
             d2 = np.multiply(gram.T, -2.0, out=out, order="C")
         else:
-            d2 = np.matmul(self.coords[lo:hi], self.coords.T, out=out)
+            d2 = np.matmul(self.coords[rows], self.coords.T, out=out)
             d2 *= -2.0
-        d2 += self.sq_norms[lo:hi, None]
+        d2 += self.sq_norms[rows, None]
         d2 += self.sq_norms
         np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        ids = np.arange(len(self.sq_norms))[rows]
+        d2[np.arange(len(ids)), ids] = np.inf
         return d2
 
     def distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -199,7 +203,7 @@ def _knn_scan(values: np.ndarray, k: int, scratch: ScanScratch | None = None
     for lo in range(0, n, SCAN_BLOCK_ROWS):
         hi = min(lo + SCAN_BLOCK_ROWS, n)
         m = hi - lo
-        d2, part = screen.block(lo, hi, out=screened[:m]), ranked[:m]
+        d2, part = screen.block(slice(lo, hi), out=screened[:m]), ranked[:m]
         np.copyto(part, d2)
         part.partition(k - 1, axis=1)
         slack = screen.slack[lo:hi]

@@ -12,8 +12,9 @@ prepared once for all of them (``scoring.prepare_split``: the
 standardized rows in one array and, for the solo and the joint run, one
 k-NN scan that gives the fuzzy graph and the iteration-1 neighbor lists
 at the largest drawn ``k``, and the density weights for every drawn
-``t_nbd``: one pass 1, a radius search per ``t_nbd`` and one pass 2 that
-counts inside all of their radii). Each trial then looks up its weights and
+``t_nbd``: one pass 1 that screens the rows once, a radius search per
+``t_nbd`` and one pass 2 that counts inside all of their radii from the
+rows' heads). Each trial then looks up its weights and
 runs only the shift iterations and the scoring. A trial scores exactly
 what ``score_pipeline`` on the validation split would.
 """

@@ -10,30 +10,34 @@ The fuzzy graph's per-row bandwidths are solved for all rows at once.
 No n x n array is formed. The membership matrix G stays sparse, and
 ``knn._GramScreen`` screens squared distances between its rows one block
 at a time (G times the block's rows densified), within a derived slack of
-the kernel's. Each block's rows are sorted, so a threshold's position in
-a row says how many values the screen puts below it, and the pairs within
-the slack of a threshold form one contiguous window. The weights equal,
-bit for bit, those of the dense oracle in ``tests/_oracles.py``: the whole
-n x n kernel distance matrix of ``G.toarray()`` fed to the same radius
-bisection, then direct strict counts.
+the kernel's; pairs within the slack of a threshold form its window, and
+only they go to the kernel. The weights equal, bit for bit, those of the
+dense oracle in ``tests/_oracles.py``: the whole n x n kernel distance
+matrix of ``G.toarray()`` fed to the same radius bisection, then direct
+strict counts.
 
-``prepare_weights`` does all the work for a set of ``t_nbd`` values in two
-passes over the row blocks. Pass 1 screens, for each row, every order
-statistic the radius search can need for any of them (a row's t-th
-smallest distance to another row). An order statistic whose window holds
-one pair is kept as an interval with that pair: the screen's error bound,
-widened for the square root's rounding, brackets its distance, and
-``knn.distances_from`` evaluates the pair only when the search asks about
-a value inside the interval (the smallest or largest distance, a
-bisection midpoint, the final radius). A window of two or more pairs is
-settled with the kernel at once. The radius search then runs for every
-``t_nbd``, and pass 2 counts, in one more pass, the neighbors strictly
-inside all of their radii, again with the kernel only for pairs within
-the slack of a radius. The working set is O(``SCREEN_BLOCK_ROWS`` x n) and
-O(n) per order statistic. ``apply_weights`` looks up one ``t_nbd``'s
-weights and emits the warnings its search gave. ``compute_empirical_weights``
-is the two for a single ``t_nbd``; ``msde tune`` prepares once per study
-for every ``t_nbd`` it has drawn and applies once per trial.
+``prepare_weights`` does all the work for a set of ``t_nbd`` values with
+one screen of the row blocks. Pass 1 sorts each block's values once and
+reads from them, for each row, every order statistic the radius search
+can need for any of them (a row's t-th smallest distance to another row),
+and copies the row's smallest values into its head (``HEAD_PER_RANK``
+times the largest ``t_nbd``, at most ``HEAD_MAX_WIDTH``). An order
+statistic whose window holds one pair is kept as an interval: the
+screen's error bound, widened for the square root's rounding, brackets
+its distance, and the row is screened again to find the pair, which
+``knn.distances_from`` evaluates, only when the search asks about a value
+inside the interval (the smallest or largest distance, a bisection
+midpoint, the final radius). A window of two or more pairs is settled with
+the kernel at once, its columns found in the block by value. The radius
+search then runs for every ``t_nbd``, and pass 2 counts the neighbors
+strictly inside all of their radii from the heads; a row whose head ends
+inside a radius's window or holds a value in one is screened again, and
+the kernel decides the pairs in its windows. The working set is
+O(``SCREEN_BLOCK_ROWS`` x n), the heads and O(n) per order statistic.
+``apply_weights`` looks up one ``t_nbd``'s weights and emits the warnings
+its search gave. ``compute_empirical_weights`` is the two for a single
+``t_nbd``; ``msde tune`` prepares once per study for every ``t_nbd`` it has
+drawn and applies once per trial.
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ DEGENERATE_MIN_DISTANCE = 1e-12  # lower bracket when coincident points make d_m
 # few arrays this many rows x n. Every decision is exact, so the height
 # never changes the result.
 SCREEN_BLOCK_ROWS = 64
+# Width of the head pass 1 keeps per row for pass 2: HEAD_PER_RANK times the
+# largest prepared t_nbd, at most HEAD_MAX_WIDTH (and n - 1), so the heads
+# hold at most HEAD_MAX_WIDTH x n values. Pass 2 screens again the rows whose
+# head ends inside a count window, so the width changes speed and memory,
+# never the result.
+HEAD_PER_RANK = 4
+HEAD_MAX_WIDTH = 512
 
 
 @dataclass(frozen=True)
@@ -166,58 +177,104 @@ def _blocks(n: int):
         yield lo, min(lo + SCREEN_BLOCK_ROWS, n)
 
 
-def _sorted_block(screen, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Screened squared distances from rows lo:hi, each row ascending (its
-    inf diagonal last), and the column of every sorted value."""
-    d2 = screen.block(lo, hi)
-    order = np.argsort(d2, axis=1)
-    return np.take_along_axis(d2, order, axis=1), order
+def _count_sorted(s: np.ndarray, rows: np.ndarray, x: np.ndarray,
+                  right: bool) -> np.ndarray:
+    """How many values of the ascending row ``s[rows[q]]`` lie below
+    ``x[q]`` (at or below it when ``right``), for every query q at once: one
+    binary search that steps all the queries together."""
+    width = s.shape[1]
+    flat, base = s.ravel(), rows * width
+    lo = np.zeros(len(x), dtype=np.intp)
+    hi = np.full(len(x), width, dtype=np.intp)
+    for _ in range(width.bit_length()):
+        mid = (lo + hi) >> 1
+        value = flat[base + np.minimum(mid, width - 1)]
+        up = ((value <= x) if right else (value < x)) & (lo < hi)
+        lo = np.where(up, mid + 1, lo)
+        hi = np.where(up, hi, mid)
+    return lo
 
 
-def _positions(s: np.ndarray, low: np.ndarray, high: np.ndarray):
-    """Per row of the ascending rows ``s``: how many values lie below each
-    of the row's ``low``, and how many in [low, high], the window there."""
-    first = np.array([row.searchsorted(x) for row, x in zip(s, low)])
-    stop = np.array([row.searchsorted(x, side="right") for row, x in zip(s, high)])
+def _windows(s: np.ndarray, picks: np.ndarray, low: np.ndarray,
+             high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the ascending block ``s`` and rank index k: how many values
+    lie below ``low[:, k]``, and how many in [low, high], the window there,
+    which holds position ``picks[k]``. Most windows hold that position
+    alone, as its neighbors in the row show; only the others are searched."""
+    last = s.shape[1] - 1
+    at = np.broadcast_to(picks, low.shape)
+    first = np.where((picks == 0) | (s[:, np.maximum(picks - 1, 0)] < low), at, -1)
+    stop = np.where((picks == last) | (s[:, np.minimum(picks + 1, last)] > high),
+                    at + 1, -1)
+    for bound, out, right in ((low, first, False), (high, stop, True)):
+        rows, k = np.nonzero(out < 0)
+        if rows.size:
+            out[rows, k] = _count_sorted(s, rows, bound[rows, k], right)
     return first, stop - first
 
 
-def _held(screen, lo: int, order: np.ndarray, first: np.ndarray,
-          sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel distances of the pairs in the windows of a sorted block from
-    row ``lo``: window (r, m) holds ``sizes[r, m]`` columns of ``order[r]``
-    from position ``first[r, m]``. Returns, window by window, each pair's
-    flat window index and distance; a pair that several windows hold is
-    evaluated once."""
-    held = sizes.ravel()
+def _window_columns(d2: np.ndarray, first: np.ndarray, sizes: np.ndarray,
+                    high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs in the windows of two or more pairs of a block: window
+    (r, k) holds the ``sizes[r, k]`` columns of row r of ``d2`` from sorted
+    position ``first[r, k]``, those up to ``high[r, k]``. One pass over the
+    block keeps each row's values up to the top of its widest such window;
+    sorted, they give every window's columns. Returns each pair's flat
+    window index and column, window by window."""
+    m, n = d2.shape
+    wide = sizes > 1
+    flat = np.flatnonzero(d2 <= np.where(wide, high, -np.inf).max(axis=1)[:, None])
+    rows = flat // n
+    flat = flat[np.lexsort((d2.ravel()[flat], rows))]
+    held = np.where(wide, sizes, 0).ravel()
     win = np.repeat(np.arange(held.size), held)
-    offset = np.arange(win.size) - np.repeat(np.cumsum(held) - held, held)
-    rows, n = win // sizes.shape[1], order.shape[1]
-    pairs, inverse = np.unique(rows * n + order[rows, first.ravel()[win] + offset],
-                               return_inverse=True)
-    return win, screen.distances(lo + pairs // n, pairs % n)[inverse]
+    pos = np.arange(win.size) - np.repeat(np.cumsum(held) - held, held)
+    start = np.searchsorted(rows, np.arange(m))[win // sizes.shape[1]]
+    return win, flat[start + first.ravel()[win] + pos] % n
 
 
 class _Bracketed:
     """Each row's t-th smallest distance to another row, known to lie in
-    [lo, hi]. Where lo == hi that is the distance; elsewhere it is the
-    kernel distance from the row to its column in ``cols``, evaluated only
-    when a question about it cannot be answered from the bounds."""
+    [lo, hi]. Where lo == hi that is the distance. Elsewhere it is the
+    kernel distance to the one column whose screened squared distance in
+    pass 1 was within twice the slack of ``centers``: only when a question
+    about it cannot be answered from the bounds is the row screened again,
+    where that column alone lands within the slack of it, and the pair
+    evaluated."""
 
-    def __init__(self, screen, lo: np.ndarray, hi: np.ndarray, cols: np.ndarray):
-        self.screen, self.lo, self.hi, self.cols = screen, lo, hi, cols
+    def __init__(self, screen, lo: np.ndarray, hi: np.ndarray, centers: np.ndarray):
+        self.screen, self.lo, self.hi, self.centers = screen, lo, hi, centers
+        self.ascending = None  # (sorted lo, sorted hi), once asked
 
     def settle(self, rows: np.ndarray) -> None:
         """Replace the bounds of the rows in the mask ``rows`` by their
         distances."""
         rows = np.flatnonzero(rows & (self.lo < self.hi))
-        if rows.size:
-            self.lo[rows] = self.hi[rows] = self.screen.distances(rows, self.cols[rows])
+        for lo, hi in _blocks(len(rows)):
+            part = rows[lo:hi]
+            near = np.abs(self.screen.block(part) - self.centers[part, None])
+            near = near <= self.screen.slack[part, None]
+            if not near.any(axis=1).all():
+                raise GraphError("distance screen lost an order statistic; "
+                                 "are the coordinates finite?")
+            cols = np.argmax(near, axis=1)
+            self.lo[part] = self.hi[part] = self.screen.distances(part, cols)
+            self.ascending = None
+
+    def _ascending(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.ascending is None:
+            self.ascending = np.sort(self.lo), np.sort(self.hi)
+        return self.ascending
 
     def below(self, eps: float) -> int:
-        """How many rows' distances are below ``eps``."""
-        self.settle((self.lo < eps) & (eps <= self.hi))
-        return int(np.count_nonzero(self.hi < eps))
+        """How many rows' distances are below ``eps``, counted in the sorted
+        bounds once the rows whose bounds hold ``eps`` (as many as have a
+        lower bound below it and an upper bound not) have settled."""
+        lows, highs = self._ascending()
+        if lows.searchsorted(eps) > highs.searchsorted(eps):
+            self.settle((self.lo < eps) & (eps <= self.hi))
+            lows, highs = self._ascending()
+        return int(highs.searchsorted(eps))
 
     def min(self) -> float:
         """The smallest distance; only rows that can attain it settle."""
@@ -230,21 +287,28 @@ class _Bracketed:
         return float(self.lo.max())
 
 
-def _order_statistics(screen, ranks: list[int]) -> dict[int, _Bracketed]:
-    """Pass 1: per row, the ``ranks``-th smallest distances to other rows.
-    The screened t-th smallest squared distance c is within slack / 2 of
-    the kernel's, so pairs screened more than twice the slack below it are
-    surely below, and a window of one pair brackets its distance between
+def _pass_one(screen, ranks: list[int], head: np.ndarray) -> dict[int, _Bracketed]:
+    """Pass 1: per row, the ``ranks``-th smallest distances to other rows,
+    and, written into ``head`` (n x width), its head: its width smallest
+    screened squared distances, ascending. Each block's values are sorted
+    once. The screened t-th smallest squared distance c is within slack / 2
+    of the kernel's, so pairs screened more than twice the slack below it
+    are surely below, and a window of one pair brackets its distance between
     sqrt(c -+ slack), widened for the square root's rounding."""
     n = len(screen.sq_norms)
     picks = np.asarray(ranks) - 1
     lo_all, hi_all = np.empty((len(ranks), n)), np.empty((len(ranks), n))
-    cols = np.empty((len(ranks), n), dtype=np.int64)
+    centers_all = np.empty((len(ranks), n))
+    width = head.shape[1]
     widen = 1.0 + 8.0 * np.finfo(np.float64).eps
     for lo, hi in _blocks(n):
-        s, order = _sorted_block(screen, lo, hi)
+        d2 = screen.block(slice(lo, hi))
+        s = np.sort(d2, axis=1)
+        head[lo:hi] = s[:, :width]
         centers, slack = s[:, picks], screen.slack[lo:hi, None]
-        first, sizes = _positions(s, centers - 2.0 * slack, centers + 2.0 * slack)
+        high = centers + 2.0 * slack
+        first, sizes = _windows(s, picks, centers - 2.0 * slack, high)
+        del s
         at = picks - first
         if np.any((at < 0) | (at >= sizes)):
             raise GraphError("distance screen lost an order statistic; "
@@ -254,30 +318,62 @@ def _order_statistics(screen, ranks: list[int]) -> dict[int, _Bracketed]:
         # A window of two or more pairs is settled now: its t-th smallest
         # is the one at ``at`` among its kernel distances.
         wide = sizes > 1
-        held = np.where(wide, sizes, 0)
-        win, d = _held(screen, lo, order, first, held)
-        starts = (np.cumsum(held) - held.ravel()).reshape(held.shape)
-        pair_lo[wide] = pair_hi[wide] = d[np.lexsort((d, win))][(starts + at)[wide]]
+        if wide.any():
+            win, cols = _window_columns(d2, first, sizes, high)
+            # A pair in the windows of several ranks is evaluated once.
+            pairs, inverse = np.unique((lo + win // len(ranks)) * n + cols,
+                                       return_inverse=True)
+            d = screen.distances(pairs // n, pairs % n)[inverse]
+            held = np.where(wide, sizes, 0)
+            starts = (np.cumsum(held) - held.ravel()).reshape(held.shape)
+            pair_lo[wide] = pair_hi[wide] = d[np.lexsort((d, win))][(starts + at)[wide]]
         lo_all[:, lo:hi], hi_all[:, lo:hi] = pair_lo.T, pair_hi.T
-        cols[:, lo:hi] = order[:, picks].T
-    return {t: _Bracketed(screen, lo_all[j], hi_all[j], cols[j])
+        centers_all[:, lo:hi] = centers.T
+    return {t: _Bracketed(screen, lo_all[j], hi_all[j], centers_all[j])
             for j, t in enumerate(ranks)}
 
 
-def _strict_counts(screen, radii: np.ndarray) -> np.ndarray:
+def _below(values: np.ndarray, lows: np.ndarray,
+           highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``values`` (screened squared distances, any order), how
+    many lie below each window [lows[k], highs[k]], and which lie in one."""
+    m, count = len(values), len(lows)
+    order = np.argsort(lows, kind="stable")
+    below = np.searchsorted(lows[order], values, side="right")
+    near = below > np.searchsorted(np.sort(highs), values, side="left")
+    below += np.arange(0, m * (count + 1), count + 1)[:, None]
+    tally = np.bincount(below.ravel(), minlength=m * (count + 1)).reshape(m, count + 1)
+    counts = np.empty((m, count), dtype=np.int64)
+    counts[:, order] = np.cumsum(tally, axis=1)[:, :count]
+    return counts, near
+
+
+def _strict_counts(screen, radii: np.ndarray, head: np.ndarray) -> np.ndarray:
     """Pass 2: per row, the other rows strictly inside each of ``radii``,
-    (n, len(radii)). A screened value beyond the slack, widened by the
-    rounding of r^2 and of the kernel's square root, decides a pair."""
-    n = len(screen.sq_norms)
+    (n, len(radii)). A screened value beyond the largest slack, widened by
+    the rounding of r^2 and of the kernel's square root, decides a pair: a
+    value below its window is inside, one above it outside. Each row is
+    counted from its head, unless the head ends inside a window or holds a
+    value in one: then the row is screened again, in blocks of such rows,
+    and the kernel decides the pairs in its windows."""
+    n, width = head.shape
     r2 = np.square(radii)
+    spread = screen.slack.max() + 8.0 * np.finfo(np.float64).eps * r2
+    lows, highs = r2 - spread, r2 + spread
     counts = np.empty((n, len(radii)), dtype=np.int64)
+    again = (head[:, -1] <= highs.max()) & (width < n - 1)
     for lo, hi in _blocks(n):
-        s, order = _sorted_block(screen, lo, hi)
-        widths = screen.slack[lo:hi, None] + 8.0 * np.finfo(np.float64).eps * r2
-        first, sizes = _positions(s, r2 - widths, r2 + widths)
-        win, d = _held(screen, lo, order, first, sizes)
-        inside = np.bincount(win[d < radii[win % len(radii)]], minlength=first.size)
-        counts[lo:hi] = first + inside.reshape(first.shape)
+        counts[lo:hi], near = _below(head[lo:hi], lows, highs)
+        again[lo:hi] |= near.any(axis=1)
+    again = np.flatnonzero(again)
+    for lo, hi in _blocks(len(again)):
+        rows = again[lo:hi]
+        d2 = screen.block(rows)
+        counts[rows], near = _below(d2, lows, highs)
+        r, cols = np.nonzero(near)
+        v = d2[r, cols, None]
+        d = screen.distances(rows[r], cols)
+        np.add.at(counts, rows[r], (lows <= v) & (v <= highs) & (d[:, None] < radii))
     return counts
 
 
@@ -344,12 +440,14 @@ def prepare_weights(coords, t_nbds) -> PreparedWeights:
     n = coords.shape[0]
     screen = _GramScreen(coords)
     ranks = sorted({1, n - 1, _clamped_t_nbd(n)} | {t for t in t_nbds if t <= n - 1})
-    kth = _order_statistics(screen, ranks)
+    head = np.empty((n, min(n - 1, HEAD_MAX_WIDTH, HEAD_PER_RANK * max(t_nbds))))
+    kth = _pass_one(screen, ranks, head)
     d_min, d_max = kth[1].min(), kth[n - 1].max()
     searches = {t: _bisect_radius(n, kth, d_min, d_max, t) for t in sorted(set(t_nbds))}
     epsilons = sorted({eps for eps, *_ in searches.values()})
     radii = np.array([RadiusSchedule(eps).radii for eps in epsilons])
-    counts = _strict_counts(screen, radii.ravel()).reshape(n, *radii.shape).sum(axis=2)
+    counts = _strict_counts(screen, radii.ravel(), head)
+    counts = counts.reshape(n, *radii.shape).sum(axis=2)
     out = {}
     for t, (eps, t_used, fraction, notes) in searches.items():
         weights = counts[:, epsilons.index(eps)] / 4.0

@@ -1,7 +1,9 @@
-"""Where the resident memory of one ``msde run`` call peaks, stage by stage.
+"""Where the resident memory of one ``msde run`` or ``msde tune`` call peaks,
+stage by stage.
 
 Makes a perfbench workload's inputs (``perfbench/workloads.py``, seed 42)
-in a temporary directory, then runs ``msde run`` on them once in a fresh
+in a temporary directory, then runs the workload's command (``msde run``
+or ``msde tune``, with its flags) on them once in a fresh
 interpreter whose ``PYTHONPATH`` is ``--src`` alone, with BLAS pinned to
 one thread as perfbench pins it. In that child every public pipeline
 function found in the loaded ``msde`` modules is wrapped, by monkeypatching
@@ -14,6 +16,7 @@ checkouts can be compared:
 
     python studies/rss_stages.py --workload run-noshift --src ../parent/src
     python studies/rss_stages.py --workload run-noshift --src src
+    python studies/rss_stages.py --workload tune-d32 --src src
 
 pytest does not collect this directory.
 """
@@ -39,6 +42,8 @@ STAGES = (
     ("msde.data", "attach_labels"),
     ("msde.data", "fit_standardizer"),
     ("msde.data", "apply_standardizer"),
+    ("msde.weights", "prepare_weights"),
+    ("msde.scoring", "prepare_split"),
     ("msde.shift", "prepare_joint"),
     ("msde.shift", "joint_shift"),
     ("msde.scoring", "fit_pca"),
@@ -50,6 +55,7 @@ STAGES = (
     ("msde.scoring", "score_shifted"),
     ("msde.scoring", "score_rows"),
     ("msde.scoring", "score_pipeline"),
+    ("msde.tune", "random_search"),
     ("msde.data", "save_scores"),
 )
 
@@ -98,7 +104,7 @@ def _child(argv: list[str]) -> int:
     print(f"{'peak_mb':>10} {'rss_mb':>10}  after", flush=True)
     report("import msde.cli")
     code = msde.cli.main(argv)
-    report(f"msde run (exit {code})")
+    report(f"msde {argv[0]} (exit {code})")
     return code
 
 
@@ -116,9 +122,8 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
-    run_workloads = sorted(name for name, w in WORKLOADS.items() if w.command == "run")
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=run_workloads, default="run-noshift")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="run-noshift")
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="the directory holding the msde package to measure")
     args = parser.parse_args()

@@ -206,7 +206,7 @@ def test_screen_blocks_are_c_contiguous(sparse, out):
     dense = rng.uniform(size=(40, 30)) * (rng.random((40, 30)) < 0.3)
     screen = knn_module._GramScreen(sp.csr_matrix(dense) if sparse else dense)
     given = np.empty((12, 40)) if out else None
-    d2 = screen.block(5, 17, out=given)
+    d2 = screen.block(slice(5, 17), out=given)
     assert d2.flags.c_contiguous and d2.shape == (12, 40)
     assert d2 is given or not out
     rows, cols = np.divmod(np.arange(12 * 40), 40)

@@ -23,11 +23,15 @@ from msde import weights as weights_module
 from msde.exceptions import ConfigError, GraphError
 from msde.knn import _GramScreen
 from msde.weights import (
+    HEAD_MAX_WIDTH,
+    HEAD_PER_RANK,
     SIGMA_BISECTION_STEPS,
     _bisect_radius,
     _Bracketed,
+    _below,
     _clamped_t_nbd,
-    _order_statistics,
+    _count_sorted,
+    _pass_one,
     _solve_bandwidths,
     _weights_from_coords,
     apply_weights,
@@ -279,60 +283,35 @@ def test_screened_weights_equal_dense_oracle_bytewise(inputs):
 
 
 def _instance(kind, n=150):
-    """Gaussian rows, an integer grid (ties) or three equidistant rows
-    repeated, where no row has more than n / 3 - 1 neighbors closer than
-    the largest distance, so the radius search is unsatisfiable."""
+    """Gaussian rows, an integer grid (ties), Gaussian rows each repeated
+    three times (zero distances) or three equidistant rows repeated, where
+    no row has more than n / 3 - 1 neighbors closer than the largest
+    distance, so the radius search is unsatisfiable."""
     rng = np.random.default_rng(21)
     if kind == "random":
         return rng.normal(size=(n, 5))
     if kind == "grid":
         return rng.integers(0, 3, size=(n, 3)).astype(float)
+    if kind == "duplicates":
+        return np.repeat(rng.normal(size=(-(-n // 3), 5)), 3, axis=0)[:n]
     return np.eye(3)[np.arange(n) % 3]
 
 
-@pytest.mark.parametrize("kind", ["random", "grid"])
-def test_pass_one_order_statistics_do_not_depend_on_the_rank_set(kind, monkeypatch):
-    # One pass 1 serves every t_nbd of a tuning study: each rank's exact
-    # values over the study's rank set are byte-equal to a pass over that
-    # rank alone, and to the dense oracle's.
-    memberships = build_fuzzy_graph(_instance(kind), 15).memberships
-    n = memberships.shape[0]
-    t_nbds = [3, 10, 25, 26, 70, 149, 200]
-    requested = []
-
-    def recording(screen, ranks):
-        requested.append(ranks)
-        return _order_statistics(screen, ranks)
-
-    monkeypatch.setattr(weights_module, "_order_statistics", recording)
-    prepare_weights(memberships, t_nbds)
-    assert requested == [sorted({1, n - 1, _clamped_t_nbd(n)} | {
-        t for t in t_nbds if t <= n - 1})]
-
-    dist = pairwise_distances(memberships.toarray())
-    np.fill_diagonal(dist, np.inf)
-    screen = _GramScreen(memberships)
-    together = _order_statistics(screen, requested[0])
-    for t, stat in together.items():
-        alone = _order_statistics(screen, [t])[t]
-        for values in (stat, alone):
-            values.settle(np.ones(n, dtype=bool))
-            assert values.lo.tobytes() == values.hi.tobytes()
-        assert stat.hi.tobytes() == alone.hi.tobytes()
-        assert stat.hi.tobytes() == _kth_neighbor_distance(dist, t).tobytes()
+def _coords(kind, sparse, n=150):
+    """The instance's fuzzy graph (CSR rows) or its own dense coordinates,
+    with the dense matrix the oracle reads."""
+    points = _instance(kind, n)
+    if sparse:
+        memberships = build_fuzzy_graph(points, 15).memberships
+        return memberships, memberships.toarray()
+    return points, points
 
 
-@pytest.mark.parametrize("kind", ["random", "grid", "clusters"])
-@pytest.mark.parametrize("sparse", [True, False])
-def test_one_preparation_serves_every_t_nbd(kind, sparse):
-    # A duplicate t_nbd, the t > n-1 clamp and (on the clusters' own
-    # coordinates) the unsatisfiable radius: each t_nbd's weights,
-    # epsilon, fraction and warnings equal those of a preparation for it
-    # alone and the dense oracle's, byte for byte.
-    points = _instance(kind)
-    coords = build_fuzzy_graph(points, 15).memberships if sparse else points
-    dense = coords.toarray() if sparse else coords
-    t_nbds = [3, 10, 10, 25, 149, 200]
+def _assert_each_t_nbd_equals_oracle(coords, dense, t_nbds):
+    """One preparation for ``t_nbds``: each one's weights, epsilon, fraction
+    and warnings equal, byte for byte, those of a preparation for it alone
+    and of the dense oracle. Returns the preparation and the messages of
+    the warnings its lookups gave."""
     prepared, caught = recorded(prepare_weights, coords, t_nbds)
     assert caught == []
     messages = []
@@ -348,11 +327,146 @@ def test_one_preparation_serves_every_t_nbd(kind, sparse):
             assert dw.satisfied_fraction == ref.satisfied_fraction
             assert caught == ref_caught
         messages += caught
+    return prepared, messages
+
+
+@pytest.mark.parametrize("kind", ["random", "grid"])
+def test_pass_one_order_statistics_do_not_depend_on_the_rank_set(kind, monkeypatch):
+    # One pass 1 serves every t_nbd of a tuning study: each rank's exact
+    # values over the study's rank set and head width are byte-equal to a
+    # pass over that rank alone at the width its own preparation takes, and
+    # to the dense oracle's.
+    memberships = build_fuzzy_graph(_instance(kind), 15).memberships
+    n = memberships.shape[0]
+    t_nbds = [3, 10, 25, 26, 70, 149, 200]
+    requested = []
+
+    def recording(screen, ranks, head):
+        requested.append((ranks, head.shape))
+        return _pass_one(screen, ranks, head)
+
+    monkeypatch.setattr(weights_module, "_pass_one", recording)
+    prepare_weights(memberships, t_nbds)
+    assert requested == [(sorted({1, n - 1, _clamped_t_nbd(n)} | {
+        t for t in t_nbds if t <= n - 1}), (n, n - 1))]
+
+    # Also at a head of 12, where most ranks' windows lie past the head.
+    dist = pairwise_distances(memberships.toarray())
+    np.fill_diagonal(dist, np.inf)
+    screen = _GramScreen(memberships)
+    ranks = requested[0][0]
+    for width in (n - 1, 12):
+        together = _pass_one(screen, ranks, np.empty((n, width)))
+        for t, stat in together.items():
+            head = np.empty((n, min(n - 1, HEAD_MAX_WIDTH, HEAD_PER_RANK * t)))
+            alone = _pass_one(screen, [t], head)[t]
+            for values in (stat, alone):
+                values.settle(np.ones(n, dtype=bool))
+                assert values.lo.tobytes() == values.hi.tobytes()
+            assert stat.hi.tobytes() == alone.hi.tobytes()
+            assert stat.hi.tobytes() == _kth_neighbor_distance(dist, t).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "grid", "clusters"])
+@pytest.mark.parametrize("sparse", [True, False])
+def test_one_preparation_serves_every_t_nbd(kind, sparse):
+    # A duplicate t_nbd, the t > n-1 clamp and (on the clusters' own
+    # coordinates) the unsatisfiable radius: each t_nbd's weights,
+    # epsilon, fraction and warnings equal those of a preparation for it
+    # alone and the dense oracle's, byte for byte.
+    coords, dense = _coords(kind, sparse)
+    prepared, messages = _assert_each_t_nbd_equals_oracle(coords, dense,
+                                                          [3, 10, 10, 25, 149, 200])
     assert any("clamped" in m for m in messages)
     if kind == "clusters" and not sparse:
         assert any("unsatisfiable even at the maximum" in m for m in messages)
     with pytest.raises(ConfigError, match="not prepared"):
         apply_weights(prepared, 11)
+
+
+def _screened_again(monkeypatch):
+    """The rows of every ``_GramScreen.block`` call made on a row subset:
+    rows pass 2 screens again and rows whose brackets settle."""
+    rows = []
+    block = _GramScreen.block
+
+    def recording(self, which, out=None):
+        if not isinstance(which, slice):
+            rows.extend(np.asarray(which).tolist())
+        return block(self, which, out)
+
+    monkeypatch.setattr(_GramScreen, "block", recording)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["random", "grid", "duplicates", "clusters"])
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("width", [None, 8])
+def test_heads_give_the_dense_oracle_bytewise(kind, sparse, width, monkeypatch):
+    # Pass 2 counts from each row's head of screened values. With the
+    # module's widths, and with every head cut to 8 values, so that most
+    # rows end inside a window and are screened again and most order
+    # statistics lie past the head: the weights, epsilon, fraction and
+    # warnings of every t_nbd are the dense oracle's, byte for byte.
+    coords, dense = _coords(kind, sparse)
+    if width is not None:
+        monkeypatch.setattr(weights_module, "HEAD_MAX_WIDTH", width)
+    again = _screened_again(monkeypatch)
+    _assert_each_t_nbd_equals_oracle(coords, dense, [3, 10, 25, 40])
+    if width is not None:
+        assert len(again) > 150
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_t_nbd_above_the_head_cap_gives_the_dense_oracle(sparse, monkeypatch):
+    # 600 rows and a t_nbd past HEAD_MAX_WIDTH: the heads stay capped, the
+    # rank lies past every head and the rows that reach past their heads
+    # are screened again.
+    assert HEAD_MAX_WIDTH < 540 < 600
+    coords, dense = _coords("random", sparse, n=600)
+    widths = []
+    pass_one = weights_module._pass_one
+
+    def recording(screen, ranks, head):
+        widths.append(head.shape[1])
+        return pass_one(screen, ranks, head)
+
+    monkeypatch.setattr(weights_module, "_pass_one", recording)
+    again = _screened_again(monkeypatch)
+    _assert_each_t_nbd_equals_oracle(coords, dense, [70, 540])
+    assert max(widths) == HEAD_MAX_WIDTH
+    assert again
+
+
+@pytest.mark.parametrize("kind", ["random", "grid"])
+@pytest.mark.parametrize("sparse", [True, False])
+def test_the_studys_t_nbds_prepared_at_once_give_the_dense_oracle(kind, sparse):
+    # The 80-trial study prepares up to 78 distinct t_nbd (3..80) at once.
+    coords, dense = _coords(kind, sparse)
+    _assert_each_t_nbd_equals_oracle(coords, dense, list(range(3, 81)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 40), st.booleans(), st.data())
+def test_row_searches_equal_searchsorted(rows, width, grid, data):
+    # The batched binary search and the window tally against np.searchsorted
+    # and direct comparisons, row by row; integer values give ties.
+    elements = (st.integers(0, 4).map(float) if grid
+                else st.floats(0.0, 10.0, allow_subnormal=False))
+    s = np.sort(data.draw(arrays(np.float64, (rows, width), elements=elements)), axis=1)
+    queries = data.draw(arrays(np.float64, (rows, 3), elements=elements))
+    which = np.repeat(np.arange(rows), 3)
+    for right in (False, True):
+        got = _count_sorted(s, which, queries.ravel(), right)
+        side = "right" if right else "left"
+        expected = [np.searchsorted(s[r], x, side=side) for r, x in zip(which, queries.ravel())]
+        assert got.tolist() == expected
+    lows = np.sort(queries[0])
+    highs = lows + data.draw(st.sampled_from([0.0, 0.5, 3.0]))
+    counts, near = _below(s, lows, highs)
+    assert counts.tolist() == [[int(np.sum(row < low)) for low in lows] for row in s]
+    held = (s[:, :, None] >= lows) & (s[:, :, None] <= highs)
+    assert near.tolist() == held.any(axis=2).tolist()
 
 
 def test_pass_one_evaluates_few_pairs_with_the_kernel(monkeypatch):
@@ -525,12 +639,14 @@ class TestEmpiricalWeights:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.schedule.epsilon == b.schedule.epsilon
 
-    def test_peak_memory_below_one_n_by_n(self, peak_bytes):
-        # G stays sparse and the screen works a block of rows at a time:
+    @pytest.mark.parametrize("t_nbd", [70, 1000])
+    def test_peak_memory_below_one_n_by_n(self, peak_bytes, t_nbd):
+        # G stays sparse, the screen works a block of rows at a time and the
+        # heads are at most HEAD_MAX_WIDTH wide, whatever t_nbd asks:
         # neither a dense G nor a distance matrix is ever formed.
         n = 1200
         points = np.random.default_rng(14).normal(size=(n, 8))
-        assert peak_bytes(compute_empirical_weights, points, 70, 15) < n * n * 8
+        assert peak_bytes(compute_empirical_weights, points, t_nbd, 15) < n * n * 8
 
     def test_satisfied_fraction_reported(self):
         rng = np.random.default_rng(77)
