@@ -24,17 +24,20 @@ spec = SyntheticSpec(dim=8, n_train=150, n_test_normal=60,
                      n_test_anomalous=60, anomaly_offset=2.0)
 split = generate_synthetic(spec, seed=3)
 
-lk = make_leakage_split(split, seed=3)
-print("partitions:")
-print(f"  fit train      {lk.fit_train.n_samples}")
-print(f"  val normals    {lk.val_normals.n_samples}")
-print(f"  val anomalies  {lk.val_anomalies.n_samples}")
-print(f"  final test     {lk.final_test.test.n_samples}")
+rows = np.concatenate([split.train.values, split.test.values])
+n_train, test_ids, labels = spec.n_train, split.test.row_ids, split.test.labels
+
+lk = make_leakage_split(n_train, labels, seed=3)
+print("partitions (row indices into the train and the test rows):")
+print(f"  fit train      {lk.fit_train.size}")
+print(f"  val normals    {lk.val_normals.size}")
+print(f"  val anomalies  {lk.val_anomalies.size}")
+print(f"  final test     {lk.final_test.size}")
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     best, records, final = random_search(
-        split, SearchSpace(), n_trials=12, seed=3,
+        rows, n_train, test_ids, labels, SearchSpace(), n_trials=12, seed=3,
         base_config=MsdeConfig(pca_dim=8),
     )
 

@@ -36,13 +36,10 @@ from .config import (
     parse_config_file,
 )
 from .data import (
-    DatasetSplit,
     SyntheticSpec,
-    attach_labels,
     default_row_ids,
     generate_synthetic,
     join_labels,
-    load_embeddings,
     load_labels,
     load_rows,
     load_scores,
@@ -186,15 +183,6 @@ def _prepare(args: argparse.Namespace, load):
     return config, inputs, out
 
 
-def _load_split(args: argparse.Namespace) -> DatasetSplit:
-    # distinct id prefixes keep train/test ids unique when mixed (tuning
-    # builds validation sets out of rows from both)
-    train = load_embeddings(args.train, id_prefix="train")
-    test = attach_labels(load_embeddings(args.test, id_prefix="test"),
-                         load_labels(args.labels))
-    return DatasetSplit(train=train, test=test)
-
-
 def _load_rows(args: argparse.Namespace):
     """The train then test rows in one array (``load_rows``), the train row
     count, and the test rows' ids and sidecar labels."""
@@ -276,10 +264,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    config, split, out = _prepare(args, _load_split)
+    config, (rows, n_train, test_ids, labels), out = _prepare(args, _load_rows)
     best, records, final_metrics = random_search(
-        split, SearchSpace(), n_trials=args.trials, seed=args.seed,
-        base_config=config,
+        rows, n_train, test_ids, labels, SearchSpace(), n_trials=args.trials,
+        seed=args.seed, base_config=config,
     )
     write_lines(out / "trials.jsonl", [
         *(json.dumps({

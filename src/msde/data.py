@@ -11,7 +11,8 @@ All pipeline arithmetic is done in float64 regardless of the width of the
 input files; matrices are widened on load so downstream results do not
 depend on storage precision. ``load_embeddings`` reads one file into its
 own array; ``load_rows`` reads a train and a test file into one array,
-each straight into its row range, which ``msde run`` scores in place.
+each straight into its row range: ``msde run`` scores that array in place,
+and ``msde tune`` gathers its trials' rows and its final rows from it.
 """
 
 from __future__ import annotations
@@ -111,13 +112,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def take(self, indices: np.ndarray) -> "EmbeddingMatrix":
-        """Row subset in the given order."""
-        indices = np.asarray(indices, dtype=np.intp)
-        ids = tuple(self.row_ids[i] for i in indices)
-        labels = self.labels[indices] if self.labels is not None else None
-        return EmbeddingMatrix(_readonly(self.values[indices]), ids, labels)
 
 
 @dataclass(frozen=True)
@@ -377,8 +371,7 @@ def load_embeddings(path: str | Path, id_prefix: str = "row") -> EmbeddingMatrix
     """Load a 2-D embedding matrix from ``.npy`` or ``.csv`` (by suffix).
 
     Neither format carries row identifiers, so positional ids
-    ``{id_prefix}_NNNNNN`` are assigned; ``msde tune`` loads train and test
-    with distinct prefixes so their ids never collide.
+    ``{id_prefix}_NNNNNN`` are assigned.
     """
     with ExitStack() as files:
         shape, fill = _open_matrix(path, files)
@@ -445,12 +438,6 @@ def join_labels(row_ids, labels: dict[str, int]) -> np.ndarray:
             f"label file has {len(extra)} unknown row ids (e.g. {sorted(extra)[0]!r})"
         )
     return np.array([labels[r] for r in row_ids], dtype=np.int64)
-
-
-def attach_labels(matrix: EmbeddingMatrix, labels: dict[str, int]) -> EmbeddingMatrix:
-    """Join sidecar labels onto a matrix by row id (``join_labels``)."""
-    return EmbeddingMatrix(matrix.values, matrix.row_ids,
-                           join_labels(matrix.row_ids, labels))
 
 
 def save_scores(report, path: str | Path) -> None:

@@ -19,12 +19,12 @@ rows then test rows (standardize it in place with the train rows'
 statistics and hand it to ``shift.prepare_joint``, so both shift runs read
 that one array), ``shift.joint_shift``, then ``score_shifted``. ``msde
 run`` reads its input files straight into that array
-(``data.load_rows``); ``score_pipeline`` and ``prepare_split`` copy a
-``DatasetSplit``'s train rows then test rows into it; ``score_rows``
-makes that array writable again after preparation, so without shift
-iterations the fit centers its train and test rows in place. ``msde
-tune`` prepares its validation split once for every trial's params
-(``prepare_split``) and shares the read-only array across the trials.
+(``data.load_rows``); ``score_pipeline`` copies a ``DatasetSplit``'s train
+rows then test rows into it; ``score_rows`` makes that array writable
+again after preparation, so without shift iterations the fit centers its
+train and test rows in place. ``msde tune`` gathers its trials' rows from
+the loaded array once, prepares them once for every trial's params
+(``prepare_rows``) and shares the read-only array across the trials.
 """
 
 from __future__ import annotations
@@ -234,16 +234,6 @@ def prepare_rows(rows: np.ndarray, n_train: int, config: MsdeConfig,
     return prepare_joint(rows, n_train, shifts, threads=config.threads)
 
 
-def _stacked(split: DatasetSplit) -> np.ndarray:
-    return np.concatenate([split.train.values, split.test.values])
-
-
-def prepare_split(split: DatasetSplit, config: MsdeConfig,
-                  shifts: Sequence[ShiftParams]) -> JointInput:
-    """``prepare_rows`` over a copy of the split's train rows then test rows."""
-    return prepare_rows(_stacked(split), split.train.n_samples, config, shifts)
-
-
 def score_shifted(shifted: tuple[ShiftedEmbeddings, ShiftedEmbeddings, np.ndarray],
                   test_ids: tuple[str, ...], labels: np.ndarray,
                   config: MsdeConfig) -> ScoreReport:
@@ -301,5 +291,6 @@ def score_rows(rows: np.ndarray, n_train: int, test_ids: tuple[str, ...],
 
 def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
     """``score_rows`` over a copy of the split's train rows then test rows."""
-    return score_rows(_stacked(split), split.train.n_samples, split.test.row_ids,
-                      split.test.labels, config)
+    return score_rows(np.concatenate([split.train.values, split.test.values]),
+                      split.train.n_samples, split.test.row_ids, split.test.labels,
+                      config)

@@ -6,17 +6,23 @@ remaining training normals and are scored on that validation set; the
 held-back test rows are never touched until the single final evaluation
 of the winning parameters, which is retrained on all training normals.
 
+The search takes its input as ``score_rows`` does: one array of the train
+rows then the test rows (``msde tune`` reads it with ``data.load_rows``),
+which it never writes. ``make_leakage_split`` partitions it by row index.
 Every trial's parameters are drawn before any trial runs, each from its
-own ``default_rng(seed + trial_index)``. The validation split is then
-prepared once for all of them (``scoring.prepare_split``: the
-standardized rows in one array and, for the solo and the joint run, one
-k-NN scan that gives the fuzzy graph and the iteration-1 neighbor lists
-at the largest drawn ``k``, and the density weights for every drawn
-``t_nbd``: one pass 1 that screens the rows once, a radius search per
-``t_nbd`` and one pass 2 that counts inside all of their radii from the
-rows' heads). Each trial then looks up its weights and
-runs only the shift iterations and the scoring. A trial scores exactly
-what ``score_pipeline`` on the validation split would.
+own ``default_rng(seed + trial_index)``. The fit rows then the validation
+rows are then gathered into one array and prepared once for all of them
+(``scoring.prepare_rows``: the rows standardized in place and, for the
+solo and the joint run, one k-NN scan that gives the fuzzy graph and the
+iteration-1 neighbor lists at the largest drawn ``k``, and the density
+weights for every drawn ``t_nbd``: one pass 1 that screens the rows once,
+a radius search per ``t_nbd`` and one pass 2 that counts inside all of
+their radii from the rows' heads). Each trial then looks up its weights
+and runs only the shift iterations and the scoring. A trial scores
+exactly what ``score_rows`` on a copy of that gathered array would. The
+final evaluation gathers all train rows then the final test rows into a
+second array, after the first is released, and scores it with
+``score_rows``.
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import MsdeConfig
-from .data import DatasetSplit, EmbeddingMatrix, _readonly
+from .data import default_row_ids
 from .exceptions import MsdeError, SplitError
 from .metrics import MetricResult
-from .scoring import prepare_split, score_pipeline, score_shifted
+from .scoring import prepare_rows, score_rows, score_shifted
 from .shift import ShiftParams, joint_shift
 
 logger = logging.getLogger(__name__)
@@ -70,28 +76,15 @@ class SearchSpace:
         return replace(base, k=k, t_nbd=t_nbd, eta=eta, max_iters=max_iters, tol=tol)
 
 
-@dataclass(frozen=True)
-class LeakageSplit:
-    """Disjoint partitions for tuning without touching the final test set."""
+class LeakageSplit(NamedTuple):
+    """Disjoint sorted row indices for tuning without touching the final
+    test rows: ``fit_train`` and ``val_normals`` index the train rows,
+    ``val_anomalies`` and ``final_test`` the test rows."""
 
-    fit_train: EmbeddingMatrix
-    val_normals: EmbeddingMatrix
-    val_anomalies: EmbeddingMatrix
-    final_test: DatasetSplit
-
-    def validation_split(self) -> DatasetSplit:
-        """Trial-time split: reduced train vs the labeled validation set."""
-        values = _readonly(np.vstack([self.val_normals.values,
-                                      self.val_anomalies.values]))
-        ids = self.val_normals.row_ids + self.val_anomalies.row_ids
-        labels = np.concatenate([
-            np.zeros(self.val_normals.n_samples, dtype=np.int64),
-            np.ones(self.val_anomalies.n_samples, dtype=np.int64),
-        ])
-        return DatasetSplit(
-            train=self.fit_train,
-            test=EmbeddingMatrix(values, ids, labels),
-        )
+    fit_train: np.ndarray
+    val_normals: np.ndarray
+    val_anomalies: np.ndarray
+    final_test: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,10 +96,9 @@ class TrialRecord:
     seed: int
 
 
-def make_leakage_split(split: DatasetSplit, seed: int) -> LeakageSplit:
-    """Deterministic shuffled partition; fractions floor toward validation."""
-    n_train = split.train.n_samples
-    test_labels = split.test.labels
+def make_leakage_split(n_train: int, test_labels: np.ndarray, seed: int) -> LeakageSplit:
+    """Deterministic shuffled partition of ``n_train`` train rows and the
+    test rows with ``test_labels``; fractions floor toward validation."""
     anom_idx = np.flatnonzero(test_labels == 1)
     norm_idx = np.flatnonzero(test_labels == 0)
     if n_train < 5 or anom_idx.size < 10:
@@ -125,42 +117,44 @@ def make_leakage_split(split: DatasetSplit, seed: int) -> LeakageSplit:
     train_perm = rng.permutation(n_train)
     anom_perm = anom_idx[rng.permutation(anom_idx.size)]
 
-    val_norm_rows = np.sort(train_perm[:n_val_norm])
-    fit_rows = np.sort(train_perm[n_val_norm:])
-    val_anom_rows = np.sort(anom_perm[:n_val_anom])
-    kept_anom_rows = np.sort(anom_perm[n_val_anom:])
-    final_rows = np.sort(np.concatenate([norm_idx, kept_anom_rows]))
-
     return LeakageSplit(
-        fit_train=split.train.take(fit_rows),
-        val_normals=split.train.take(val_norm_rows),
-        val_anomalies=split.test.take(val_anom_rows),
-        final_test=DatasetSplit(train=split.train, test=split.test.take(final_rows)),
+        fit_train=np.sort(train_perm[n_val_norm:]),
+        val_normals=np.sort(train_perm[:n_val_norm]),
+        val_anomalies=np.sort(anom_perm[:n_val_anom]),
+        final_test=np.sort(np.concatenate([norm_idx, anom_perm[n_val_anom:]])),
     )
 
 
-def _score_trials(val_split: DatasetSplit, base: MsdeConfig,
+def _score_trials(rows: np.ndarray, n_train: int, test_ids: tuple[str, ...],
+                  split: LeakageSplit, base: MsdeConfig,
                   drawn: list[ShiftParams], seed: int,
-                  trial_observer: Callable[[int, tuple, tuple], None] | None
+                  trial_observer: Callable[[int, np.ndarray, np.ndarray], None] | None
                   ) -> list[TrialRecord]:
-    """One record per drawn params, all scored from one preparation of
-    ``val_split``, which is released on return."""
+    """One record per drawn params, all scored from one preparation of the
+    fit rows then the validation rows, gathered from ``rows`` and released
+    on return."""
+    val_rows = np.concatenate([split.val_normals, n_train + split.val_anomalies])
+    train_ids = default_row_ids(n_train, "train")
+    val_ids = (*(train_ids[i] for i in split.val_normals),
+               *(test_ids[i] for i in split.val_anomalies))
+    val_labels = np.repeat(np.array([0, 1], dtype=np.int64),
+                           [split.val_normals.size, split.val_anomalies.size])
     prepared, failure = None, None
     try:
-        prepared = prepare_split(val_split, base, drawn)
+        prepared = prepare_rows(rows[np.concatenate([split.fit_train, val_rows])],
+                                split.fit_train.size, base, drawn)
     except _TRIAL_ERRORS as exc:
         failure = exc
 
     records: list[TrialRecord] = []
     for index, params in enumerate(drawn):
         if trial_observer is not None:
-            trial_observer(index, val_split.train.row_ids, val_split.test.row_ids)
+            trial_observer(index, split.fit_train, val_rows)
         error = failure
         if error is None:
             try:
                 shifted = joint_shift(prepared, params, threads=base.threads)
-                metrics = score_shifted(shifted, val_split.test.row_ids,
-                                        val_split.test.labels,
+                metrics = score_shifted(shifted, val_ids, val_labels,
                                         replace(base, shift=params)).metrics
             except _TRIAL_ERRORS as exc:
                 error = exc
@@ -176,34 +170,43 @@ def _score_trials(val_split: DatasetSplit, base: MsdeConfig,
 
 
 def random_search(
-    split: DatasetSplit,
+    rows: np.ndarray,
+    n_train: int,
+    test_ids: tuple[str, ...],
+    labels: np.ndarray,
     space: SearchSpace,
     n_trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     base_config: MsdeConfig | None = None,
-    trial_observer: Callable[[int, tuple, tuple], None] | None = None,
+    trial_observer: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[TrialRecord, list[TrialRecord], MetricResult]:
     """Maximize validation AUC over random draws, then evaluate once.
 
-    Each trial's RNG is seeded with ``seed + trial_index``, so trial
-    results do not depend on execution order. Trials that fail record a
-    sentinel AUC of -1 and never win; if preparing the validation split
-    fails, every trial does. Ties go to the lowest trial index.
-    Each trial draws the ``space`` fields onto ``base_config.shift``, so
-    ``k_umap`` and every other unsampled setting comes from the base config.
-    ``trial_observer`` (if given) receives the row ids each trial sees,
-    which is how the leakage audit is instrumented.
+    ``rows`` holds ``n_train`` train rows then the test rows with
+    ``test_ids`` and ``labels``, as ``score_rows`` takes them, but is never
+    written: the trials' rows and then the final evaluation's are each
+    gathered from it once. Each trial's RNG is seeded with
+    ``seed + trial_index``, so trial results do not depend on execution
+    order. Trials that fail record a sentinel AUC of -1 and never win; if
+    preparing the validation rows fails, every trial does. Ties go to the
+    lowest trial index. Each trial draws the ``space`` fields onto
+    ``base_config.shift``, so ``k_umap`` and every other unsampled setting
+    comes from the base config. ``trial_observer`` (if given) receives each
+    trial's index and the indices into ``rows`` of the rows it fits on and
+    of the rows it scores, which is how the leakage audit is instrumented.
     """
     if n_trials < 1:
         raise SplitError(f"n_trials must be >= 1, got {n_trials}")
     base = base_config if base_config is not None else MsdeConfig()
-    leakage = make_leakage_split(split, seed)
+    split = make_leakage_split(n_train, labels, seed)
     drawn = [space.sample(np.random.default_rng(seed + index), base.shift)
              for index in range(n_trials)]
-    records = _score_trials(leakage.validation_split(), base, drawn, seed,
+    records = _score_trials(rows, n_train, test_ids, split, base, drawn, seed,
                             trial_observer)
 
     best = max(records, key=lambda r: (r.val_auc, -r.trial_index))
-    final_config = replace(base, shift=best.params)
-    final_report = score_pipeline(leakage.final_test, final_config)
+    final = split.final_test
+    final_rows = rows[np.concatenate([np.arange(n_train), n_train + final])]
+    final_report = score_rows(final_rows, n_train, tuple(test_ids[i] for i in final),
+                              labels[final], replace(base, shift=best.params))
     return best, records, final_report.metrics

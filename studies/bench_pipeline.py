@@ -52,6 +52,7 @@ def _search_digest(result) -> str:
 
 def call(instance: dict) -> tuple:
     """(function, arguments, digest of its output) of one instance."""
+    import numpy as np
     from msde.config import MsdeConfig
     from msde.data import SyntheticSpec, generate_synthetic
     from msde.scoring import score_pipeline
@@ -65,7 +66,9 @@ def call(instance: dict) -> tuple:
     if instance["call"] == "score_pipeline":
         return (score_pipeline, (split, config),
                 lambda report: hashlib.sha256(report.raw.tobytes()).hexdigest())
-    search = (split, SearchSpace(), instance["trials"], SEARCH_SEED, config)
+    rows = np.concatenate([split.train.values, split.test.values])
+    search = (rows, split.train.n_samples, split.test.row_ids, split.test.labels,
+              SearchSpace(), instance["trials"], SEARCH_SEED, config)
     return random_search, search, _search_digest
 
 

@@ -39,11 +39,10 @@ STAGES = (
     ("msde.data", "load_embeddings"),
     ("msde.data", "load_rows"),
     ("msde.data", "load_labels"),
-    ("msde.data", "attach_labels"),
     ("msde.data", "fit_standardizer"),
     ("msde.data", "apply_standardizer"),
     ("msde.weights", "prepare_weights"),
-    ("msde.scoring", "prepare_split"),
+    ("msde.scoring", "prepare_rows"),
     ("msde.shift", "prepare_joint"),
     ("msde.shift", "joint_shift"),
     ("msde.scoring", "fit_pca"),

@@ -13,6 +13,7 @@ against no-shift 0.601-0.756 (mean 0.688).
 import json
 import math
 import os
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -47,6 +48,7 @@ from msde import (
     shift_step,
 )
 from msde.cli import main
+from msde.metrics import metrics_json
 
 # Criterion 7 golden values, derived once on the frozen instance
 # (seed 42, Table-3 defaults vs no-shift) and anchored thereafter.
@@ -297,32 +299,34 @@ def test_criterion_10_zero_leakage_audit():
     spec = SyntheticSpec(dim=6, n_train=40, n_test_normal=25,
                          n_test_anomalous=25, anomaly_offset=4.0)
     split = generate_synthetic(spec, 9)
+    rows = np.concatenate([split.train.values, split.test.values])
+    n_train, labels = split.train.n_samples, split.test.labels
 
     for seed in range(50):
-        lk = make_leakage_split(split, seed=seed)
-        fit_ids = set(lk.fit_train.row_ids)
-        val_norm = set(lk.val_normals.row_ids)
-        val_anom = set(lk.val_anomalies.row_ids)
-        final_ids = set(lk.final_test.test.row_ids)
-        assert not fit_ids & val_norm
-        assert fit_ids | val_norm == set(split.train.row_ids)
-        assert not val_anom & final_ids
-        assert val_anom | final_ids == set(split.test.row_ids)
+        lk = make_leakage_split(n_train, labels, seed=seed)
+        fit_rows = set(lk.fit_train)
+        val_norm = set(lk.val_normals)
+        val_anom = set(lk.val_anomalies)
+        final_rows = set(lk.final_test)
+        assert not fit_rows & val_norm
+        assert fit_rows | val_norm == set(range(n_train))
+        assert not val_anom & final_rows
+        assert val_anom | final_rows == set(range(labels.size))
 
-    lk = make_leakage_split(split, seed=77)
-    final_ids = set(lk.final_test.test.row_ids)
+    lk = make_leakage_split(n_train, labels, seed=77)
+    final_rows = set(n_train + lk.final_test)
     seen: set = set()
 
-    def observer(index, train_ids, test_ids):
-        seen.update(train_ids)
-        seen.update(test_ids)
+    def observer(index, fit_rows, scored_rows):
+        seen.update(fit_rows.tolist())
+        seen.update(scored_rows.tolist())
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        random_search(split, SearchSpace(), n_trials=10, seed=77,
-                      base_config=MsdeConfig(pca_dim=6),
+        random_search(rows, n_train, split.test.row_ids, labels, SearchSpace(),
+                      n_trials=10, seed=77, base_config=MsdeConfig(pca_dim=6),
                       trial_observer=observer)
-    leaked = seen & final_ids
+    leaked = seen & final_rows
     elapsed = time.monotonic() - t0
     ok = not leaked and elapsed < 30.0
     _report(10, ok, f"50 seeds + 10-trial search, {elapsed:.1f}s")
@@ -363,6 +367,37 @@ EXTERNAL_REFERENCE = {
 }
 
 
+def _external_metrics(root: Path, key: str) -> dict | None:
+    """``metrics.json`` of ``msde run`` at the default config on
+    ``<key>_train.npy``, ``<key>_test.npy`` and ``<key>_labels.csv`` in
+    ``root``, or None when one of them is missing."""
+    paths = [root / f"{key}_{part}" for part in ("train.npy", "test.npy", "labels.csv")]
+    if not all(p.exists() for p in paths):
+        return None
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["run", "--train", str(paths[0]), "--test", str(paths[1]),
+                     "--labels", str(paths[2]), "--out", out]) == 0, key
+        return json.loads((Path(out) / "metrics.json").read_text())
+
+
+def test_external_loader_reads_a_synth_directory(tmp_path):
+    # A dataset in the documented format (what msde synth writes, its test
+    # ids keyed test_NNNNNN) scores as the pipeline scores the same rows.
+    spec = dict(dim=8, n_train=80, n_test_normal=30, n_test_anomalous=30)
+    assert main(["synth", "--out", str(tmp_path), "--seed", "5",
+                 *(f"--{k.replace('_', '-')}={v}" for k, v in spec.items())]) == 0
+    for part in ("train.npy", "test.npy", "labels.csv"):
+        (tmp_path / part).rename(tmp_path / f"rsna_{part}")
+    got = _external_metrics(tmp_path, "rsna")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = score_pipeline(generate_synthetic(SyntheticSpec(**spec), 5),
+                                  MsdeConfig()).metrics
+    assert got == json.loads(metrics_json(expected))
+    assert _external_metrics(tmp_path, "vin") is None
+
+
 def test_criterion_12_external_data_reproduction():
     root = os.environ.get("MSDE_EXTERNAL_DIR", "")
     if not root or not Path(root).is_dir():
@@ -370,22 +405,11 @@ def test_criterion_12_external_data_reproduction():
         pytest.skip("external 512-d embedding exports not available")
     checked = []
     for key, (ref_auc, ref_ap) in EXTERNAL_REFERENCE.items():
-        train = Path(root) / f"{key}_train.npy"
-        test = Path(root) / f"{key}_test.npy"
-        labels = Path(root) / f"{key}_labels.csv"
-        if not (train.exists() and test.exists() and labels.exists()):
+        metrics = _external_metrics(Path(root), key)
+        if metrics is None:
             continue
-        from msde import DatasetSplit, load_embeddings
-        from msde.data import attach_labels, load_labels
-        split = DatasetSplit(
-            train=load_embeddings(train),
-            test=attach_labels(load_embeddings(test), load_labels(labels)),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = score_pipeline(split, MsdeConfig())
-        assert abs(report.metrics.auc - ref_auc) <= 0.02, key
-        assert abs(report.metrics.ap - ref_ap) <= 0.02, key
+        assert abs(metrics["auc"] - ref_auc) <= 0.02, key
+        assert abs(metrics["ap"] - ref_ap) <= 0.02, key
         checked.append(key)
     if not checked:
         _report(12, True, "skipped: directory present but no dataset files")

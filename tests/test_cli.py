@@ -501,7 +501,7 @@ class TestTuneCommand:
 
     def test_validation_ids_cannot_collide_across_roles(self, tmp_path):
         # regression: train and test rows share positional indices on disk;
-        # the role prefixes keep the tuning validation set's ids unique
+        # the validation set mixes rows of both and must keep them apart
         data = tmp_path / "data"
         assert main(["synth", "--out", str(data), "--dim", "8",
                      "--n-train", "250", "--n-test-normal", "60",
@@ -512,6 +512,29 @@ class TestTuneCommand:
                      "--out", str(tmp_path / "study"),
                      "--trials", "2", "--seed", "2", "--pca-dim", "8"])
         assert code == 0
+
+    def test_tune_holds_its_input_rows_once(self, tmp_path, peak_bytes):
+        # Tune reads its input files into one array, as run does, and
+        # gathers the trials' rows and then the final rows from it. The
+        # peak of this one-trial study reads about 7.8x the input bytes;
+        # loading the files into a split of their own and copying its
+        # partitions out again, as tune once did, read about 8.8x.
+        rng = np.random.default_rng(12)
+        train, test = rng.normal(size=(600, 256)), rng.normal(size=(200, 256))
+        test[100:, 0] += 3.0
+        np.save(tmp_path / "train.npy", train)
+        np.save(tmp_path / "test.npy", test)
+        (tmp_path / "labels.csv").write_text("row_id,label\n" + "".join(
+            f"test_{i:06d},{int(i >= 100)}\n" for i in range(200)))
+        input_bytes = train.nbytes + test.nbytes
+        del train, test
+        out = tmp_path / "out"
+        peak = peak_bytes(main, ["tune", "--train", str(tmp_path / "train.npy"),
+                                 "--test", str(tmp_path / "test.npy"),
+                                 "--labels", str(tmp_path / "labels.csv"),
+                                 "--out", str(out), "--trials", "1", "--pca-dim", "32"])
+        assert (out / "final_metrics.json").exists()
+        assert peak < 8.3 * input_bytes, peak / input_bytes
 
     def test_no_normal_test_rows_exits_two_before_any_trial(self, tmp_path, capsys):
         rng = np.random.default_rng(4)

@@ -17,7 +17,6 @@ from msde import (
     save_scores,
 )
 from msde.data import (
-    attach_labels,
     join_labels,
     load_labels,
     load_rows,
@@ -73,13 +72,6 @@ class TestEmbeddingMatrix:
         assert m.values[0, 0] == 1.0
         a.setflags(write=False)
         assert EmbeddingMatrix(a, ("a", "b")).values is a
-
-    def test_take_does_not_copy_the_subset_twice(self, peak_bytes):
-        values = np.random.default_rng(0).normal(size=(2000, 64))
-        values.setflags(write=False)
-        m = EmbeddingMatrix(values, tuple(f"r{i}" for i in range(2000)))
-        order = np.arange(2000)[::-1]
-        assert peak_bytes(m.take, order) < 1.6 * values.nbytes
 
 
 class TestCsvLoading:
@@ -557,14 +549,13 @@ class TestLabelSidecar:
     def test_attach_and_mismatch(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("row_id,label\nr0,0\nr1,1\n")
-        m = _matrix([[1.0], [2.0]])
-        out = attach_labels(m, load_labels(p))
-        np.testing.assert_array_equal(out.labels, [0, 1])
+        ids = ("r0", "r1")
+        np.testing.assert_array_equal(join_labels(ids, load_labels(p)), [0, 1])
 
         p2 = tmp_path / "bad.csv"
         p2.write_text("row_id,label\nr0,0\nrX,1\n")
         with pytest.raises(LoadError):
-            attach_labels(m, load_labels(p2))
+            join_labels(ids, load_labels(p2))
 
     def test_join_refuses_missing_and_unknown_ids(self):
         ids = ("r0", "r1")
@@ -584,10 +575,6 @@ class TestLabelSidecar:
         p = tmp_path / "labels.csv"
         p.write_text("row_id,label\n \nr0,0\n\t\nr1,1\n")
         assert load_labels(p) == {"r0": 0, "r1": 1}
-
-    def test_attach_shares_values(self):
-        m = _matrix([[1.0], [2.0]])
-        assert attach_labels(m, {"r0": 0, "r1": 1}).values is m.values
 
     def test_utf8_bom_header_recognised(self, tmp_path):
         p = tmp_path / "labels.csv"

@@ -26,7 +26,7 @@ from msde import (
 from msde import scoring as scoring_module
 from msde.data import fit_standardizer
 from msde.exceptions import FitError, ShapeError
-from msde.scoring import prepare_split, score_shifted
+from msde.scoring import prepare_rows, score_shifted
 from msde.metrics import auc_roc, average_precision
 
 from _oracles import expit, gaussian_sigma_reference, pca_reference
@@ -476,19 +476,16 @@ class TestScorePipeline:
         np.testing.assert_array_equal(report.labels, labels)
 
 
-class TestPrepareSplit:
+class TestPrepareRows:
     def test_one_read_only_array_of_train_then_test_rows(self):
         rng = np.random.default_rng(25)
         train = rng.normal(3.0, 2.0, size=(40, 4))
         train[:, 2] = 7.0  # constant column: its std is floored to 1
         test = rng.normal(3.0, 2.0, size=(10, 4))
-        split = DatasetSplit(
-            train=_embedding(train),
-            test=EmbeddingMatrix(test, tuple(f"t{i}" for i in range(10)),
-                                 np.arange(10) % 2),
-        )
-        prepared = prepare_split(split, MsdeConfig(), [ShiftParams(max_iters=0)])
+        given = np.concatenate([train, test])
+        prepared = prepare_rows(given, 40, MsdeConfig(), [ShiftParams(max_iters=0)])
         rows = prepared.rows
+        assert rows is given
         assert rows.dtype == np.float64 and rows.shape == (50, 4)
         assert rows.flags.c_contiguous and not rows.flags.writeable
         assert prepared.train.shape == (40, 4) and prepared.test.shape == (10, 4)
