@@ -37,6 +37,10 @@ logger = logging.getLogger(__name__)
 # replaced by 1.0 so standardization passes them through unscaled.
 STD_FLOOR = 1e-8
 
+# fit_standardizer takes the std over column slices this wide, so its
+# transient holds n x STD_COLUMNS values rather than a copy of the rows.
+STD_COLUMNS = 64
+
 
 def default_row_ids(n: int, prefix: str = "row") -> tuple[str, ...]:
     """Positional identifiers used when a format carries no ids of its own."""
@@ -151,13 +155,24 @@ def fit_standardizer(train: np.ndarray) -> Standardizer:
 
     Columns whose sample std falls below ``STD_FLOOR`` get std 1.0 so a
     constant feature passes through unscaled instead of dividing by ~0.
+
+    The std is ``train.std(axis=0, ddof=1)`` taken over slices of
+    ``STD_COLUMNS`` columns, so its transient deviations are an n x 64
+    array (n x 65 at most) instead of an n x d copy of the rows. Each
+    column is summed over the rows in the same order as over the whole
+    array, so the bytes are the same, except that numpy sums a single
+    column pairwise: a 1-column tail slice is merged into the one before.
     """
-    if train.shape[0] < 2:
-        raise FitError(
-            f"standardizer needs at least 2 training rows, got {train.shape[0]}"
-        )
+    n, d = train.shape
+    if n < 2:
+        raise FitError(f"standardizer needs at least 2 training rows, got {n}")
     mean = train.mean(axis=0)
-    std = train.std(axis=0, ddof=1)
+    starts = list(range(0, d, STD_COLUMNS))
+    if len(starts) > 1 and d - starts[-1] == 1:
+        del starts[-1]
+    std = np.empty(d)
+    for lo, hi in zip(starts, starts[1:] + [d]):
+        std[lo:hi] = train[:, lo:hi].std(axis=0, ddof=1)
     std = np.where(std < STD_FLOOR, 1.0, std)
     return Standardizer(_readonly(mean), _readonly(std))
 

@@ -8,11 +8,17 @@ normalized scores squash their z-scores through a logistic map. The
 fitting and scoring functions take float64 ``(n, d)`` arrays; only
 ``score_shifted`` reads row ids and labels, which it is given.
 
-``fit_pca``, ``project`` and ``fit_gaussian`` center a copy of their
-input and never write it. ``score_shifted`` runs the same private cores
-but centers inside the shifted rows it is given, and the train
-projection inside itself, so fitting and scoring hold no centered n x d
-copy; read-only rows are centered into new arrays instead.
+``fit_pca``, ``project``, ``fit_gaussian`` and ``mahalanobis`` center a
+copy of their input and never write it. ``score_shifted`` runs the same
+private cores inside the shifted rows it is given: it centers them in
+place, writes each projection into the rows it has consumed, then
+centers the train projection for the Gaussian and takes the test
+projection's Mahalanobis difference in place, so fitting and scoring
+hold no n x d or n x reduced_dim copy. Read-only rows are centered into
+a new array first, and the projection is written into that array.
+``_rotate`` multiplies ``ROTATE_ROWS``-row blocks through one small
+buffer, so OpenBLAS packs a block's rows rather than all n; those block
+bounds give the bytes of the single product ``centered @ components.T``.
 
 ``score_rows`` is the pipeline: ``prepare_rows`` over one array of train
 rows then test rows (standardize it in place with the train rows'
@@ -50,6 +56,11 @@ logger = logging.getLogger(__name__)
 
 # Spread below this makes z-scoring meaningless; scores collapse to 0.5.
 NORMALIZE_STD_FLOOR = 1e-12
+
+# _rotate multiplies row blocks starting at multiples of this, the tail
+# merged into the last block. Other bounds (equal partitions, 256-row
+# blocks) change the bytes of the product at some shapes.
+ROTATE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -115,8 +126,26 @@ def _centered(x: np.ndarray, center: np.ndarray, in_place: bool) -> np.ndarray:
     return x - center
 
 
-def _rotate(basis: PcaBasis, centered: np.ndarray) -> np.ndarray:
-    return centered @ basis.components.T
+def _rotate(basis: PcaBasis, centered: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``centered @ basis.components.T`` into ``out`` and return it.
+
+    ``out`` may be ``_front(centered, reduced_dim)``: a block's product is
+    copied out only after the block is read, and it lands in the rows
+    read so far.
+    """
+    n = len(centered)
+    starts = list(range(0, max(n - ROTATE_ROWS, 0) + 1, ROTATE_ROWS))
+    buf = np.empty((n - starts[-1], basis.reduced_dim))
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        out[lo:hi] = np.matmul(centered[lo:hi], basis.components.T,
+                               out=buf[:hi - lo])
+    return out
+
+
+def _front(rows: np.ndarray, width: int) -> np.ndarray:
+    """The first ``len(rows) * width`` values of the C-contiguous ``rows``
+    as a ``(len(rows), width)`` array."""
+    return rows.reshape(-1)[:len(rows) * width].reshape(len(rows), width)
 
 
 def _fit_pca(x: np.ndarray, reduced_dim: int, in_place: bool
@@ -160,11 +189,16 @@ def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
 
 
 def _project(basis: PcaBasis, x: np.ndarray, in_place: bool) -> np.ndarray:
+    """``project(basis, x)``; with ``in_place`` it is written into the rows
+    ``_centered`` gives, which are then ``x``'s or a new array's."""
     if x.shape[1] != basis.input_dim:
         raise ShapeError(
             f"projection expects dim {basis.input_dim}, got {x.shape[1]}"
         )
-    return _rotate(basis, _centered(x, basis.center, in_place))
+    centered = _centered(x, basis.center, in_place)
+    out = (_front(centered, basis.reduced_dim) if in_place
+           else np.empty((len(x), basis.reduced_dim)))
+    return _rotate(basis, centered, out)
 
 
 def project(basis: PcaBasis, x: np.ndarray) -> np.ndarray:
@@ -191,19 +225,25 @@ def fit_gaussian(z: np.ndarray, lam: float) -> GaussianScorer:
     return _fit_gaussian(z, lam, in_place=False)
 
 
-def mahalanobis(scorer: GaussianScorer, z) -> np.ndarray | float:
-    """Covariance-aware distance from the fitted mean, via the factorization."""
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    rows = z[None, :] if single else z
+def _mahalanobis(scorer: GaussianScorer, rows: np.ndarray, in_place: bool
+                 ) -> np.ndarray:
+    """``mahalanobis`` of the 2-D ``rows``, whose difference from the mean
+    is taken in place as ``_centered`` allows when ``in_place``."""
     if rows.shape[1] != scorer.mu.shape[0]:
         raise ShapeError(
             f"scorer expects dim {scorer.mu.shape[0]}, got {rows.shape[1]}"
         )
-    diff = rows - scorer.mu
+    diff = _centered(rows, scorer.mu, in_place)
     solved = cho_solve(scorer.factor(), diff.T)
     sq = np.einsum("ij,ji->i", diff, solved)
-    out = np.sqrt(np.maximum(sq, 0.0))
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def mahalanobis(scorer: GaussianScorer, z) -> np.ndarray | float:
+    """Covariance-aware distance from the fitted mean, via the factorization."""
+    z = np.asarray(z, dtype=np.float64)
+    single = z.ndim == 1
+    out = _mahalanobis(scorer, z[None, :] if single else z, in_place=False)
     return float(out[0]) if single else out
 
 
@@ -242,20 +282,24 @@ def score_shifted(shifted: tuple[ShiftedEmbeddings, ShiftedEmbeddings, np.ndarra
 
     PCA and the Gaussian are fitted on the solo-shifted train set; test
     rows are scored from the joint run. The arrays in ``shifted`` are taken
-    over: the train and test rows are centered inside them, and the train
-    projection inside itself for the Gaussian, where they are writable and
-    C-contiguous. Read-only rows (``msde tune``'s shared rows at
-    ``max_iters = 0``) are centered into new arrays and never written. The
-    bytes are those of ``fit_pca``, ``project`` and ``fit_gaussian``.
+    over where they are writable and C-contiguous: the train and test rows
+    are centered inside them, each projection is written into the rows it
+    has consumed, the train projection is centered there for the Gaussian
+    and the test projection's difference from its mean is taken there.
+    Read-only rows (``msde tune``'s shared rows at ``max_iters = 0``) are
+    centered into a new array first, which then holds the projection; they
+    are never written. The bytes are those of ``fit_pca``, ``project``,
+    ``fit_gaussian`` and ``mahalanobis``.
     """
     solo, joint, test_shifted = shifted
     basis, centered = _fit_pca(solo.values, config.pca_dim, in_place=True)
-    z_train = _rotate(basis, centered)
+    z_train = _rotate(basis, centered, _front(centered, basis.reduced_dim))
     del centered
     scorer = _fit_gaussian(z_train, config.lam, in_place=True)
     del z_train
     z_test = _project(basis, test_shifted, in_place=True)
-    raw = mahalanobis(scorer, z_test) if len(z_test) else np.empty(0)
+    raw = (_mahalanobis(scorer, z_test, in_place=True) if len(z_test)
+           else np.empty(0))
     normalized = normalize_scores(raw)
 
     metrics = None

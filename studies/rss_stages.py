@@ -5,8 +5,8 @@ Makes a perfbench workload's inputs (``perfbench/workloads.py``, seed 42)
 in a temporary directory, then runs the workload's command (``msde run``
 or ``msde tune``, with its flags) on them once in a fresh
 interpreter whose ``PYTHONPATH`` is ``--src`` alone, with BLAS pinned to
-one thread as perfbench pins it. In that child every public pipeline
-function found in the loaded ``msde`` modules is wrapped, by monkeypatching
+one thread as perfbench pins it. In that child every function in
+``STAGES`` found in the loaded ``msde`` modules is wrapped, by monkeypatching
 alone (nothing in ``msde`` records anything), so that after each call
 returns it prints the process's peak RSS so far (``ru_maxrss``) and its
 current RSS (``/proc/self/statm``, Linux only), in MB. A stage whose line
@@ -34,7 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # (module, function): the pipeline's public steps, in the order a run
-# reaches them.
+# reaches them, and inside score_shifted the private scoring cores and
+# the Cholesky solve that ``mahalanobis`` runs.
 STAGES = (
     ("msde.data", "load_embeddings"),
     ("msde.data", "load_rows"),
@@ -45,6 +46,10 @@ STAGES = (
     ("msde.scoring", "prepare_rows"),
     ("msde.shift", "prepare_joint"),
     ("msde.shift", "joint_shift"),
+    ("msde.scoring", "_fit_pca"),
+    ("msde.scoring", "_rotate"),
+    ("msde.scoring", "_fit_gaussian"),
+    ("msde.scoring", "cho_solve"),
     ("msde.scoring", "fit_pca"),
     ("msde.scoring", "project"),
     ("msde.scoring", "fit_gaussian"),

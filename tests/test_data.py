@@ -17,6 +17,7 @@ from msde import (
     save_scores,
 )
 from msde.data import (
+    STD_FLOOR,
     join_labels,
     load_labels,
     load_rows,
@@ -347,6 +348,26 @@ class TestStandardizer:
         s = fit_standardizer(_rows([[0.0], [2.0]]))
         with pytest.raises(ShapeError):
             apply_standardizer(s, np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 129, 513])
+    def test_column_slices_give_the_whole_array_bytes(self, d):
+        # The std is taken over 64-column slices; numpy sums a 1-column
+        # slice pairwise, so a 1-column tail (d = 65, 129, 513) would
+        # differ if it were not merged into the slice before it.
+        rng = np.random.default_rng(d)
+        for n in (2, 3, 17, 1000, 8000):
+            for kind in ("offset", "grid", "constant"):
+                if kind == "offset":
+                    x = rng.normal(size=(n, d)) + 1e7
+                else:
+                    x = rng.integers(-2, 3, size=(n, d)).astype(float)
+                    if kind == "constant":
+                        x[:, ::3] = 4.0
+                s = fit_standardizer(x)
+                std = x.std(axis=0, ddof=1)
+                std = np.where(std < STD_FLOOR, 1.0, std)
+                assert s.mean.tobytes() == x.mean(axis=0).tobytes(), (n, kind)
+                assert s.std.tobytes() == std.tobytes(), (n, kind)
 
 
 class TestSynthetic:
