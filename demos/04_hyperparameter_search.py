@@ -22,10 +22,9 @@ from msde import (
 
 spec = SyntheticSpec(dim=8, n_train=150, n_test_normal=60,
                      n_test_anomalous=60, anomaly_offset=2.0)
-split = generate_synthetic(spec, seed=3)
-
-rows = np.concatenate([split.train.values, split.test.values])
-n_train, test_ids, labels = spec.n_train, split.test.row_ids, split.test.labels
+# one array of the train rows then the test rows, the train row count, the
+# test ids and labels: the form msde tune loads its files into
+rows, n_train, test_ids, labels = generate_synthetic(spec, seed=3)
 
 lk = make_leakage_split(n_train, labels, seed=3)
 print("partitions (row indices into the train and the test rows):")

@@ -5,14 +5,11 @@ Mahalanobis scoring, plus evaluation and hyperparameter-search harnesses.
 
 from .config import MsdeConfig, build_config, parse_config_file
 from .data import (
-    DatasetSplit,
-    EmbeddingMatrix,
     Standardizer,
     SyntheticSpec,
     apply_standardizer,
     fit_standardizer,
     generate_synthetic,
-    load_embeddings,
     load_rows,
     save_scores,
 )
@@ -27,7 +24,6 @@ from .scoring import (
     mahalanobis,
     normalize_scores,
     project,
-    score_pipeline,
     score_rows,
 )
 from .shift import (
@@ -57,9 +53,7 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DatasetSplit",
     "DensityWeights",
-    "EmbeddingMatrix",
     "FuzzyGraph",
     "GaussianScorer",
     "LeakageSplit",
@@ -90,7 +84,6 @@ __all__ = [
     "generate_synthetic",
     "joint_shift",
     "knn_neighbors",
-    "load_embeddings",
     "load_rows",
     "mahalanobis",
     "make_leakage_split",
@@ -101,7 +94,6 @@ __all__ = [
     "random_search",
     "run_shift",
     "save_scores",
-    "score_pipeline",
     "score_rows",
     "shift_step",
 ]

@@ -250,15 +250,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = SyntheticSpec(**_given(args, _SYNTH_TYPES))
-    split = generate_synthetic(spec, args.seed)
+    rows, n_train, test_ids, labels = generate_synthetic(spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.save(out / "train.npy", split.train.values, allow_pickle=False)
-    np.save(out / "test.npy", split.test.values, allow_pickle=False)
-    # Sidecar ids must match what `run`/`tune` will assign on load.
-    reloaded_ids = default_row_ids(split.test.n_samples, "test")
+    np.save(out / "train.npy", rows[:n_train], allow_pickle=False)
+    np.save(out / "test.npy", rows[n_train:], allow_pickle=False)
+    # the ids `run` and `tune` assign on load (_load_rows)
     write_lines(out / "labels.csv", ["row_id,label", *(
-        f"{rid},{int(lab)}" for rid, lab in zip(reloaded_ids, split.test.labels))])
+        f"{rid},{int(lab)}" for rid, lab in zip(test_ids, labels))])
     print(f"wrote train.npy test.npy labels.csv to {out}")
     return 0
 

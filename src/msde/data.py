@@ -9,10 +9,12 @@ with a BOM. Any other file, or bytes that are not UTF-8, is a
 
 All pipeline arithmetic is done in float64 regardless of the width of the
 input files; matrices are widened on load so downstream results do not
-depend on storage precision. ``load_embeddings`` reads one file into its
-own array; ``load_rows`` reads a train and a test file into one array,
-each straight into its row range: ``msde run`` scores that array in place,
-and ``msde tune`` gathers its trials' rows and its final rows from it.
+depend on storage precision. A dataset is held in one form: one array of
+the train rows then the test rows, the train row count, and the test
+rows' ids and labels. ``load_rows`` reads a train and a test file into
+that array, each straight into its row range, and ``generate_synthetic``
+returns the whole form: ``msde run`` scores the array in place, and
+``msde tune`` gathers its trials' rows and its final rows from it.
 """
 
 from __future__ import annotations
@@ -50,91 +52,6 @@ def default_row_ids(n: int, prefix: str = "row") -> tuple[str, ...]:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _shareable(a) -> bool:
-    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
-            and a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable)
-
-
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """n samples of d-dimensional real vectors with stable row identifiers.
-
-    ``labels``, when present, holds one binary flag per row
-    (0 = normal, 1 = anomalous). Values are validated finite on
-    construction. Zero-row matrices are representable so that empty test
-    sets can flow through the pipeline; loaders reject them.
-
-    A values array that is float64, 2-D, C-contiguous, owns its data and is
-    read-only is shared; anything else is copied (and the copy frozen), so
-    a caller's writable array is never aliased or frozen.
-    """
-
-    values: np.ndarray
-    row_ids: tuple[str, ...]
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        values = self.values
-        if not _shareable(values):
-            values = _readonly(np.array(values, dtype=np.float64, order="C", ndmin=2))
-        if values.ndim != 2:
-            raise ShapeError(f"embedding values must be 2-D, got shape {values.shape}")
-        if values.shape[1] < 1:
-            raise ShapeError("embedding dimension must be at least 1")
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise LoadError(
-                f"non-finite value at row {bad[0]}, column {bad[1]}"
-            )
-        object.__setattr__(self, "values", values)
-
-        row_ids = tuple(str(r) for r in self.row_ids)
-        if len(row_ids) != values.shape[0]:
-            raise ShapeError(
-                f"{len(row_ids)} row ids for {values.shape[0]} rows"
-            )
-        if len(set(row_ids)) != len(row_ids):
-            raise LoadError("row ids are not unique")
-        object.__setattr__(self, "row_ids", row_ids)
-
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape != (values.shape[0],):
-                raise ShapeError(
-                    f"labels shape {labels.shape} does not match {values.shape[0]} rows"
-                )
-            if labels.size and not np.isin(labels, (0, 1)).all():
-                raise LoadError("labels must be 0 or 1")
-            object.__setattr__(self, "labels", _readonly(labels))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class DatasetSplit:
-    """One-class split: unlabeled (or all-normal) train, labeled test."""
-
-    train: EmbeddingMatrix
-    test: EmbeddingMatrix
-
-    def __post_init__(self):
-        if self.train.labels is not None and self.train.labels.any():
-            raise LoadError("train split contains anomalous labels; one-class "
-                            "training requires normal samples only")
-        if self.test.labels is None:
-            raise LoadError("test split requires labels")
-        if self.train.dim != self.test.dim:
-            raise ShapeError(
-                f"train dim {self.train.dim} != test dim {self.test.dim}"
-            )
 
 
 @dataclass(frozen=True)
@@ -205,23 +122,19 @@ class SyntheticSpec:
             raise ConfigError("synthetic spec: anomaly_offset must be finite")
 
 
-def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetSplit:
-    """Deterministic blob dataset; a pure function of (spec, seed)."""
+def generate_synthetic(spec: SyntheticSpec, seed: int
+                       ) -> tuple[np.ndarray, int, tuple[str, ...], np.ndarray]:
+    """Deterministic blob dataset, a pure function of (spec, seed), in the
+    form ``msde run`` loads: one writable C-contiguous float64 array of the
+    train rows, then the test normals, then the anomalies; the train row
+    count; the test rows' ids (``test_NNNNNN``) and labels."""
+    n_test = spec.n_test_normal + spec.n_test_anomalous
     rng = np.random.default_rng(seed)
-    train = rng.normal(0.0, 1.0, size=(spec.n_train, spec.dim))
-    test_normal = rng.normal(0.0, 1.0, size=(spec.n_test_normal, spec.dim))
-    anomalies = rng.normal(0.0, 1.0, size=(spec.n_test_anomalous, spec.dim))
-    anomalies[:, 0] += spec.anomaly_offset
-
-    test_values = np.vstack([test_normal, anomalies])
-    labels = np.concatenate(
-        [np.zeros(spec.n_test_normal, dtype=np.int64),
-         np.ones(spec.n_test_anomalous, dtype=np.int64)]
-    )
-    return DatasetSplit(
-        train=EmbeddingMatrix(train, default_row_ids(spec.n_train, "train")),
-        test=EmbeddingMatrix(test_values, default_row_ids(len(labels), "test"), labels),
-    )
+    rows = rng.normal(0.0, 1.0, size=(spec.n_train + n_test, spec.dim))
+    rows[spec.n_train + spec.n_test_normal:, 0] += spec.anomaly_offset
+    labels = np.zeros(n_test, dtype=np.int64)
+    labels[spec.n_test_normal:] = 1
+    return rows, spec.n_train, default_row_ids(n_test, "test"), labels
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +295,13 @@ def _open_matrix(path: str | Path, files: ExitStack):
     return shape, fill
 
 
-def load_embeddings(path: str | Path, id_prefix: str = "row") -> EmbeddingMatrix:
-    """Load a 2-D embedding matrix from ``.npy`` or ``.csv`` (by suffix).
-
-    Neither format carries row identifiers, so positional ids
-    ``{id_prefix}_NNNNNN`` are assigned.
-    """
-    with ExitStack() as files:
-        shape, fill = _open_matrix(path, files)
-        values = np.empty(shape)
-        fill(values)
-    return EmbeddingMatrix(_readonly(values), default_row_ids(shape[0], id_prefix))
-
-
 def load_rows(train_path: str | Path, test_path: str | Path) -> tuple[np.ndarray, int]:
     """The rows of the train file then the test file, read into one
     writable C-contiguous float64 array, and the number of train rows.
 
-    Each file is read and checked as ``load_embeddings`` reads it, straight
-    into its row range, so no row is held twice; the two must have the same
-    width.
+    Each file is read by its suffix and checked as the module docstring
+    says, straight into its row range, so no row is held twice; the two
+    must have the same width.
     """
     with ExitStack() as files:
         (n_train, dim), fill_train = _open_matrix(train_path, files)

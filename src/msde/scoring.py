@@ -23,12 +23,13 @@ bounds give the bytes of the single product ``centered @ components.T``.
 ``score_rows`` is the pipeline: ``prepare_rows`` over one array of train
 rows then test rows (standardize it in place with the train rows'
 statistics and hand it to ``shift.prepare_joint``, so both shift runs read
-that one array), ``shift.joint_shift``, then ``score_shifted``. ``msde
-run`` reads its input files straight into that array
-(``data.load_rows``); ``score_pipeline`` copies a ``DatasetSplit``'s train
-rows then test rows into it; ``score_rows`` makes that array writable
-again after preparation, so without shift iterations the fit centers its
-train and test rows in place. ``msde tune`` gathers its trials' rows from
+that one array), ``shift.joint_shift``, then ``score_shifted``. It takes
+a dataset in the one form ``data`` holds it in: ``msde run`` reads its
+input files straight into that array (``data.load_rows``), and
+``score_rows(*data.generate_synthetic(spec, seed), config)`` scores a
+synthetic one. ``score_rows`` makes the array writable again after
+preparation, so without shift iterations the fit centers its train and
+test rows in place. ``msde tune`` gathers its trials' rows from
 the loaded array once, prepares them once for every trial's params
 (``prepare_rows``) and shares the read-only array across the trials.
 """
@@ -45,7 +46,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .config import MsdeConfig
-from .data import DatasetSplit, apply_standardizer, fit_standardizer
+from .data import apply_standardizer, fit_standardizer
 from .exceptions import FitError, NumericError, ShapeError
 from .metrics import MetricResult, evaluate
 from .shift import (JointInput, ShiftedEmbeddings, ShiftParams, ShiftTrace,
@@ -332,9 +333,3 @@ def score_rows(rows: np.ndarray, n_train: int, test_ids: tuple[str, ...],
     shifted = joint_shift(prepared, config.shift, threads=config.threads)
     return score_shifted(shifted, test_ids, labels, config)
 
-
-def score_pipeline(split: DatasetSplit, config: MsdeConfig) -> ScoreReport:
-    """``score_rows`` over a copy of the split's train rows then test rows."""
-    return score_rows(np.concatenate([split.train.values, split.test.values]),
-                      split.train.n_samples, split.test.row_ids, split.test.labels,
-                      config)

@@ -2,7 +2,7 @@
 
 Runs three fixed seed-42 synthetic instances (``generate_synthetic``,
 default config at 1 and at 2 threads; the test rows are half normal, half
-anomalous): ``score_pipeline`` on 2000x512 train rows plus 500 test rows,
+anomalous): ``score_rows`` on 2000x512 train rows plus 500 test rows,
 and ``random_search`` (seed 0) with 8 and with 80 trials (the CLI default:
 up to 78 distinct ``t_nbd`` share one preparation) on 500x32 train rows
 plus 200 test rows, the shape of acceptance criterion 7. At 2 threads the
@@ -32,7 +32,7 @@ import _bench
 INSTANCES = [{"call": call, "rows": rows, "test_rows": test_rows, "dim": dim,
               "trials": trials, "threads": threads}
              for call, rows, test_rows, dim, trials in (
-                 ("score_pipeline", 2000, 500, 512, None),
+                 ("score_rows", 2000, 500, 512, None),
                  ("random_search", 500, 200, 32, 8),
                  ("random_search", 500, 200, 32, 80))
              for threads in (1, 2)]
@@ -52,23 +52,20 @@ def _search_digest(result) -> str:
 
 def call(instance: dict) -> tuple:
     """(function, arguments, digest of its output) of one instance."""
-    import numpy as np
     from msde.config import MsdeConfig
     from msde.data import SyntheticSpec, generate_synthetic
-    from msde.scoring import score_pipeline
+    from msde.scoring import score_rows
     from msde.tune import SearchSpace, random_search
 
     config = MsdeConfig(threads=instance["threads"])
     half = instance["test_rows"] // 2
     spec = SyntheticSpec(dim=instance["dim"], n_train=instance["rows"],
                          n_test_normal=half, n_test_anomalous=half)
-    split = generate_synthetic(spec, SEED)
-    if instance["call"] == "score_pipeline":
-        return (score_pipeline, (split, config),
+    data = generate_synthetic(spec, SEED)
+    if instance["call"] == "score_rows":
+        return (score_rows, (*data, config),
                 lambda report: hashlib.sha256(report.raw.tobytes()).hexdigest())
-    rows = np.concatenate([split.train.values, split.test.values])
-    search = (rows, split.train.n_samples, split.test.row_ids, split.test.labels,
-              SearchSpace(), instance["trials"], SEARCH_SEED, config)
+    search = (*data, SearchSpace(), instance["trials"], SEARCH_SEED, config)
     return random_search, search, _search_digest
 
 

@@ -37,7 +37,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # reaches them, and inside score_shifted the private scoring cores and
 # the Cholesky solve that ``mahalanobis`` runs.
 STAGES = (
-    ("msde.data", "load_embeddings"),
     ("msde.data", "load_rows"),
     ("msde.data", "load_labels"),
     ("msde.data", "fit_standardizer"),
@@ -58,7 +57,6 @@ STAGES = (
     ("msde.metrics", "evaluate"),
     ("msde.scoring", "score_shifted"),
     ("msde.scoring", "score_rows"),
-    ("msde.scoring", "score_pipeline"),
     ("msde.tune", "random_search"),
     ("msde.data", "save_scores"),
 )

@@ -44,7 +44,7 @@ from msde import (
     make_leakage_split,
     project,
     random_search,
-    score_pipeline,
+    score_rows,
     shift_step,
 )
 from msde.cli import main
@@ -69,12 +69,12 @@ def thesis_reports():
     """Criterion 7 instance, shifted and no-shift, reused by criterion 9."""
     spec = SyntheticSpec(dim=32, n_train=500, n_test_normal=100,
                          n_test_anomalous=100, anomaly_offset=2.5)
-    split = generate_synthetic(spec, THESIS_SEED)
     t0 = time.monotonic()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        shifted = score_pipeline(split, MsdeConfig())
-        baseline = score_pipeline(split, MsdeConfig(shift=ShiftParams(max_iters=0)))
+        shifted = score_rows(*generate_synthetic(spec, THESIS_SEED), MsdeConfig())
+        baseline = score_rows(*generate_synthetic(spec, THESIS_SEED),
+                              MsdeConfig(shift=ShiftParams(max_iters=0)))
     return shifted, baseline, time.monotonic() - t0
 
 
@@ -83,11 +83,10 @@ def extreme_report():
     """Criterion 8 instance, reused by criterion 9."""
     spec = SyntheticSpec(dim=16, n_train=200, n_test_normal=50,
                          n_test_anomalous=50, anomaly_offset=100.0)
-    split = generate_synthetic(spec, 7)
     t0 = time.monotonic()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = score_pipeline(split, MsdeConfig())
+        report = score_rows(*generate_synthetic(spec, 7), MsdeConfig())
     return report, time.monotonic() - t0
 
 
@@ -298,9 +297,7 @@ def test_criterion_10_zero_leakage_audit():
     t0 = time.monotonic()
     spec = SyntheticSpec(dim=6, n_train=40, n_test_normal=25,
                          n_test_anomalous=25, anomaly_offset=4.0)
-    split = generate_synthetic(spec, 9)
-    rows = np.concatenate([split.train.values, split.test.values])
-    n_train, labels = split.train.n_samples, split.test.labels
+    rows, n_train, test_ids, labels = generate_synthetic(spec, 9)
 
     for seed in range(50):
         lk = make_leakage_split(n_train, labels, seed=seed)
@@ -323,7 +320,7 @@ def test_criterion_10_zero_leakage_audit():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        random_search(rows, n_train, split.test.row_ids, labels, SearchSpace(),
+        random_search(rows, n_train, test_ids, labels, SearchSpace(),
                       n_trials=10, seed=77, base_config=MsdeConfig(pca_dim=6),
                       trial_observer=observer)
     leaked = seen & final_rows
@@ -392,8 +389,8 @@ def test_external_loader_reads_a_synth_directory(tmp_path):
     got = _external_metrics(tmp_path, "rsna")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        expected = score_pipeline(generate_synthetic(SyntheticSpec(**spec), 5),
-                                  MsdeConfig()).metrics
+        expected = score_rows(*generate_synthetic(SyntheticSpec(**spec), 5),
+                              MsdeConfig()).metrics
     assert got == json.loads(metrics_json(expected))
     assert _external_metrics(tmp_path, "vin") is None
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, outputs, determinism, exit codes, config."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -35,6 +36,15 @@ def synth_dir(tmp_path):
 # and synth have their own --seed).
 REMOVED_FLAGS = {"--fit-on-joint": (), "--static-graph": (), "--standardize": (),
                  "--no-standardize": (), "--seed": ("3",)}
+
+# SHA-256 of each file `msde synth --seed 42` writes with the default spec,
+# recorded with numpy 2.4.6.
+SYNTH_DIGESTS_NUMPY = "2.4.6"
+SYNTH_DIGESTS = {
+    "train.npy": "bdab3828c40a9d9a5a611547e0865c7f22c06e978ff0c5f007c676cef90a60f7",
+    "test.npy": "5b82f0a14108722e12344c6d770073d4cfd92d4d7615d3e18c4ec96e4ea94aca",
+    "labels.csv": "8fa4910a21143e3c64edc2a8c65e4d69d8e5fb9021f5129099b503d9d47e57eb",
+}
 
 
 def _run_args(synth_dir, out, extra=(), max_iters="3"):
@@ -78,6 +88,16 @@ class TestSynth:
             assert main(["synth", "--out", str(out), "--seed", seed]) == 0
         assert (a / "train.npy").read_bytes() == (c / "train.npy").read_bytes()
         assert (a / "train.npy").read_bytes() != (b / "train.npy").read_bytes()
+
+    @pytest.mark.skipif(np.__version__ != SYNTH_DIGESTS_NUMPY,
+                        reason=f"digests recorded with numpy {SYNTH_DIGESTS_NUMPY}, "
+                               f"this is {np.__version__}; numpy does not promise "
+                               "Generator streams across versions")
+    def test_default_seed_42_bytes(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--seed", "42"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in SYNTH_DIGESTS}
+        assert digests == SYNTH_DIGESTS
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Loading, validation, standardization, synthesis, score persistence."""
 
+import argparse
 import math
 import re
 import struct
@@ -8,14 +9,13 @@ import numpy as np
 import pytest
 
 from msde import (
-    EmbeddingMatrix,
     SyntheticSpec,
     apply_standardizer,
     fit_standardizer,
     generate_synthetic,
-    load_embeddings,
     save_scores,
 )
+from msde.cli import _load_rows, main
 from msde.data import (
     STD_FLOOR,
     join_labels,
@@ -33,119 +33,94 @@ def _rows(values):
     return np.atleast_2d(np.asarray(values, dtype=float))
 
 
-def _matrix(values, labels=None):
-    values = _rows(values)
-    ids = tuple(f"r{i}" for i in range(values.shape[0]))
-    return EmbeddingMatrix(values, ids, labels)
-
-
-class TestEmbeddingMatrix:
-    def test_rejects_nan(self):
-        with pytest.raises(LoadError, match="row 1, column 0"):
-            _matrix([[1.0, 2.0], [np.nan, 3.0]])
-
-    def test_rejects_inf(self):
-        with pytest.raises(LoadError):
-            _matrix([[np.inf]])
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(LoadError):
-            EmbeddingMatrix([[1.0], [2.0]], ("a", "a"))
-
-    def test_rejects_bad_labels(self):
-        with pytest.raises(LoadError):
-            _matrix([[1.0], [2.0]], labels=[0, 2])
-
-    def test_values_widened_to_float64(self):
-        m = _matrix(np.array([[1, 2]], dtype=np.float32))
-        assert m.values.dtype == np.float64
-
-    def test_values_read_only(self):
-        m = _matrix([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            m.values[0, 0] = 5.0
-
-    def test_writable_input_copied_and_stays_writable(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        m = EmbeddingMatrix(a, ("a", "b"))
-        assert not np.shares_memory(m.values, a)
-        a[0, 0] = 9.0
-        assert m.values[0, 0] == 1.0
-        a.setflags(write=False)
-        assert EmbeddingMatrix(a, ("a", "b")).values is a
+def _read(path):
+    """The matrix in ``path`` as ``load_rows`` reads it, given ``path`` as
+    both the train and the test file: the train rows, which must equal the
+    test rows."""
+    rows, n = load_rows(path, path)
+    assert rows[:n].tobytes() == rows[n:].tobytes()
+    return rows[:n]
 
 
 class TestCsvLoading:
     def test_two_by_three(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,2,3\n4,5,6\n")
-        m = load_embeddings(p)
-        assert m.n_samples == 2 and m.dim == 3
-        np.testing.assert_array_equal(m.values, [[1, 2, 3], [4, 5, 6]])
+        m = _read(p)
+        assert m.shape == (2, 3)
+        np.testing.assert_array_equal(m, [[1, 2, 3], [4, 5, 6]])
 
     def test_header_auto_detected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("f1,f2\n1.5,2.5\n")
-        m = load_embeddings(p)
-        np.testing.assert_array_equal(m.values, [[1.5, 2.5]])
+        np.testing.assert_array_equal(_read(p), [[1.5, 2.5]])
 
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_bytes(b"1,2\r\n3,4\r\n")
-        np.testing.assert_array_equal(load_embeddings(p).values, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(_read(p), [[1, 2], [3, 4]])
 
     def test_nan_cell_named(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,2\n3,nan\n")
         with pytest.raises(LoadError, match="line 2, column 2"):
-            load_embeddings(p)
+            _read(p)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
+    def test_infinite_cell_named(self, tmp_path, cell):
+        # 1e999 parses, overflowing to inf
+        p = tmp_path / "m.csv"
+        p.write_text(f"1,2\n3,4\n{cell},5\n")
+        with pytest.raises(LoadError, match=f"non-finite value '{cell}' at line 3, "
+                                            "column 1"):
+            _read(p)
 
     def test_ragged_row_named(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,2\n3\n")
         with pytest.raises(LoadError, match="line 2"):
-            load_embeddings(p)
+            _read(p)
 
     def test_non_numeric_cell_named(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,2\n3,x\n")
         with pytest.raises(LoadError, match="line 2, column 2"):
-            load_embeddings(p)
+            _read(p)
 
     def test_error_names_file_line_after_blank_lines(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,2\n\n\n3,x\n")
         with pytest.raises(LoadError, match="line 4, column 2"):
-            load_embeddings(p)
+            _read(p)
         p.write_bytes(b"f1,f2\r\n\r\n1,2\r\n  \r\n3\r\n")
         with pytest.raises(LoadError, match="line 5 has 1 fields"):
-            load_embeddings(p)
+            _read(p)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("")
         with pytest.raises(LoadError):
-            load_embeddings(p)
+            _read(p)
 
     def test_unknown_suffix_rejected(self, tmp_path):
         p = tmp_path / "m.dat"
         p.write_text("1,2\n")
         with pytest.raises(LoadError):
-            load_embeddings(p)
+            _read(p)
 
     def test_utf8_bom_keeps_first_row(self, tmp_path):
         # Excel's "CSV UTF-8" starts with a BOM; it must not turn the first
         # data row into a header.
         p = tmp_path / "m.csv"
         p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
-        np.testing.assert_array_equal(load_embeddings(p).values,
+        np.testing.assert_array_equal(_read(p),
                                       [[1, 2], [3, 4], [5, 6]])
 
     def test_non_utf8_is_load_error(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_bytes("caf\u00e9,x\n1,2\n".encode("latin-1"))
         with pytest.raises(LoadError, match="m.csv: not UTF-8 text.*0xe9"):
-            load_embeddings(p)
+            _read(p)
 
 
 def _raw_npy(descr=b"'<f8'", fortran=b"False", shape=b"(1, 1)",
@@ -166,13 +141,13 @@ class TestNpyInput:
     def _load(tmp_path, data):
         p = tmp_path / "m.npy"
         p.write_bytes(data)
-        return load_embeddings(p).values
+        return _read(p)
 
     @staticmethod
     def _load_saved(tmp_path, array):
         p = tmp_path / "m.npy"
         np.save(p, array, allow_pickle=True)
-        return load_embeddings(p).values
+        return _read(p)
 
     def test_single_element(self, tmp_path):
         m = self._load(tmp_path, _raw_npy())
@@ -219,7 +194,7 @@ class TestNpyInput:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
-            load_embeddings(tmp_path / "nope.npy")
+            _read(tmp_path / "nope.npy")
 
     def test_write_read_identity(self, tmp_path):
         m = np.random.default_rng(5).normal(size=(13, 7))
@@ -230,14 +205,14 @@ class TestNpyInput:
         p = tmp_path / "m.npy"
         with open(p, "wb") as fh:
             np.save(fh, m)
-        np.testing.assert_array_equal(load_embeddings(p).values, m)
+        np.testing.assert_array_equal(_read(p), m)
 
-    def test_load_embeddings_uses_reader(self, tmp_path):
+    def test_saved_single_element(self, tmp_path):
         p = tmp_path / "m.npy"
         np.save(p, np.array([[7.0]]), allow_pickle=False)
-        m = load_embeddings(p)
-        assert m.n_samples == 1 and m.dim == 1
-        assert m.values[0, 0] == 7.0
+        m = _read(p)
+        assert m.shape == (1, 1)
+        assert m[0, 0] == 7.0
 
     @pytest.mark.parametrize("array, match", [
         (np.zeros((2, 2), dtype=[("a", "<f8"), ("b", "<f8")]), "dtype"),
@@ -294,7 +269,7 @@ class TestNpyInput:
                     data.insert(at, byte)
             p.write_bytes(bytes(data))
             try:
-                load_embeddings(p)
+                _read(p)
                 outcomes["loaded"] += 1
             except LoadError:
                 outcomes["refused"] += 1
@@ -373,17 +348,17 @@ class TestStandardizer:
 class TestSynthetic:
     def test_deterministic(self):
         spec = SyntheticSpec()
-        a = generate_synthetic(spec, 42)
-        b = generate_synthetic(spec, 42)
-        np.testing.assert_array_equal(a.train.values, b.train.values)
-        np.testing.assert_array_equal(a.test.values, b.test.values)
-        np.testing.assert_array_equal(a.test.labels, b.test.labels)
+        rows_a, n_a, ids_a, labels_a = generate_synthetic(spec, 42)
+        rows_b, n_b, ids_b, labels_b = generate_synthetic(spec, 42)
+        np.testing.assert_array_equal(rows_a, rows_b)
+        assert n_a == n_b and ids_a == ids_b
+        np.testing.assert_array_equal(labels_a, labels_b)
 
     def test_seed_changes_output(self):
         spec = SyntheticSpec()
-        a = generate_synthetic(spec, 1)
-        b = generate_synthetic(spec, 2)
-        assert not np.array_equal(a.train.values, b.train.values)
+        rows_a, n_train, _, _ = generate_synthetic(spec, 1)
+        rows_b, _, _, _ = generate_synthetic(spec, 2)
+        assert not np.array_equal(rows_a[:n_train], rows_b[:n_train])
 
     def test_invalid_counts(self):
         with pytest.raises(ConfigError):
@@ -394,17 +369,39 @@ class TestSynthetic:
         # centroid than every normal
         spec = SyntheticSpec(dim=2, n_train=100, n_test_normal=50,
                              n_test_anomalous=50, anomaly_offset=100.0)
-        split = generate_synthetic(spec, 7)
-        centroid = split.train.values.mean(axis=0)
-        d = np.linalg.norm(split.test.values - centroid, axis=1)
-        normal_d = d[split.test.labels == 0]
-        anom_d = d[split.test.labels == 1]
+        rows, n_train, _, labels = generate_synthetic(spec, 7)
+        centroid = rows[:n_train].mean(axis=0)
+        d = np.linalg.norm(rows[n_train:] - centroid, axis=1)
+        normal_d = d[labels == 0]
+        anom_d = d[labels == 1]
         assert anom_d.min() > normal_d.max()
 
     def test_train_labelfree_test_labeled(self):
-        split = generate_synthetic(SyntheticSpec(), 0)
-        assert split.train.labels is None
-        assert split.test.labels.sum() == SyntheticSpec().n_test_anomalous
+        spec = SyntheticSpec()
+        rows, n_train, test_ids, labels = generate_synthetic(spec, 0)
+        assert n_train == spec.n_train
+        assert len(test_ids) == labels.size == len(rows) - n_train
+        assert labels.sum() == spec.n_test_anomalous
+
+    def test_equals_what_run_loads_from_the_synth_files(self, tmp_path):
+        # generate_synthetic returns the form msde run reads msde synth's
+        # files into: the same rows, row count, test ids and labels.
+        spec = SyntheticSpec(dim=5, n_train=30, n_test_normal=7,
+                             n_test_anomalous=4, anomaly_offset=-2.5)
+        assert main(["synth", "--out", str(tmp_path), "--seed", "11", "--dim", "5",
+                     "--n-train", "30", "--n-test-normal", "7",
+                     "--n-test-anomalous", "4", "--anomaly-offset", "-2.5"]) == 0
+        rows, n_train, test_ids, labels = generate_synthetic(spec, 11)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert rows.flags.writeable and rows.flags.owndata
+        args = argparse.Namespace(train=tmp_path / "train.npy",
+                                  test=tmp_path / "test.npy",
+                                  labels=tmp_path / "labels.csv")
+        loaded_rows, loaded_n, loaded_ids, loaded_labels = _load_rows(args)
+        assert rows.tobytes() == loaded_rows.tobytes()
+        assert (n_train, test_ids) == (loaded_n, loaded_ids)
+        assert labels.dtype == loaded_labels.dtype
+        assert labels.tobytes() == loaded_labels.tobytes()
 
 
 class TestTextFiles:
@@ -495,17 +492,17 @@ class TestEmbeddingRoundTrip:
         first = tmp_path / ("a" + suffix)
         second = tmp_path / ("b" + suffix)
         self._save(values, first)
-        loaded = load_embeddings(first)
-        self._save(loaded.values, second)
-        reloaded = load_embeddings(second)
-        np.testing.assert_array_equal(loaded.values, reloaded.values)
-        np.testing.assert_array_equal(loaded.values, values)
+        loaded = _read(first)
+        self._save(loaded, second)
+        reloaded = _read(second)
+        np.testing.assert_array_equal(loaded, reloaded)
+        np.testing.assert_array_equal(loaded, values)
 
 
 class TestLoadRows:
-    """``load_rows`` reads a train and a test file into one array: the same
-    bytes as the two ``load_embeddings`` reads concatenated, checked as
-    those check each file."""
+    """``load_rows`` reads a train and a test file into one array: the
+    values written, widened to float64, each file checked as ``_read``
+    checks it alone."""
 
     @staticmethod
     def _write(path, values):
@@ -524,11 +521,13 @@ class TestLoadRows:
     def test_equals_concatenated_loads(self, tmp_path, train_name, test_name, dtype):
         rng = np.random.default_rng(31)
         paths = [tmp_path / train_name, tmp_path / test_name]
+        written = []
         for path, n in zip(paths, (23, 9)):
             values = rng.normal(size=(n, 6)) * np.logspace(-3, 3, 6)
-            self._write(path, values.astype(dtype))
+            written.append(values.astype(dtype))
+            self._write(path, written[-1])
         rows, n_train = load_rows(*paths)
-        expected = np.concatenate([load_embeddings(p).values for p in paths])
+        expected = np.concatenate(written).astype(np.float64)
         assert n_train == 23
         assert rows.dtype == np.float64 and rows.flags.c_contiguous
         assert rows.flags.writeable and rows.flags.owndata
@@ -553,7 +552,7 @@ class TestLoadRows:
         with pytest.raises(LoadError, match=message):
             load_rows(paths["train"], paths["test"])
         with pytest.raises(LoadError, match=message):
-            load_embeddings(paths[bad])
+            _read(paths[bad])
 
     def test_file_errors_keep_their_messages(self, tmp_path):
         np.save(tmp_path / "train.npy", np.zeros((3, 2)))
@@ -601,6 +600,12 @@ class TestLabelSidecar:
         p = tmp_path / "labels.csv"
         p.write_bytes(b"\xef\xbb\xbfrow_id,label\nr0,0\nr1,1\n")
         assert load_labels(p) == {"r0": 0, "r1": 1}
+
+    def test_duplicate_row_id_named(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("row_id,label\nr0,0\nr1,1\nr0,1\n")
+        with pytest.raises(LoadError, match="line 4: duplicate row id 'r0'"):
+            load_labels(p)
 
     def test_bad_label_value(self, tmp_path):
         p = tmp_path / "labels.csv"

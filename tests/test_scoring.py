@@ -12,8 +12,6 @@ import pytest
 from scipy.stats import ortho_group
 
 from msde import (
-    DatasetSplit,
-    EmbeddingMatrix,
     MsdeConfig,
     ShiftParams,
     SyntheticSpec,
@@ -26,12 +24,12 @@ from msde import (
     normalize_scores,
     prepare_joint,
     project,
-    score_pipeline,
+    score_rows,
 )
 from msde import scoring as scoring_module
 from msde.data import fit_standardizer
 from msde.exceptions import FitError, ShapeError
-from msde.scoring import prepare_rows, score_rows, score_shifted
+from msde.scoring import prepare_rows, score_shifted
 from msde.metrics import auc_roc, average_precision
 
 from _oracles import expit, gaussian_sigma_reference, pca_reference
@@ -39,11 +37,6 @@ from _oracles import expit, gaussian_sigma_reference, pca_reference
 
 def _matrix(values):
     return np.atleast_2d(np.asarray(values, dtype=float))
-
-
-def _embedding(values):
-    values = _matrix(values)
-    return EmbeddingMatrix(values, tuple(f"r{i}" for i in range(values.shape[0])))
 
 
 class TestFitPca:
@@ -400,20 +393,18 @@ class TestScorePipeline:
     def test_extreme_offset_gives_perfect_auc(self):
         spec = SyntheticSpec(dim=8, n_train=80, n_test_normal=30,
                              n_test_anomalous=30, anomaly_offset=100.0)
-        split = generate_synthetic(spec, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = score_pipeline(split, _pipeline_config())
+            report = score_rows(*generate_synthetic(spec, 5), _pipeline_config())
         assert report.metrics.auc == 1.0
         assert report.metrics.ap == 1.0
 
     def test_metrics_identical_on_raw_and_normalized(self):
         spec = SyntheticSpec(dim=6, n_train=60, n_test_normal=25,
                              n_test_anomalous=25, anomaly_offset=2.0)
-        split = generate_synthetic(spec, 6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = score_pipeline(split, _pipeline_config())
+            report = score_rows(*generate_synthetic(spec, 6), _pipeline_config())
         assert auc_roc(report.raw, report.labels) == \
             auc_roc(report.normalized, report.labels)
         assert average_precision(report.raw, report.labels) == \
@@ -424,14 +415,11 @@ class TestScorePipeline:
         train_values = rng.normal(0.0, 1.0, size=(60, 6))
         test_values = np.vstack([train_values[0], rng.normal(size=(9, 6)) * 3.0])
         labels = np.array([0] + [1] * 9, dtype=np.int64)
-        split = DatasetSplit(
-            train=_embedding(train_values),
-            test=EmbeddingMatrix(test_values,
-                                 tuple(f"t{i}" for i in range(10)), labels),
-        )
+        rows = np.concatenate([train_values, test_values])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = score_pipeline(split, _pipeline_config())
+            report = score_rows(rows, 60, tuple(f"t{i}" for i in range(10)), labels,
+                                _pipeline_config())
         assert report.normalized[0] <= np.median(report.normalized)
 
     def test_rotation_invariance_at_full_rank(self):
@@ -441,17 +429,16 @@ class TestScorePipeline:
         # with a rotation
         spec = SyntheticSpec(dim=5, n_train=50, n_test_normal=20,
                              n_test_anomalous=20, anomaly_offset=3.0)
-        split = generate_synthetic(spec, 19)
+        rows, n_train, test_ids, labels = generate_synthetic(spec, 19)
         rot = ortho_group.rvs(5, random_state=20)
         params = ShiftParams(k=10, t_nbd=10, k_umap=10, max_iters=3,
                              eta=0.33, tol=1e-8)
         config = MsdeConfig(shift=params, pca_dim=5)
-        rows = np.concatenate([split.train.values, split.test.values])
 
         def raw_scores(points):
-            prepared = prepare_joint(points, split.train.n_samples, [params])
-            return score_shifted(joint_shift(prepared, params), split.test.row_ids,
-                                 split.test.labels, config).raw
+            prepared = prepare_joint(points, n_train, [params])
+            return score_shifted(joint_shift(prepared, params), test_ids,
+                                 labels, config).raw
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -462,15 +449,14 @@ class TestScorePipeline:
     def test_no_shift_baseline_matches_plain_pca_gaussian(self):
         spec = SyntheticSpec(dim=6, n_train=50, n_test_normal=20,
                              n_test_anomalous=20, anomaly_offset=2.5)
-        split = generate_synthetic(spec, 21)
+        rows, n_train, test_ids, labels = generate_synthetic(spec, 21)
+        train, test = rows[:n_train].copy(), rows[n_train:].copy()
         config = MsdeConfig(shift=ShiftParams(max_iters=0), pca_dim=6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = score_pipeline(split, config)
+            report = score_rows(rows, n_train, test_ids, labels, config)
         # manual reference: standardize, PCA, Gaussian, Mahalanobis
-        from msde import apply_standardizer
-        std = fit_standardizer(split.train.values)
-        train, test = split.train.values.copy(), split.test.values.copy()
+        std = fit_standardizer(train)
         apply_standardizer(std, train)
         apply_standardizer(std, test)
         with warnings.catch_warnings():
@@ -493,26 +479,23 @@ class TestScorePipeline:
 
     def test_single_class_labels_warned_and_skipped(self):
         rng = np.random.default_rng(23)
-        train = _embedding(rng.normal(size=(30, 4)))
-        test = EmbeddingMatrix(rng.normal(size=(8, 4)),
-                               tuple(f"t{i}" for i in range(8)),
-                               np.zeros(8, dtype=np.int64))
-        split = DatasetSplit(train=train, test=test)
+        rows = np.concatenate([rng.normal(size=(30, 4)), rng.normal(size=(8, 4))])
         with pytest.warns(UserWarning, match="single class"):
-            report = score_pipeline(split, _pipeline_config(max_iters=0))
+            report = score_rows(rows, 30, tuple(f"t{i}" for i in range(8)),
+                                np.zeros(8, dtype=np.int64),
+                                _pipeline_config(max_iters=0))
         assert report.metrics is None
 
     def test_report_carries_test_ids_and_labels(self):
         rng = np.random.default_rng(24)
-        train = _embedding(rng.normal(size=(30, 3)))
+        train = rng.normal(size=(30, 3))
         labels = np.array([1, 0, 0, 1, 0, 1], dtype=np.int64)
         ids = ("t5", "t0", "t3", "t1", "t4", "t2")
-        test = EmbeddingMatrix(rng.normal(size=(6, 3)), ids, labels)
+        rows = np.concatenate([train, rng.normal(size=(6, 3))])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = score_pipeline(DatasetSplit(train=train, test=test),
-                                    _pipeline_config(k=5, t_nbd=5, k_umap=5,
-                                                     max_iters=2))
+            report = score_rows(rows, 30, ids, labels,
+                                _pipeline_config(k=5, t_nbd=5, k_umap=5, max_iters=2))
         assert report.row_ids == ids
         np.testing.assert_array_equal(report.labels, labels)
 

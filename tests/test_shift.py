@@ -481,8 +481,8 @@ class TestSoloJointFanOut:
         if instance == "criterion_07":
             spec = SyntheticSpec(dim=32, n_train=500, n_test_normal=100,
                                  n_test_anomalous=100, anomaly_offset=2.5)
-            split = generate_synthetic(spec, 42)
-            train, test = split.train.values, split.test.values
+            rows, n_train, _, _ = generate_synthetic(spec, 42)
+            train, test = rows[:n_train], rows[n_train:]
             params = ShiftParams()
         else:
             # 7 solo and 10 joint rows: k, t_nbd and k_umap all clamp.

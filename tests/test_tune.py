@@ -25,17 +25,12 @@ from msde import tune as tune_module
 from msde.exceptions import GraphError, NumericError, SplitError
 
 
-def _split(n_train=10, n_test_normal=20, n_test_anomalous=20, seed=0, dim=3):
+def _dataset(n_train=10, n_test_normal=20, n_test_anomalous=20, seed=0, dim=3):
+    """``random_search``'s input: the train rows then test rows in one
+    array, the train row count, the test ids and labels."""
     spec = SyntheticSpec(dim=dim, n_train=n_train, n_test_normal=n_test_normal,
                          n_test_anomalous=n_test_anomalous, anomaly_offset=4.0)
     return generate_synthetic(spec, seed)
-
-
-def _rows(split):
-    """``random_search``'s input: the split's train rows then test rows in
-    one array, the train row count, the test ids and labels."""
-    return (np.concatenate([split.train.values, split.test.values]),
-            split.train.n_samples, split.test.row_ids, split.test.labels)
 
 
 def _labels(n_test_normal=20, n_test_anomalous=20):
@@ -44,8 +39,8 @@ def _labels(n_test_normal=20, n_test_anomalous=20):
 
 def _validation(data, seed):
     """A copy of the fit rows then the validation rows that a search of
-    ``data`` (``_rows``) with ``seed`` prepares, the fit row count, ids and
-    labels: ``score_rows``' input for one trial scored alone."""
+    ``data`` (``_dataset``) with ``seed`` prepares, the fit row count, ids
+    and labels: ``score_rows``' input for one trial scored alone."""
     rows, n_train, _, labels = data
     lk = make_leakage_split(n_train, labels, seed)
     gather = np.concatenate([lk.fit_train, lk.val_normals, n_train + lk.val_anomalies])
@@ -93,8 +88,8 @@ class TestMakeLeakageSplit:
     def test_validation_split_labels(self, monkeypatch):
         # Each trial scores the validation normals (label 0) then the
         # validation anomalies (label 1), and nothing else.
-        data = _split(n_train=40, n_test_normal=25, n_test_anomalous=25, seed=9, dim=6)
-        rows, n_train, test_ids, labels = _rows(data)
+        rows, n_train, test_ids, labels = _dataset(n_train=40, n_test_normal=25,
+                                                   n_test_anomalous=25, seed=9, dim=6)
         lk = make_leakage_split(n_train, labels, seed=3)
         scored, score_shifted = [], tune_module.score_shifted
 
@@ -126,9 +121,8 @@ class TestMakeLeakageSplit:
     def test_final_test_train_is_full_train(self, monkeypatch):
         # The winner is retrained on every train row: the final scoring
         # gets all of them, in order, before the final test rows.
-        rows, n_train, test_ids, labels = _rows(_split(n_train=40, n_test_normal=25,
-                                                       n_test_anomalous=25, seed=9,
-                                                       dim=6))
+        rows, n_train, test_ids, labels = _dataset(n_train=40, n_test_normal=25,
+                                                   n_test_anomalous=25, seed=9, dim=6)
         lk = make_leakage_split(n_train, labels, seed=1)
         final, score = [], tune_module.score_rows
 
@@ -174,8 +168,8 @@ def _search_config():
 
 class TestRandomSearch:
     def _data(self):
-        return _rows(_split(n_train=40, n_test_normal=25, n_test_anomalous=25,
-                            seed=9, dim=6))
+        return _dataset(n_train=40, n_test_normal=25, n_test_anomalous=25,
+                        seed=9, dim=6)
 
     def test_single_trial_is_best(self):
         with warnings.catch_warnings():
@@ -284,8 +278,8 @@ class TestRandomSearch:
         # score what score_rows on a copy of them gives for its params
         # alone, bit for bit. With 10 train rows the solo run has 8 rows
         # and the joint 12, so k and t_nbd clamp in most trials.
-        data = _rows(_split(n_train=n_train, n_test_normal=25, n_test_anomalous=25,
-                            seed=9, dim=6))
+        data = _dataset(n_train=n_train, n_test_normal=25, n_test_anomalous=25,
+                        seed=9, dim=6)
         base = _search_config()
         raws = []
         score_shifted = tune_module.score_shifted
