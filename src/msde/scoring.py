@@ -11,14 +11,18 @@ fitting and scoring functions take float64 ``(n, d)`` arrays; only
 ``fit_pca``, ``project``, ``fit_gaussian`` and ``mahalanobis`` center a
 copy of their input and never write it. ``score_shifted`` runs the same
 private cores inside the shifted rows it is given: it centers them in
-place, writes each projection into the rows it has consumed, then
-centers the train projection for the Gaussian and takes the test
-projection's Mahalanobis difference in place, so fitting and scoring
-hold no n x d or n x reduced_dim copy. Read-only rows are centered into
-a new array first, and the projection is written into that array.
-``_rotate`` multiplies ``ROTATE_ROWS``-row blocks through one small
-buffer, so OpenBLAS packs a block's rows rather than all n; those block
-bounds give the bytes of the single product ``centered @ components.T``.
+place, writes the train projection into the train rows it has consumed
+and centers it there for the Gaussian. The test projection then goes
+into the front of those consumed train rows when they hold it, else into
+the test rows, and its Mahalanobis difference is taken in place, so
+fitting and scoring hold no n x d or n x reduced_dim copy. Read-only
+rows are centered into a new array first, and the projection is written
+into that array. ``_rotate`` multiplies ``ROTATE_ROWS``-row blocks, each
+into its output rows, so OpenBLAS packs a block's rows rather than all
+n; those block bounds give the bytes of the single product
+``centered @ components.T``.
+``_mahalanobis`` solves ``SOLVE_ROWS``-row blocks, with the bytes of one
+solve over all rows.
 
 ``score_rows`` is the pipeline: ``prepare_rows`` over one array of train
 rows then test rows (standardize it in place with the train rows'
@@ -62,6 +66,11 @@ NORMALIZE_STD_FLOOR = 1e-12
 # merged into the last block. Other bounds (equal partitions, 256-row
 # blocks) change the bytes of the product at some shapes.
 ROTATE_ROWS = 1024
+
+# _mahalanobis solves the difference rows in blocks of this many, so the
+# solve's copy and OpenBLAS's packing hold a block rather than all n rows.
+# The blocks give the bytes of one solve over all rows.
+SOLVE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -130,23 +139,23 @@ def _centered(x: np.ndarray, center: np.ndarray, in_place: bool) -> np.ndarray:
 def _rotate(basis: PcaBasis, centered: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``centered @ basis.components.T`` into ``out`` and return it.
 
-    ``out`` may be ``_front(centered, reduced_dim)``: a block's product is
-    copied out only after the block is read, and it lands in the rows
-    read so far.
+    Each block is multiplied straight into its rows of ``out``. ``out`` may
+    be ``_front(centered, len(centered), reduced_dim)``: every block lands
+    in rows read so far, and numpy multiplies a block whose output rows
+    share memory with the rows it reads into a temporary of the output
+    block's size, copied out after.
     """
     n = len(centered)
     starts = list(range(0, max(n - ROTATE_ROWS, 0) + 1, ROTATE_ROWS))
-    buf = np.empty((n - starts[-1], basis.reduced_dim))
     for lo, hi in zip(starts, starts[1:] + [n]):
-        out[lo:hi] = np.matmul(centered[lo:hi], basis.components.T,
-                               out=buf[:hi - lo])
+        np.matmul(centered[lo:hi], basis.components.T, out=out[lo:hi])
     return out
 
 
-def _front(rows: np.ndarray, width: int) -> np.ndarray:
-    """The first ``len(rows) * width`` values of the C-contiguous ``rows``
-    as a ``(len(rows), width)`` array."""
-    return rows.reshape(-1)[:len(rows) * width].reshape(len(rows), width)
+def _front(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first ``rows * width`` values of the C-contiguous ``buffer`` as a
+    ``(rows, width)`` array."""
+    return buffer.reshape(-1)[:rows * width].reshape(rows, width)
 
 
 def _fit_pca(x: np.ndarray, reduced_dim: int, in_place: bool
@@ -189,16 +198,25 @@ def fit_pca(x: np.ndarray, reduced_dim: int) -> PcaBasis:
     return _fit_pca(x, reduced_dim, in_place=False)[0]
 
 
-def _project(basis: PcaBasis, x: np.ndarray, in_place: bool) -> np.ndarray:
-    """``project(basis, x)``; with ``in_place`` it is written into the rows
-    ``_centered`` gives, which are then ``x``'s or a new array's."""
+def _project(basis: PcaBasis, x: np.ndarray, in_place: bool,
+             spare: np.ndarray | None = None) -> np.ndarray:
+    """``project(basis, x)``. With ``in_place`` it is written into the front
+    of ``spare`` when that holds it, else into the rows ``_centered``
+    gives, which are then ``x``'s or a new array's. ``spare`` is a
+    C-contiguous array whose values are no longer needed, so it shares no
+    memory with ``x``."""
     if x.shape[1] != basis.input_dim:
         raise ShapeError(
             f"projection expects dim {basis.input_dim}, got {x.shape[1]}"
         )
     centered = _centered(x, basis.center, in_place)
-    out = (_front(centered, basis.reduced_dim) if in_place
-           else np.empty((len(x), basis.reduced_dim)))
+    n, width = len(x), basis.reduced_dim
+    if not in_place:
+        out = np.empty((n, width))
+    elif spare is not None and n * width <= spare.size:
+        out = _front(spare, n, width)
+    else:
+        out = _front(centered, n, width)
     return _rotate(basis, centered, out)
 
 
@@ -217,7 +235,7 @@ def _fit_gaussian(z: np.ndarray, lam: float, in_place: bool) -> GaussianScorer:
     centered = _centered(z, mu, in_place)
     sigma = centered.T @ centered
     sigma /= n - 1
-    sigma += lam * np.eye(d)
+    sigma.reshape(-1)[::d + 1] += lam  # the diagonal; no lam * I temporaries
     return GaussianScorer(mu=mu, sigma=sigma)
 
 
@@ -235,8 +253,11 @@ def _mahalanobis(scorer: GaussianScorer, rows: np.ndarray, in_place: bool
             f"scorer expects dim {scorer.mu.shape[0]}, got {rows.shape[1]}"
         )
     diff = _centered(rows, scorer.mu, in_place)
-    solved = cho_solve(scorer.factor(), diff.T)
-    sq = np.einsum("ij,ji->i", diff, solved)
+    sq = np.empty(len(diff))
+    for lo in range(0, len(diff), SOLVE_ROWS):
+        block = diff[lo:lo + SOLVE_ROWS]
+        np.einsum("ij,ji->i", block, cho_solve(scorer.factor(), block.T),
+                  out=sq[lo:lo + SOLVE_ROWS])
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -284,23 +305,25 @@ def score_shifted(shifted: tuple[ShiftedEmbeddings, ShiftedEmbeddings, np.ndarra
     PCA and the Gaussian are fitted on the solo-shifted train set; test
     rows are scored from the joint run. The arrays in ``shifted`` are taken
     over where they are writable and C-contiguous: the train and test rows
-    are centered inside them, each projection is written into the rows it
-    has consumed, the train projection is centered there for the Gaussian
-    and the test projection's difference from its mean is taken there.
-    Read-only rows (``msde tune``'s shared rows at ``max_iters = 0``) are
-    centered into a new array first, which then holds the projection; they
-    are never written. The bytes are those of ``fit_pca``, ``project``,
+    are centered inside them, the train projection is written into the
+    train rows and centered there for the Gaussian, the test projection is
+    written into the front of the consumed train rows when they hold it,
+    else into the test rows, and its difference from its mean is taken
+    there and solved in ``SOLVE_ROWS``-row blocks. Read-only rows
+    (``msde tune``'s shared rows at ``max_iters = 0``) are centered into a
+    new array first, which then holds the projection; they are never
+    written. The bytes are those of ``fit_pca``, ``project``,
     ``fit_gaussian`` and ``mahalanobis``.
     """
     solo, joint, test_shifted = shifted
     basis, centered = _fit_pca(solo.values, config.pca_dim, in_place=True)
-    z_train = _rotate(basis, centered, _front(centered, basis.reduced_dim))
-    del centered
+    z_train = _rotate(basis, centered,
+                      _front(centered, len(centered), basis.reduced_dim))
     scorer = _fit_gaussian(z_train, config.lam, in_place=True)
     del z_train
-    z_test = _project(basis, test_shifted, in_place=True)
-    raw = (_mahalanobis(scorer, z_test, in_place=True) if len(z_test)
-           else np.empty(0))
+    z_test = _project(basis, test_shifted, in_place=True, spare=centered)
+    del centered
+    raw = _mahalanobis(scorer, z_test, in_place=True)
     normalized = normalize_scores(raw)
 
     metrics = None

@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (module, function): the pipeline's public steps, in the order a run
 # reaches them, and inside score_shifted the private scoring cores and
-# the Cholesky solve that ``mahalanobis`` runs.
+# the blocked Mahalanobis solve (one line per call, not per block).
 STAGES = (
     ("msde.data", "load_rows"),
     ("msde.data", "load_labels"),
@@ -48,7 +48,7 @@ STAGES = (
     ("msde.scoring", "_fit_pca"),
     ("msde.scoring", "_rotate"),
     ("msde.scoring", "_fit_gaussian"),
-    ("msde.scoring", "cho_solve"),
+    ("msde.scoring", "_mahalanobis"),
     ("msde.scoring", "fit_pca"),
     ("msde.scoring", "project"),
     ("msde.scoring", "fit_gaussian"),

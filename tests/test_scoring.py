@@ -132,7 +132,17 @@ class TestCopyFreeFitsKeepTheBytes:
             assert basis.explained_variance.tobytes() == variance.tobytes(), x.shape
 
     def test_gaussian_sigma_matches_the_one_expression_byte_for_byte(self):
-        for x in _fit_inputs():
+        # lam is added to the diagonal alone, which gives the bytes of
+        # adding lam * I only while no off-diagonal entry is -0.0; an
+        # exactly-zero column makes every entry of its row and column a
+        # sum of signed zeros.
+        rng = np.random.default_rng(35)
+        zero_column = rng.normal(size=(50, 6))
+        zero_column[:, 2] = 0.0
+        negative_zero_column = zero_column.copy()
+        negative_zero_column[:, 4] = -0.0
+        for x in (*_fit_inputs(), zero_column, negative_zero_column,
+                  np.zeros((5, 3))):
             for lam in (1e-4, 0.3):
                 got = fit_gaussian(x, lam).sigma
                 assert got.tobytes() == gaussian_sigma_reference(x, lam).tobytes()
@@ -143,12 +153,14 @@ class TestCopyFreeFitsKeepTheBytes:
         # Unshifted rows reach score_shifted as views of the prepared array:
         # writable ones (score_rows) are centered in place, read-only ones
         # (msde tune's shared array) into new arrays and never written.
-        # Either way the fits and raw scores are the copying chain's bytes.
-        fits = {}
-        for name in ("_fit_pca", "_fit_gaussian"):
+        # Either way the fits and raw scores are the copying chain's bytes,
+        # and the test projection goes into the centered train rows when
+        # they hold it (at 2 train rows of d 1 they do not).
+        calls = {}
+        for name in ("_fit_pca", "_fit_gaussian", "_mahalanobis"):
             def spy(*args, core=getattr(scoring_module, name), name=name, **kw):
-                fits[name] = core(*args, **kw)
-                return fits[name]
+                calls[name] = args, core(*args, **kw)
+                return calls[name][1]
             monkeypatch.setattr(scoring_module, name, spy)
         params = ShiftParams(max_iters=0)
         labels = np.arange(6) % 2
@@ -169,8 +181,13 @@ class TestCopyFreeFitsKeepTheBytes:
             rows.flags.writeable = writable
             report = score_shifted(joint_shift(prepared, params),
                                    tuple(map(str, range(6))), labels, config)
-            (got, centered), got_scorer = fits["_fit_pca"], fits["_fit_gaussian"]
+            (got, centered), got_scorer = (calls["_fit_pca"][1],
+                                           calls["_fit_gaussian"][1])
             assert np.shares_memory(centered, rows) == writable, x.shape
+            z_test = calls["_mahalanobis"][0][1]
+            in_train = len(test) * config.pca_dim <= centered.size
+            assert np.shares_memory(z_test, centered) == in_train, x.shape
+            assert np.shares_memory(z_test, rows) == writable, x.shape
             center, components, variance = pca_reference(x, config.pca_dim)
             for a, b in ((got.center, center), (got.components, components),
                          (got.explained_variance, variance),
@@ -198,12 +215,16 @@ class TestBlockedRotationKeepsTheBytes:
         assert done.stdout == "", "(d, r, n) that differ:\n" + done.stdout
 
     @pytest.mark.parametrize("pca_dim", [1, 3, 16])
-    def test_unshifted_score_rows_equals_the_copying_chain(self, pca_dim):
+    @pytest.mark.parametrize("n_train, n_test, d", [(2100, 300, 32),
+                                                    (40, 3000, 8)])
+    def test_unshifted_score_rows_equals_the_copying_chain(self, pca_dim,
+                                                           n_train, n_test, d):
         # At 2100 train rows the train projection takes two blocks and is
-        # written into the train rows; the test rows' Mahalanobis
-        # difference is taken in place.
+        # written into the train rows, and the test projection then into
+        # the train rows it has consumed. 40 train rows cannot hold 3000
+        # test projections, so those are written into the test rows. The
+        # test rows' Mahalanobis difference is taken in place either way.
         rng = np.random.default_rng(32)
-        n_train, n_test, d = 2100, 300, 32
         given = rng.normal(size=(n_train + n_test, d))
         labels = np.arange(n_test) % 2
         config = MsdeConfig(shift=ShiftParams(max_iters=0), pca_dim=pca_dim)
@@ -545,3 +566,27 @@ class TestScoreShiftedMemory:
                           labels, MsdeConfig(shift=params, pca_dim=64))
         train_bytes = n_train * d * 8
         assert peak < 0.25 * train_bytes, peak / train_bytes
+
+    def test_test_side_peak_does_not_grow_with_the_test_rows(self, peak_bytes):
+        # The test projection is written into the consumed train rows and
+        # solved in SOLVE_ROWS-row blocks, so from 1000 to 8000 test rows
+        # the traced peak grows by the per-row work of normalize_scores and
+        # evaluate alone (about 0.4 MB). One solve over all rows copies the
+        # 8000 x 64 differences (4 MB) and grows it by about 3.4 MB.
+        rng = np.random.default_rng(35)
+        n_train, d = 4000, 256
+        train = rng.normal(size=(n_train, d))
+        params = ShiftParams(max_iters=0)
+        config = MsdeConfig(shift=params, pca_dim=64)
+        peaks = []
+        for n_test in (1000, 8000):
+            rows = np.concatenate([train, rng.normal(size=(n_test, d))])
+            rows[n_train + n_test // 2:, 0] += 3.0
+            labels = (np.arange(n_test) >= n_test // 2).astype(np.int64)
+            prepared = prepare_joint(rows, n_train, [params])
+            rows.flags.writeable = True
+            peaks.append(peak_bytes(score_shifted, joint_shift(prepared, params),
+                                    tuple(map(str, range(n_test))), labels,
+                                    config))
+            del rows, prepared
+        assert peaks[1] - peaks[0] < 2**20, peaks
