@@ -39,9 +39,10 @@ logger = logging.getLogger(__name__)
 # replaced by 1.0 so standardization passes them through unscaled.
 STD_FLOOR = 1e-8
 
-# fit_standardizer takes the std over column slices this wide, so its
-# transient holds n x STD_COLUMNS values rather than a copy of the rows.
-STD_COLUMNS = 64
+# Floats per row block when fit_standardizer sums the squared deviations
+# and when an NPY file's values are checked finite: transients hold one
+# block, not a copy of the rows.
+ROW_BLOCK_FLOATS = 2**16
 
 
 def default_row_ids(n: int, prefix: str = "row") -> tuple[str, ...]:
@@ -73,23 +74,31 @@ def fit_standardizer(train: np.ndarray) -> Standardizer:
     Columns whose sample std falls below ``STD_FLOOR`` get std 1.0 so a
     constant feature passes through unscaled instead of dividing by ~0.
 
-    The std is ``train.std(axis=0, ddof=1)`` taken over slices of
-    ``STD_COLUMNS`` columns, so its transient deviations are an n x 64
-    array (n x 65 at most) instead of an n x d copy of the rows. Each
-    column is summed over the rows in the same order as over the whole
-    array, so the bytes are the same, except that numpy sums a single
-    column pairwise: a 1-column tail slice is merged into the one before.
+    The std is ``train.std(axis=0, ddof=1)`` byte for byte, without its n x d
+    transient: the squared deviations are taken over blocks of about
+    ``ROW_BLOCK_FLOATS`` floats of rows, each block reduced along the rows
+    with the running column sums as its first row. numpy sums each column
+    of a C-contiguous array over the rows in sequence, so this continues
+    its sum; a single column it sums pairwise, so d = 1 keeps ``train.std``.
     """
     n, d = train.shape
     if n < 2:
         raise FitError(f"standardizer needs at least 2 training rows, got {n}")
     mean = train.mean(axis=0)
-    starts = list(range(0, d, STD_COLUMNS))
-    if len(starts) > 1 and d - starts[-1] == 1:
-        del starts[-1]
-    std = np.empty(d)
-    for lo, hi in zip(starts, starts[1:] + [d]):
-        std[lo:hi] = train[:, lo:hi].std(axis=0, ddof=1)
+    if d == 1:
+        std = train.std(axis=0, ddof=1)
+    else:
+        # Squares are never -0.0, so a sum that starts from +0.0 keeps them.
+        block = max(1, ROW_BLOCK_FLOATS // d)
+        work, std = np.empty((min(block, n) + 1, d)), np.zeros(d)
+        for lo in range(0, n, block):
+            rows = work[:min(block, n - lo) + 1]
+            rows[0] = std
+            squares = np.subtract(train[lo:lo + block], mean, out=rows[1:])
+            squares *= squares
+            np.add.reduce(rows, axis=0, out=std)
+        std /= n - 1
+        np.sqrt(std, out=std)
     std = np.where(std < STD_FLOOR, 1.0, std)
     return Standardizer(_readonly(mean), _readonly(std))
 
@@ -288,10 +297,13 @@ def _open_matrix(path: str | Path, files: ExitStack):
                             f"needs {target.nbytes}")
         if target is not out:
             out[...] = target
-        finite = np.isfinite(out)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            raise LoadError(f"{path}: non-finite value at row {row}, column {col}")
+        block = max(1, ROW_BLOCK_FLOATS // shape[1])
+        for lo in range(0, shape[0], block):
+            finite = np.isfinite(out[lo:lo + block])
+            if not finite.all():
+                row, col = np.argwhere(~finite)[0]
+                raise LoadError(f"{path}: non-finite value at row {lo + row}, "
+                                f"column {col}")
     return shape, fill
 
 

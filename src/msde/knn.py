@@ -13,7 +13,9 @@ distances |x|^2 + |y|^2 - 2<x, y>, a block of rows against all n at a
 time, within a derived slack of the kernel's, and the kernel for the pairs
 it cannot decide. The k-NN scan keeps every column within the slack of its
 row's k-th screened value and orders them by screened value; only runs of
-candidates too close for the screen to order go through the kernel. The
+candidates too close for the screen to order go through the kernel. It
+holds one screened block at a time, and reads each row's k-th value by
+partitioning a copy of ``PARTITION_ROWS`` of its rows at a time. The
 density weights (``msde.weights``) take their order statistics and each
 row's head of smallest values from one screen of the fuzzy graph's CSR
 rows, and screen again only the rows whose radius counts the head cannot
@@ -33,11 +35,13 @@ from .exceptions import GraphError
 
 logger = logging.getLogger(__name__)
 
-# Rows per Gram block in the scan. Its scratch buffers (the screen, a copy to
-# partition, the candidate mask) are this many rows x n, views of one
-# ``ScanScratch``: a call without one allocates its own, and the shift loop
-# passes the one its run allocated to every scan.
+# Rows per Gram block in the scan. The screened block and the candidate mask
+# are this many rows x n, and the copy a row's k-th value is partitioned from
+# is PARTITION_ROWS x n: views of one ``ScanScratch``. A call without one
+# allocates its own, and the shift loop passes the one its run allocated to
+# every scan.
 SCAN_BLOCK_ROWS = 256
+PARTITION_ROWS = 32
 # Floats per gathered operand when the screen's kernel evaluates pairs of
 # dense rows: each ``distances_from`` call takes max(1, budget // d) pairs.
 RERANK_CHUNK_FLOATS = 2**14
@@ -93,9 +97,10 @@ def _effective_k(k: int, n: int) -> int:
 @dataclass(frozen=True)
 class ScanScratch:
     """Reusable scratch of k-NN scans over n points: flat float64 ``floats``
-    (at least two blocks of min(``SCAN_BLOCK_ROWS``, n) rows x n) and a flat
-    bool ``mask`` (one block). A scan writes every element it reads, so the values left
-    by earlier scans never matter."""
+    (at least h + ``PARTITION_ROWS`` rows x n, h = min(``SCAN_BLOCK_ROWS``,
+    n): one screened block and the copy partitioned from it) and a flat bool
+    ``mask`` (h rows x n). A scan writes every element it reads, so the
+    values left by earlier scans never matter."""
 
     floats: np.ndarray
     mask: np.ndarray
@@ -103,8 +108,9 @@ class ScanScratch:
 
 def scan_scratch(n: int, floats: int = 0) -> ScanScratch:
     """Scratch for scans of n points, with at least ``floats`` floats."""
-    size = min(SCAN_BLOCK_ROWS, n) * n
-    return ScanScratch(np.empty(max(2 * size, floats)), np.empty(size, dtype=bool))
+    height = min(SCAN_BLOCK_ROWS, n)
+    return ScanScratch(np.empty(max((height + PARTITION_ROWS) * n, floats)),
+                       np.empty(height * n, dtype=bool))
 
 
 class _GramScreen:
@@ -193,8 +199,10 @@ def _knn_scan(values: np.ndarray, k: int, scratch: ScanScratch | None = None
     height = min(SCAN_BLOCK_ROWS, n)
     size = height * n
     screened, ranked, mask = (scratch.floats[:size].reshape(height, n),
-                              scratch.floats[size:2 * size].reshape(height, n),
+                              scratch.floats[size:size + PARTITION_ROWS * n]
+                              .reshape(PARTITION_ROWS, n),
                               scratch.mask[:size].reshape(height, n))
+    kth = np.empty(height)
     widen = 1.0 + 8.0 * np.finfo(np.float64).eps
 
     # Screen each block and keep every column at or near each row's k-th
@@ -203,11 +211,14 @@ def _knn_scan(values: np.ndarray, k: int, scratch: ScanScratch | None = None
     for lo in range(0, n, SCAN_BLOCK_ROWS):
         hi = min(lo + SCAN_BLOCK_ROWS, n)
         m = hi - lo
-        d2, part = screen.block(slice(lo, hi), out=screened[:m]), ranked[:m]
-        np.copyto(part, d2)
-        part.partition(k - 1, axis=1)
+        d2 = screen.block(slice(lo, hi), out=screened[:m])
+        for a in range(0, m, PARTITION_ROWS):
+            part = ranked[:min(PARTITION_ROWS, m - a)]
+            np.copyto(part, d2[a:a + PARTITION_ROWS])
+            part.partition(k - 1, axis=1)
+            kth[a:a + len(part)] = part[:, k - 1]
         slack = screen.slack[lo:hi]
-        bound = (part[:, k - 1] + slack) * widen + slack
+        bound = (kth[:m] + slack) * widen + slack
         if not np.isfinite(bound).all():  # inf admits self, NaN no column
             raise GraphError("squared distances overflow float64")
         flat = np.flatnonzero(np.less_equal(d2, bound[:, None], out=mask[:m]))

@@ -25,8 +25,9 @@ test rows: the joint run's points are that array, and the solo run's are
 its train rows.
 
 A run allocates one ``knn.ScanScratch``, large enough for a k-NN scan's
-blocks and for a step's n x d temporaries, and every scan and step of its
-loop works in it, so no iteration allocates block-sized buffers.
+blocks and for a step's scaled rows of ``STEP_COLUMNS`` columns, and every
+scan and step of its loop works in it, so no iteration allocates
+block-sized buffers and no run holds an n x d temporary besides its points.
 
 At ``threads >= 2`` these two run the solo and the joint run on a thread
 each (msde's only fan-out); each run is single-threaded, so results never
@@ -54,6 +55,11 @@ from .weights import (DensityWeights, PreparedWeights, _fuzzy_from_knn,
                       apply_weights, prepare_weights)
 
 logger = logging.getLogger(__name__)
+
+# Columns per chunk of a shift step: each chunk's weight-scaled rows (n x
+# this many) go through the CSR product on their own, in the front of the
+# run's scratch, and so do the displacements of as many rows as fit there.
+STEP_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,15 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
     as ``knn_neighbors`` returns it, and ``weights`` holds one density
     weight per row. One product of the lists, as a CSR matrix of ones in
     list order, with the once-scaled rows adds each row's w_j * x_j in the
-    order of its list (scipy sums CSR-times-dense in stored order).
+    order of its list (scipy sums CSR-times-dense in stored order; a weight
+    of 1.0 keeps each sum y + 1.0 * s exact on any build). The rows are
+    scaled and multiplied ``STEP_COLUMNS`` columns at a time, and checked
+    finite and measured in row blocks of at most n x ``STEP_COLUMNS``
+    floats; the scaled chunk and the block's displacements are written to
+    the front of ``scratch`` when it is given. So the step holds no n x d
+    temporary besides its result.
     Neighborhoods whose weights sum to zero fall back to the unweighted
-    neighborhood mean so the target stays defined. The scaled rows, and
-    then each row's displacement, are written to the first n * d floats of
-    ``scratch`` when it is given.
+    neighborhood mean so the target stays defined.
     """
     if not 0.0 < eta <= 1.0:
         raise ConfigError(f"eta must be in (0, 1], got {eta}")
@@ -130,20 +140,29 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
     if weights.shape != (n,):
         raise GraphError(f"weights must have shape ({n},), got {weights.shape}")
     wsum = weights[neighbors].sum(axis=1)
-    out = None if scratch is None else scratch.floats[:n * d].reshape(n, d)
-    scaled = np.multiply(weights[:, None], values, out=out)
-    size, k = neighbors.size, neighbors.shape[1]
-    new = sp.csr_matrix((np.ones(size), neighbors.ravel(), np.arange(0, size + 1, k)),
-                        shape=(n, n)) @ scaled
     zero = wsum == 0.0
-    if eta == 1.0:
-        # The target is kept, so is a zero's sign: sums start from +0.0, and a
-        # kept row's zero sum is -0.0 when every term (the first too) is -0.0.
-        rows, cols = np.divmod(np.flatnonzero(new == 0.0), d)
-        maybe = ~zero[rows] & np.signbit(scaled[neighbors[rows, 0], cols])
-        rows, cols = rows[maybe], cols[maybe]
-        negative = np.signbit(scaled[neighbors[rows], cols[:, None]]).all(axis=1)
-        new[rows[negative], cols[negative]] = -0.0
+    size, k = neighbors.size, neighbors.shape[1]
+    lists = sp.csr_matrix((np.ones(size), neighbors.ravel(), np.arange(0, size + 1, k)),
+                          shape=(n, n))
+    new = np.empty((n, d))
+    for c in range(0, d, STEP_COLUMNS):
+        width = min(STEP_COLUMNS, d - c)
+        out = None if scratch is None else scratch.floats[:n * width].reshape(n, width)
+        scaled = np.multiply(weights[:, None], values[:, c:c + width], out=out)
+        target = lists @ scaled
+        if eta == 1.0:
+            # The target is kept, so is a zero's sign: sums start from +0.0,
+            # and a kept row's zero sum is -0.0 when every term (the first
+            # too) is -0.0.
+            rows, cols = np.divmod(np.flatnonzero(target == 0.0), width)
+            maybe = ~zero[rows] & np.signbit(scaled[neighbors[rows, 0], cols])
+            rows, cols = rows[maybe], cols[maybe]
+            negative = np.signbit(scaled[neighbors[rows], cols[:, None]]).all(axis=1)
+            target[rows[negative], cols[negative]] = -0.0
+        if width == d:  # one chunk: its product is the result
+            new = target
+        else:
+            new[:, c:c + width] = target
     np.divide(new, np.where(zero, 1.0, wsum)[:, None], out=new)
     new[zero] = values[neighbors[zero]].mean(axis=1)
     if eta != 1.0:
@@ -151,12 +170,17 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
         new -= values
         new *= eta
         new += values
-    if not np.all(np.isfinite(new)):
-        bad = int(np.argwhere(~np.isfinite(new))[0][0])
-        raise NumericError(f"non-finite coordinates after shift step at row {bad}")
-    moved = np.subtract(new, values, out=scaled)
-    delta = float(np.sqrt(np.einsum("ij,ij->i", moved, moved)).mean())
-    return new, delta
+    block, norms = max(1, n * STEP_COLUMNS // max(d, 1)), np.empty(n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        finite = np.isfinite(new[lo:hi])
+        if not finite.all():
+            bad = lo + int(np.argwhere(~finite)[0][0])
+            raise NumericError(f"non-finite coordinates after shift step at row {bad}")
+        out = None if scratch is None else scratch.floats[:(hi - lo) * d].reshape(-1, d)
+        moved = np.subtract(new[lo:hi], values[lo:hi], out=out)
+        norms[lo:hi] = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+    return new, float(norms.mean())
 
 
 @dataclass(frozen=True)
@@ -210,7 +234,7 @@ def apply_shift(points: np.ndarray, prepared: ShiftInput | None,
     n, d = points.shape
     weights = apply_weights(prepared.weights, params.t_nbd)
     neighbors = prepared.neighbors[:, :_effective_k(params.k, n)]
-    scratch = scan_scratch(n, n * d)
+    scratch = scan_scratch(n, n * min(d, STEP_COLUMNS))
     values = points
     deltas: list[float] = []
     converged = False

@@ -34,7 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # (module, function): the pipeline's public steps, in the order a run
-# reaches them, and inside score_shifted the private scoring cores and
+# reaches them, each shift run's preparation and loop (one line per run,
+# not per scan), and inside score_shifted the private scoring cores and
 # the blocked Mahalanobis solve (one line per call, not per block).
 STAGES = (
     ("msde.data", "load_rows"),
@@ -42,8 +43,10 @@ STAGES = (
     ("msde.data", "fit_standardizer"),
     ("msde.data", "apply_standardizer"),
     ("msde.weights", "prepare_weights"),
+    ("msde.shift", "prepare_shift"),
     ("msde.scoring", "prepare_rows"),
     ("msde.shift", "prepare_joint"),
+    ("msde.shift", "apply_shift"),
     ("msde.shift", "joint_shift"),
     ("msde.scoring", "_fit_pca"),
     ("msde.scoring", "_rotate"),

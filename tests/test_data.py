@@ -15,6 +15,7 @@ from msde import (
     generate_synthetic,
     save_scores,
 )
+from msde import data as data_module
 from msde.cli import _load_rows, main
 from msde.data import (
     STD_FLOOR,
@@ -326,9 +327,8 @@ class TestStandardizer:
 
     @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 129, 513])
     def test_column_slices_give_the_whole_array_bytes(self, d):
-        # The std is taken over 64-column slices; numpy sums a 1-column
-        # slice pairwise, so a 1-column tail (d = 65, 129, 513) would
-        # differ if it were not merged into the slice before it.
+        # Widths around powers of two, with and without a 1-column tail,
+        # on offset, integer and constant columns.
         rng = np.random.default_rng(d)
         for n in (2, 3, 17, 1000, 8000):
             for kind in ("offset", "grid", "constant"):
@@ -343,6 +343,24 @@ class TestStandardizer:
                 std = np.where(std < STD_FLOOR, 1.0, std)
                 assert s.mean.tobytes() == x.mean(axis=0).tobytes(), (n, kind)
                 assert s.std.tobytes() == std.tobytes(), (n, kind)
+
+    @pytest.mark.parametrize("d", [1, 2, 65, 512])
+    def test_row_blocks_give_the_whole_array_bytes(self, d, monkeypatch):
+        # The squared deviations are summed a row block at a time, each block
+        # continuing the running column sums. 2 rows, and two full blocks
+        # plus 3 rows, at scales whose squares underflow or overflow; with
+        # the floor at 0 the sums themselves are compared.
+        monkeypatch.setattr(data_module, "STD_FLOOR", 0.0)
+        rng = np.random.default_rng(d)
+        block = data_module.ROW_BLOCK_FLOATS // d
+        for n in (2, 2 * block + 3):
+            for scale in (1.0, 1e-300, 1e-160, 1e150, 1e200):
+                x = (rng.normal(size=(n, d)) + 3.0) * scale
+                with np.errstate(over="ignore"):
+                    s = fit_standardizer(x)
+                    std = x.std(axis=0, ddof=1)
+                assert s.mean.tobytes() == x.mean(axis=0).tobytes(), (n, scale)
+                assert s.std.tobytes() == std.tobytes(), (n, scale)
 
 
 class TestSynthetic:
@@ -553,6 +571,20 @@ class TestLoadRows:
             load_rows(paths["train"], paths["test"])
         with pytest.raises(LoadError, match=message):
             _read(paths[bad])
+
+    def test_non_finite_value_in_a_later_row_block(self, tmp_path):
+        # The payload is checked a row block at a time; the error still
+        # names the first bad row and column in row order.
+        block = data_module.ROW_BLOCK_FLOATS // 512
+        values = np.ones((3 * block, 512))
+        values[block + 5, 7] = np.nan
+        values[block + 6, 2] = np.inf
+        np.save(tmp_path / "train.npy", values)
+        np.save(tmp_path / "test.npy", np.ones((2, 512)))
+        message = (rf"^{re.escape(str(tmp_path / 'train.npy'))}: non-finite value "
+                   rf"at row {block + 5}, column 7$")
+        with pytest.raises(LoadError, match=message):
+            load_rows(tmp_path / "train.npy", tmp_path / "test.npy")
 
     def test_file_errors_keep_their_messages(self, tmp_path):
         np.save(tmp_path / "train.npy", np.zeros((3, 2)))

@@ -55,13 +55,13 @@ class TestBuildKnnGraph:
             with pytest.raises(GraphError, match="overflow"):
                 build_knn_graph(_matrix([[0.0], [1.0], [1e200]]), 1)
 
-    def test_peak_memory_two_blocks(self, peak_bytes):
-        # The scan's scratch is two SCAN_BLOCK_ROWS x n float buffers and a
-        # bool mask, allocated once per call; at n=1200 that is 0.45 of one
-        # n x n float64.
+    def test_peak_memory_one_block(self, peak_bytes):
+        # The scan's scratch is one SCAN_BLOCK_ROWS x n float block, a
+        # PARTITION_ROWS x n copy to partition and a bool mask, allocated
+        # once per call; at n=1200 that is 0.27 of one n x n float64.
         n = 1200
         points = np.random.default_rng(0).normal(size=(n, 32))
-        assert peak_bytes(build_knn_graph, points, 15) < 0.55 * n * n * 8
+        assert peak_bytes(build_knn_graph, points, 15) < 0.40 * n * n * 8
 
     def test_no_self_loops_and_sorted_rows(self):
         rng = np.random.default_rng(0)
@@ -101,15 +101,19 @@ class TestOracleEquivalence:
     def test_scan_sub_blocks_match_brute_force_on_ties(self, dim, spacing):
         # More rows than one scan block, on an integer grid full of exact
         # distance ties (in 2-d, duplicate points too); the blocked scan
-        # must still equal the oracle at either grid spacing.
+        # must still equal the oracle at either grid spacing, whatever the
+        # rows partitioned at a time.
         assert 600 > SCAN_BLOCK_ROWS
         rng = np.random.default_rng(5)
         grid = rng.integers(0, 3, size=(600, dim)) * spacing
         m = _matrix(grid.astype(float))
-        fast = build_knn_graph(m, 12)
         slow = brute_force_knn(m, 12)
-        np.testing.assert_array_equal(fast.neighbors, slow.neighbors)
-        np.testing.assert_array_equal(fast.distances, slow.distances)
+        for partition in (1, 7, 32):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(knn_module, "PARTITION_ROWS", partition)
+                fast = build_knn_graph(m, 12)
+            np.testing.assert_array_equal(fast.neighbors, slow.neighbors)
+            np.testing.assert_array_equal(fast.distances, slow.distances)
 
 
 @st.composite
@@ -162,16 +166,20 @@ def test_offset_grid_ties_break_by_column_index(dim, offset):
     # every Gram product is an integer below 2**53, so the screen is exact;
     # at 1e8 it rounds, and tied columns screen at values that differ by
     # rounding alone. Only the column index may order them, never the
-    # screened order.
+    # screened order, whatever the rows partitioned at a time.
     rng = np.random.default_rng(dim)
     for _ in range(12):
         points = rng.integers(0, 5, size=(int(rng.integers(8, 60)), dim)) + offset
         k = int(rng.integers(1, 7))
         oracle = brute_force_knn(points, k)
-        graph = build_knn_graph(points, k)
-        assert knn_neighbors(points, k).tobytes() == oracle.neighbors.tobytes()
-        assert graph.neighbors.tobytes() == oracle.neighbors.tobytes()
-        assert graph.distances.tobytes() == oracle.distances.tobytes()
+        for partition in (1, 7, 32):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(knn_module, "PARTITION_ROWS", partition)
+                graph = build_knn_graph(points, k)
+                neighbors = knn_neighbors(points, k)
+            assert neighbors.tobytes() == oracle.neighbors.tobytes()
+            assert graph.neighbors.tobytes() == oracle.neighbors.tobytes()
+            assert graph.distances.tobytes() == oracle.distances.tobytes()
 
 
 @pytest.mark.parametrize("height", [SCAN_BLOCK_ROWS, 7, 1])

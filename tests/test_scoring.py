@@ -520,6 +520,29 @@ class TestScorePipeline:
         assert report.row_ids == ids
         np.testing.assert_array_equal(report.labels, labels)
 
+    @pytest.mark.parametrize("max_iters", [8, 0], ids=["shifted", "noshift"])
+    def test_permuting_the_test_rows_keeps_each_rows_score(self, max_iters):
+        # Criterion 7's instance. Scoring is transductive (the test rows
+        # shift together), but not order-dependent: permuted test rows get
+        # the same raw bytes per row id, and the same AUC and AP. The
+        # normalized scores are not pinned: their z-score mean sums the
+        # test rows in another order.
+        spec = SyntheticSpec(dim=32, n_train=500, n_test_normal=100,
+                             n_test_anomalous=100, anomaly_offset=2.5)
+        config = MsdeConfig(shift=ShiftParams(max_iters=max_iters))
+        rows, n_train, ids, labels = generate_synthetic(spec, 42)
+        order = np.random.default_rng(0).permutation(len(ids))
+        permuted = np.concatenate([rows[:n_train], rows[n_train:][order]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = score_rows(rows, n_train, ids, labels, config)
+            other = score_rows(permuted, n_train, tuple(ids[i] for i in order),
+                               labels[order], config)
+        assert other.row_ids == tuple(ids[i] for i in order)
+        assert other.raw.tobytes() == report.raw[order].tobytes()
+        assert other.metrics.auc == report.metrics.auc
+        assert other.metrics.ap == report.metrics.ap
+
 
 class TestPrepareRows:
     def test_one_read_only_array_of_train_then_test_rows(self):

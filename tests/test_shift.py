@@ -132,6 +132,39 @@ class TestShiftStep:
         if eta == 1.0:
             assert np.signbit(new[7]).all()
 
+    @pytest.mark.parametrize("eta", [0.33, 1.0])
+    @pytest.mark.parametrize("d", [1, 3, 130, 512])
+    def test_column_chunks_give_the_same_bytes(self, d, eta, monkeypatch):
+        # Scaled and multiplied STEP_COLUMNS columns at a time (one column,
+        # three with a 1- or 2-column tail, 128 with a 2-column tail at
+        # d = 130), with and without a poisoned scratch: each row still
+        # adds its list in order, and row 7's zero sums keep their sign,
+        # -0.0 in even columns and +0.0 in odd ones.
+        pts, neighbors, w = _step_instance(d, 20)
+        pts[:5, 1::2] = 0.0
+        expected, expected_delta = _sequential_step(pts, neighbors, w, eta)
+        scratch = knn_module.scan_scratch(len(pts), len(pts) * min(d, 128))
+        scratch.floats.fill(np.nan)
+        for columns in (1, 3, 128):
+            monkeypatch.setattr(shift_module, "STEP_COLUMNS", columns)
+            for given in (None, scratch):
+                new, delta = shift_step(pts, neighbors, w, eta, given)
+                assert new.tobytes() == expected.tobytes()
+                assert delta == expected_delta
+                if eta == 1.0:
+                    assert list(np.signbit(new[7])) == [c % 2 == 0 for c in range(d)]
+
+    def test_peak_memory_one_result(self, peak_bytes):
+        # Without a scratch the step holds its n x d result, one chunk of
+        # scaled rows and of their product, and one row block of
+        # displacements: 1.13 of the result at 300 x 4096.
+        rng = np.random.default_rng(16)
+        n, d, k = 300, 4096, 20
+        pts = rng.normal(size=(n, d))
+        neighbors = rng.integers(0, n, size=(n, k))
+        w = rng.uniform(0.5, 2.0, size=n)
+        assert peak_bytes(shift_step, pts, neighbors, w, 0.33) < 1.5 * n * d * 8
+
     def test_zero_sums_keep_their_list_order_sign(self):
         # A sum of -0.0 terms alone is -0.0; one +0.0 term, or terms that
         # cancel exactly, make it +0.0. Column 0 of rows 0-2 sums to each.
@@ -317,6 +350,25 @@ class TestRunShift:
         assert len(allocated) == 1
         assert [kind for kind, _ in used] == ["step"] + ["scan", "step"] * 7
         assert all(scratch is allocated[0] for _, scratch in used)
+
+    def test_run_scratch_holds_no_n_by_d(self, monkeypatch):
+        # At d = 512 a run's one scratch is a scan block plus a partition
+        # copy: the step's scaled rows fit in it, STEP_COLUMNS at a time.
+        requested = []
+        scan_scratch = shift_module.scan_scratch
+
+        def allocate(*args):
+            requested.append(scan_scratch(*args))
+            return requested[-1]
+
+        monkeypatch.setattr(shift_module, "scan_scratch", allocate)
+        n = 300
+        points = np.random.default_rng(18).normal(size=(n, 512))
+        out = run_shift(points, _quiet_params(max_iters=2, tol=1e-12))
+        assert out.trace.iterations_run == 2
+        assert len(requested) == 1
+        limit = (knn_module.SCAN_BLOCK_ROWS + knn_module.PARTITION_ROWS) * n
+        assert requested[0].floats.size <= limit
 
     def test_permutation_equivariance_synchronous_update(self):
         rng = np.random.default_rng(7)
