@@ -62,6 +62,13 @@ logger = logging.getLogger(__name__)
 STEP_COLUMNS = 128
 
 
+def step_floats(n: int, d: int) -> int:
+    """Scratch floats a shift step over n x d points writes: a chunk of
+    scaled rows (n x min(d, ``STEP_COLUMNS``)), or a row block of
+    displacements, which is at least one row of d."""
+    return max(n * min(d, STEP_COLUMNS), d)
+
+
 @dataclass(frozen=True)
 class ShiftParams:
     """Shift hyperparameters; defaults are the fixed universal settings.
@@ -121,9 +128,10 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
     of 1.0 keeps each sum y + 1.0 * s exact on any build). The rows are
     scaled and multiplied ``STEP_COLUMNS`` columns at a time, and checked
     finite and measured in row blocks of at most n x ``STEP_COLUMNS``
-    floats; the scaled chunk and the block's displacements are written to
-    the front of ``scratch`` when it is given. So the step holds no n x d
-    temporary besides its result.
+    floats (one row when a row is wider); the scaled chunk and the block's
+    displacements are written to the front of ``scratch`` when it is
+    given, which holds at least ``step_floats(n, d)`` floats. So the step
+    holds no n x d temporary besides its result.
     Neighborhoods whose weights sum to zero fall back to the unweighted
     neighborhood mean so the target stays defined.
     """
@@ -144,7 +152,8 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
     size, k = neighbors.size, neighbors.shape[1]
     lists = sp.csr_matrix((np.ones(size), neighbors.ravel(), np.arange(0, size + 1, k)),
                           shape=(n, n))
-    new = np.empty((n, d))
+    # One chunk's product is the result; wider rows gather their chunks.
+    new = None if 0 < d <= STEP_COLUMNS else np.empty((n, d))
     for c in range(0, d, STEP_COLUMNS):
         width = min(STEP_COLUMNS, d - c)
         out = None if scratch is None else scratch.floats[:n * width].reshape(n, width)
@@ -159,7 +168,7 @@ def shift_step(values: np.ndarray, neighbors: np.ndarray, weights: np.ndarray,
             rows, cols = rows[maybe], cols[maybe]
             negative = np.signbit(scaled[neighbors[rows], cols[:, None]]).all(axis=1)
             target[rows[negative], cols[negative]] = -0.0
-        if width == d:  # one chunk: its product is the result
+        if new is None:
             new = target
         else:
             new[:, c:c + width] = target
@@ -234,7 +243,7 @@ def apply_shift(points: np.ndarray, prepared: ShiftInput | None,
     n, d = points.shape
     weights = apply_weights(prepared.weights, params.t_nbd)
     neighbors = prepared.neighbors[:, :_effective_k(params.k, n)]
-    scratch = scan_scratch(n, n * min(d, STEP_COLUMNS))
+    scratch = scan_scratch(n, step_floats(n, d))
     values = points
     deltas: list[float] = []
     converged = False

@@ -18,7 +18,6 @@ from msde import (
 from msde import data as data_module
 from msde.cli import _load_rows, main
 from msde.data import (
-    STD_FLOOR,
     join_labels,
     load_labels,
     load_rows,
@@ -326,41 +325,28 @@ class TestStandardizer:
             apply_standardizer(s, np.array([[1.0, 2.0]]))
 
     @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 129, 513])
-    def test_column_slices_give_the_whole_array_bytes(self, d):
-        # Widths around powers of two, with and without a 1-column tail,
-        # on offset, integer and constant columns.
+    def test_column_slices_give_the_whole_array_bytes(self, d, monkeypatch):
+        # The squared deviations are summed a row block at a time, each block
+        # continuing the running column sums: up to 63 blocks at d = 513.
+        # Offset columns at scales whose squares underflow or overflow,
+        # integer and constant columns; with the floor at 0 the sums
+        # themselves are compared.
+        monkeypatch.setattr(data_module, "STD_FLOOR", 0.0)
         rng = np.random.default_rng(d)
         for n in (2, 3, 17, 1000, 8000):
             for kind in ("offset", "grid", "constant"):
-                if kind == "offset":
-                    x = rng.normal(size=(n, d)) + 1e7
-                else:
-                    x = rng.integers(-2, 3, size=(n, d)).astype(float)
-                    if kind == "constant":
-                        x[:, ::3] = 4.0
-                s = fit_standardizer(x)
-                std = x.std(axis=0, ddof=1)
-                std = np.where(std < STD_FLOOR, 1.0, std)
-                assert s.mean.tobytes() == x.mean(axis=0).tobytes(), (n, kind)
-                assert s.std.tobytes() == std.tobytes(), (n, kind)
-
-    @pytest.mark.parametrize("d", [1, 2, 65, 512])
-    def test_row_blocks_give_the_whole_array_bytes(self, d, monkeypatch):
-        # The squared deviations are summed a row block at a time, each block
-        # continuing the running column sums. 2 rows, and two full blocks
-        # plus 3 rows, at scales whose squares underflow or overflow; with
-        # the floor at 0 the sums themselves are compared.
-        monkeypatch.setattr(data_module, "STD_FLOOR", 0.0)
-        rng = np.random.default_rng(d)
-        block = data_module.ROW_BLOCK_FLOATS // d
-        for n in (2, 2 * block + 3):
-            for scale in (1.0, 1e-300, 1e-160, 1e150, 1e200):
-                x = (rng.normal(size=(n, d)) + 3.0) * scale
-                with np.errstate(over="ignore"):
-                    s = fit_standardizer(x)
-                    std = x.std(axis=0, ddof=1)
-                assert s.mean.tobytes() == x.mean(axis=0).tobytes(), (n, scale)
-                assert s.std.tobytes() == std.tobytes(), (n, scale)
+                for scale in (1.0, 1e-300, 1e-160, 1e150, 1e200) if kind == "offset" else (1.0,):
+                    if kind == "offset":
+                        x = (rng.normal(size=(n, d)) + 1e7) * scale
+                    else:
+                        x = rng.integers(-2, 3, size=(n, d)).astype(float)
+                        if kind == "constant":
+                            x[:, ::3] = 4.0
+                    with np.errstate(over="ignore"):
+                        s = fit_standardizer(x)
+                        std = x.std(axis=0, ddof=1)
+                    assert s.mean.tobytes() == x.mean(axis=0).tobytes(), (n, kind, scale)
+                    assert s.std.tobytes() == std.tobytes(), (n, kind, scale)
 
 
 class TestSynthetic:

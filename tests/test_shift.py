@@ -143,7 +143,7 @@ class TestShiftStep:
         pts, neighbors, w = _step_instance(d, 20)
         pts[:5, 1::2] = 0.0
         expected, expected_delta = _sequential_step(pts, neighbors, w, eta)
-        scratch = knn_module.scan_scratch(len(pts), len(pts) * min(d, 128))
+        scratch = knn_module.scan_scratch(len(pts), shift_module.step_floats(len(pts), d))
         scratch.floats.fill(np.nan)
         for columns in (1, 3, 128):
             monkeypatch.setattr(shift_module, "STEP_COLUMNS", columns)
@@ -369,6 +369,19 @@ class TestRunShift:
         assert len(requested) == 1
         limit = (knn_module.SCAN_BLOCK_ROWS + knn_module.PARTITION_ROWS) * n
         assert requested[0].floats.size <= limit
+
+    @pytest.mark.parametrize("n, d", [(3, 512), (15, 2048)])
+    def test_rows_wider_than_a_chunk_of_every_row(self, n, d):
+        # At d > STEP_COLUMNS * n a block of displacements is one row, d
+        # floats, more than a chunk of scaled rows; the run's scratch fits it.
+        points = np.random.default_rng(19).normal(size=(n, d))
+        params = _quiet_params(k=2, k_umap=2, t_nbd=1, max_iters=1, tol=1e-12)
+        out = run_shift(points, params)
+        neighbors = knn_module.knn_neighbors(points, params.k)
+        expected, delta = shift_step(points, neighbors, out.weights_used.weights,
+                                     params.eta)
+        assert out.values.tobytes() == expected.tobytes()
+        assert out.trace.deltas == (delta,)
 
     def test_permutation_equivariance_synchronous_update(self):
         rng = np.random.default_rng(7)
